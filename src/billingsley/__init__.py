@@ -21,7 +21,7 @@ from .pd_process import (PDSample, pd_box_probability, pd_box_probability_refine
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate, mertens_sum,
                      mertens_sum_from, power_ceil, power_floor)
 from .rng import DEFAULT_SEED
-from .smoothcount import configure_psi_memo, psi_bruteforce, psi_dickman, psi_exact
+from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 
 __all__ = [
     "BillingsleyError", "BoxCriterion", "BoxSpec", "ConvergenceReport",
@@ -29,8 +29,8 @@ __all__ = [
     "ExactProbability", "FactorVector", "NumericalError", "PDSample",
     "ParameterError", "PrimeSieve", "QuadratureConfig", "ResourceError",
     "box_admissible", "box_probability_exact", "box_probability_via_psi",
-    "build_rho_table", "build_sieve", "configure_psi_memo",
-    "distance_to_complement", "factor_vector", "h_function",
+    "build_rho_table", "build_sieve", "distance_to_complement", "factor_vector",
+    "h_function",
     "inf_density_on_box", "marginal_L1_cdf", "mertens_constant_estimate",
     "mertens_sum", "mertens_sum_from", "pd_box_probability",
     "pd_box_probability_refined", "pd_density", "pd_sample", "pd_sample_batch",

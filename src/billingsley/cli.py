@@ -21,7 +21,7 @@ from .convergence import BoxCriterion, run_criterion
 from .dickman import DEFAULT_STEP, DEFAULT_U_MAX, DickmanTable, build_rho_table, rho
 from .errors import BillingsleyError
 from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
-                           sample_box_probability, sample_factor_vectors)
+                           prime_bounds, sample_box_probability, sample_factor_vectors)
 from .pd_process import (DEFAULT_TRUNCATION, pd_box_probability_refined, pd_density,
                          pd_sample_batch)
 from .primes import build_sieve, mertens_constant_estimate, mertens_sum, power_floor
@@ -166,7 +166,11 @@ def _cmd_psi_ladder(args) -> int:
 
 def _cmd_box(args) -> int:
     box = BoxSpec.from_string(args.box)
-    sieve = build_sieve(args.n)
+    if args.method == "psi":  # needs primes only up to the top coordinate's range
+        box.require_inside_u()
+        sieve = build_sieve(max(prime_bounds(args.n, box)[0][1], 2))
+    else:
+        sieve = build_sieve(args.n)
     if args.method == "exact":
         est = box_probability_exact(sieve, args.n, box)
         payload = {"count": est.count, "total": est.total, "p_hat": est.value}

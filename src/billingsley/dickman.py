@@ -144,7 +144,7 @@ def rho(table: DickmanTable, u):
     """
     eps = 4.0 * np.spacing(table.u_max) + 1e-15
     arr = np.asarray(u, dtype=np.float64)
-    if np.any(arr < 0) or np.any(arr > table.u_max + eps):
+    if not (np.all(arr >= 0) and np.all(arr <= table.u_max + eps)):  # NaN fails too
         raise DomainError(f"u outside [0, {table.u_max}]")
     arr = np.minimum(arr, table.u_max)
     out = _interp_rho(table.values, table.step, arr)

@@ -23,13 +23,16 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError
 from .primes import PrimeSieve, power_ceil, power_floor
-from .smoothcount import psi_exact
+from .smoothcount import psi_exact, psi_sum
 
 from .rng import DEFAULT_SEED
 
 #: Monte Carlo work is split into this many fixed logical shards; results are
 #: a function of (seed, shard) only, so thread count never changes them.
 MC_SHARDS = 64
+
+#: prime tuples handed to the Psi engine per call in box_probability_via_psi
+PSI_TUPLE_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -193,7 +196,7 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec,
 
 def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:
     """The same probability through the prime-tuple sum
-    sum Psi(n // (p_1 ... p_k), p_k).
+    sum Psi(n // (p_1 ... p_k), p_k), one Psi-engine sweep per chunk of tuples.
 
     Requires the box inside U, which makes the per-coordinate prime ranges
     disjoint and descending: tuples are strictly ordered and the underlying
@@ -206,27 +209,30 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     if bounds[0][1] > sieve.limit:
         raise DomainError(
             f"top prime range reaches {bounds[0][1]}, beyond sieve limit {sieve.limit}")
-    ranges = [sieve.primes_in_range(lo, hi).tolist() for lo, hi in bounds]
-    k = box.k
+    ranges = [sieve.primes_in_range(lo, hi) for lo, hi in bounds]
     count = 0
-
-    def descend(level: int, prod: int) -> None:
-        nonlocal count
-        if level == k - 1:
-            for p in ranges[level]:
-                q = n // (prod * p)
-                if q < 1:
-                    break
-                count += psi_exact(q, p)
-            return
-        for p in ranges[level]:
-            if prod * p > n:
-                break
-            descend(level + 1, prod * p)
-
-    if all(ranges):
-        descend(0, 1)
+    for z, last in _prime_tuples(n, ranges):
+        count += psi_sum(z, last)
     return ExactProbability(count=count, total=n)
+
+
+def _prime_tuples(n: int, ranges: list):
+    """Yield (n // (p_1 ... p_k), p_k) as int64 arrays over the tuples drawn
+    one prime per range with p_1 ... p_k <= n, about PSI_TUPLE_CHUNK pairs at
+    a time.  Products stay <= n, so they never overflow."""
+    def extend(prods, level):
+        primes = ranges[level]
+        step = max(1, PSI_TUPLE_CHUNK // max(primes.size, 1))
+        for start in range(0, prods.size, step):
+            head = prods[start:start + step]
+            rows, cols = np.nonzero(primes[None, :] <= (n // head)[:, None])
+            tails = head[rows] * primes[cols]
+            if level == len(ranges) - 1:
+                yield n // tails, primes[cols]
+            else:
+                yield from extend(tails, level + 1)
+
+    yield from extend(np.ones(1, dtype=np.int64), 0)
 
 
 def _mc_shard(sieve: PrimeSieve, n: int, bounds, seed: int, shard: int,

@@ -32,7 +32,6 @@ class PrimeSieve:
     smallest_prime_factor: np.ndarray
     _primes: np.ndarray | None = field(default=None, repr=False)
     _lpf: np.ndarray | None = field(default=None, repr=False)
-    _inv_cumsum: np.ndarray | None = field(default=None, repr=False)
 
     def primes(self) -> np.ndarray:
         """Ascending array of all primes <= limit."""

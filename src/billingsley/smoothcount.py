@@ -1,20 +1,40 @@
 """Counting y-smooth integers: Psi(x, y) by two independent exact routes plus
 the Dickman approximation x * rho(log x / log y).
 
-psi_bruteforce scans largest prime factors off a sieve; psi_exact runs the
-Buchstab-style recursion Psi(x, p_j) = Psi(x, p_{j-1}) + Psi(x // p_j, p_j)
-with a bounded memo.  The two never share counting logic, so each serves as
-the other's oracle.  All quotient arithmetic is exact integer division.
+psi_bruteforce scans largest prime factors off a PrimeSieve.  psi_exact and
+psi_sum run a PsiEngine, which keeps its own Eratosthenes prime list and
+shares no table with PrimeSieve, so each route serves as the other's oracle.
+All quotient arithmetic is exact integer division.
 
-Feasibility: the recursion handles x up to ~10^12 when y is moderate (a few
-thousand); for y near sqrt(x) it switches to the identity
-Psi(x, y) = x - sum_{y < p <= x} floor(x/p), which needs the primes up to x
-and is therefore capped at x <= 10^8.
+The engine evaluates a whole batch sum_r Psi(x_r, y_r) in numpy by sweeping
+the primes from the largest label down (the batched "special leaves" step of
+Lagarias-Miller-Odlyzko and Deleglise-Rivat).  Stage j holds the distinct
+quotients z, with int64 multiplicities, that still need Psi(z, p_j):
+
+* z <= p_j counts z;
+* z <= T (the leaf limit) is looked up in a table of the integers up to T
+  labelled by their largest prime factor, unless all of the stage's leaves
+  admit the identity below and its rows are fewer than the table's;
+* (p_j + 1)^2 > z uses the one-large-factor identity
+  Psi(z, p) = z - sum_{p < q <= z} floor(z/q)
+            = z - sum_{r <= z/(p+1)} (pi(z // r) - pi(p));
+* any other z passes z // p_j^k, k >= 0, on to stage j - 1, where equal
+  quotients merge; at p = 2 the sweep closes with the bit length.
+
+A single x <= T skips the sweep: one count off the leaf table.
+
+Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
+engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
+y beyond the cap raises ResourceError, and quotients beyond it are divided
+down instead.  psi_exact(10^12, 1000) takes about half a second; work grows
+with the number of distinct quotients above T, roughly x / T divisors.  The
+x of a batch must sum to at most 2^62 so that every weighted partial sum fits
+in int64; larger batches raise ResourceError before any work.
 """
 from __future__ import annotations
 
+import functools
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -25,72 +45,190 @@ from .primes import PrimeSieve
 #: never sieve the internal prime list beyond this
 PRIME_CAP = 10**8
 
-_MEMO_ENTRIES = 1 << 20
+#: quotients up to this many are answered from the engine's leaf table
+LEAF_LIMIT = 1 << 20
 
-# internal prime list (independent of PrimeSieve): plain Eratosthenes
-_plimit = 0
-_parr = np.empty(0, dtype=np.int64)
-_plist: list[int] = []
+#: the x of one batch must sum to at most this: a weight times a count stays
+#: below twice the batch's x, so every partial sum fits in int64
+X_SUM_LIMIT = 1 << 62
+
+#: the one-large-factor identity expands at most about this many rows at once
+IDENTITY_ROWS = 1 << 22
+
+_POW2 = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
 
 
-def _ensure_primes(limit: int) -> None:
-    global _plimit, _parr, _plist
-    if limit <= _plimit:
-        return
-    if limit > PRIME_CAP:
-        raise ResourceError(f"prime list to {limit} exceeds cap {PRIME_CAP}")
-    limit = max(limit, 1 << 16)
+def _eratosthenes(limit: int) -> np.ndarray:
+    """Ascending int64 array of the primes <= limit."""
     comp = np.zeros(limit + 1, dtype=bool)
     comp[:2] = True
     for p in range(2, math.isqrt(limit) + 1):
         if not comp[p]:
             comp[p * p:: p] = True
-    _parr = np.flatnonzero(~comp).astype(np.int64)
-    _plist = _parr.tolist()
-    _plimit = limit
+    return np.flatnonzero(~comp).astype(np.int64)
 
 
-def _count_with_one_large_factor(x: int, p: int) -> int:
-    """Psi(x, p) when (p+1)^2 > x: every non-smooth m <= x has exactly one
-    prime factor above p, so subtract sum floor(x/q) over p < q <= x."""
-    a = int(np.searchsorted(_parr, p, side="right"))
-    b = int(np.searchsorted(_parr, x, side="right"))
-    if a == b:
-        return x
-    return x - int(np.sum(x // _parr[a:b]))
+def _merge(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort z ascending and sum the weights of equal z (int64 throughout)."""
+    order = np.argsort(z, kind="stable")  # z is a few sorted runs
+    z, w = z[order], w[order]
+    first = np.ones(z.size, dtype=bool)
+    np.not_equal(z[1:], z[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    return z[starts], np.add.reduceat(w, starts)
 
 
-def _psi_rec_impl(x: int, j: int) -> int:
-    """Count of m <= x whose prime factors all lie among the first j primes."""
-    total = 0
-    i = j
-    while True:
-        p = _plist[i - 1]
-        if p >= x:
-            total += x
-            break
-        if (p + 1) * (p + 1) > x and x <= _plimit:
-            total += _count_with_one_large_factor(x, p)
-            break
-        if i == 1:
-            total += x.bit_length()  # powers of two up to x, including 1
-            break
-        total += _psi_rec(x // p, i)
-        i -= 1
-    return total
+class PsiEngine:
+    """Exact sums of smooth-number counts, with a cached prime list and leaf
+    table.  Results never depend on call history; the caches only grow.
+    """
+
+    def __init__(self, leaf_limit: int = LEAF_LIMIT):
+        if not 16 <= leaf_limit <= PRIME_CAP:
+            raise ParameterError(f"leaf limit must be in [16, {PRIME_CAP}]")
+        self.leaf_limit = leaf_limit
+        self.prime_limit = leaf_limit
+        self.primes = _eratosthenes(self.prime_limit)
+        # leaf table: largest prime factor of every m <= T, multiplied out
+        # from the engine's own primes (lab[1] = 1; index 0 never matches).
+        # Each m has at most one prime factor above sqrt(T), so those are
+        # written last, one cofactor r at a time.
+        lab = np.ones(leaf_limit + 1, dtype=np.int32)
+        root = math.isqrt(leaf_limit)
+        for p in self.primes[self.primes <= root].tolist():
+            lab[p::p] = p
+        big = self.primes[(self.primes > root) & (self.primes <= leaf_limit)]
+        for r in range(1, leaf_limit // int(big[0]) + 1):
+            q = big[: np.searchsorted(big, leaf_limit // r, side="right")]
+            lab[q * r] = q
+        lab[0] = np.iinfo(np.int32).max
+        self.leaf_labels = lab
+
+    def _ensure_primes(self, limit: int) -> np.ndarray:
+        if limit > self.prime_limit:
+            if limit > PRIME_CAP:
+                raise ResourceError(f"prime list to {limit} exceeds cap {PRIME_CAP}")
+            limit = min(max(limit, 2 * self.prime_limit), PRIME_CAP)  # grow geometrically
+            self.primes = _eratosthenes(limit)
+            self.prime_limit = limit
+        return self.primes
+
+    def psi_small(self, x: int, y: int) -> int:
+        """Psi(x, y) for 1 <= x <= T by one count off the leaf table."""
+        return int(np.count_nonzero(self.leaf_labels[1: x + 1] <= y))
+
+    def psi_sum(self, x, y) -> int:
+        """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
+        with x < 1 count 0."""
+        x = np.asarray(x, dtype=np.int64).ravel()
+        y = np.asarray(y, dtype=np.int64).ravel()
+        if x.shape != y.shape:
+            raise ParameterError("x and y must have the same shape")
+        keep = x >= 1
+        x, y = x[keep], y[keep]
+        if not x.size:
+            return 0
+        if int(y.min()) < 1:
+            raise ParameterError("y must be >= 1")
+        if float(x.sum(dtype=np.float64)) > X_SUM_LIMIT:
+            raise ResourceError(
+                f"batch x sums beyond {X_SUM_LIMIT}; weights would overflow int64")
+        done = (y >= x) | (y < 2)
+        total = int(np.sum(np.where(y >= x, x, 1)[done]))
+        x, y = x[~done], y[~done]
+        if not x.size:
+            return total
+        label = np.searchsorted(self._ensure_primes(int(y.max())), y, side="right")
+        order = np.argsort(-label, kind="stable")  # y >= p_label, label >= 1
+        return total + self._sweep(x[order], label[order])
+
+    def _sweep(self, qx: np.ndarray, qlabel: np.ndarray) -> int:
+        """sum Psi(qx, p_qlabel), queries sorted by label descending."""
+        T = self.leaf_limit
+        lab = self.leaf_labels
+        z = np.empty(0, dtype=np.int64)
+        w = np.empty(0, dtype=np.int64)
+        leaves = None  # sorted m <= T whose largest prime is <= the stage prime
+        total = 0
+        neg = -qlabel
+        qi, qn = 0, qx.size
+        j = int(qlabel[0])
+        while True:
+            qe = int(np.searchsorted(neg, -j, side="right"))
+            if qe > qi:
+                z = np.concatenate((z, qx[qi:qe]))
+                w = np.concatenate((w, np.ones(qe - qi, dtype=np.int64)))
+                qi = qe
+            z, w = _merge(z, w)
+            p = int(self.primes[j - 1])
+            if j == 1:
+                total += int(np.dot(w, np.searchsorted(_POW2, z, side="right")))
+                z = z[:0]
+            else:
+                # z is sorted: [<= p | leaves <= T | identity | pass on], where
+                # leaves that all admit the identity take it when its rows
+                # cost less than refiltering the leaf table
+                a = int(np.searchsorted(z, p, side="right"))
+                b = max(a, int(np.searchsorted(z, T, side="right")))
+                c = max(a, int(np.searchsorted(z, min((p + 1) ** 2 - 1, PRIME_CAP),
+                                               side="right")))
+                total += int(np.dot(w[:a], z[:a]))
+                if b > a and (c < b or int(np.sum(z[a:b] // (p + 1))) >
+                              (T if leaves is None else leaves.size)):
+                    leaves = (np.flatnonzero(lab <= p) if leaves is None
+                              else leaves[lab[leaves] <= p])
+                    total += int(np.dot(w[a:b], np.searchsorted(leaves, z[a:b],
+                                                                side="right")))
+                    a = b
+                c = max(b, c)
+                if c > a:
+                    total += self._one_large_factor(z[a:c], w[a:c], j)
+                z, w = z[c:], w[c:]
+                parts_z, parts_w = [z], [w]
+                while z.size:
+                    z = z // p
+                    cut = int(np.searchsorted(z, 1))
+                    z, w = z[cut:], w[cut:]
+                    parts_z.append(z)
+                    parts_w.append(w)
+                z = np.concatenate(parts_z)
+                w = np.concatenate(parts_w)
+            if z.size:
+                j -= 1
+            elif qi < qn:
+                j = int(qlabel[qi])
+            else:
+                return total
+
+    def _one_large_factor(self, z: np.ndarray, w: np.ndarray, j: int) -> int:
+        """sum w * Psi(z, p_j) over sorted z with p_j < z < (p_j + 1)^2, through
+        Psi(z, p) = z - sum_{r <= z/(p+1)} (pi(z // r) - pi(p))."""
+        primes = self._ensure_primes(int(z[-1]))
+        reps = z // (primes[j - 1] + 1)
+        if z.size > 1 and int(reps.sum()) > IDENTITY_ROWS:  # bound the row arrays
+            h = z.size // 2
+            return (self._one_large_factor(z[:h], w[:h], j)
+                    + self._one_large_factor(z[h:], w[h:], j))
+        starts = np.cumsum(reps) - reps
+        item = np.repeat(np.arange(z.size), reps)
+        r = np.arange(item.size, dtype=np.int64) - starts[item] + 1
+        above = np.searchsorted(primes, z[item] // r, side="right") - j
+        return int(np.dot(w, z - np.add.reduceat(above, starts)))
 
 
-_psi_rec = lru_cache(maxsize=_MEMO_ENTRIES)(_psi_rec_impl)
+@functools.cache
+def default_engine() -> PsiEngine:
+    """The engine shared by psi_exact and psi_sum."""
+    return PsiEngine()
 
 
-def configure_psi_memo(max_entries: int) -> None:
-    """Re-bound the recursion memo (least-recently-used eviction)."""
-    global _psi_rec
-    _psi_rec = lru_cache(maxsize=max_entries)(_psi_rec_impl)
+def psi_sum(x, y) -> int:
+    """sum_r Psi(x[r], y[r]) over equally shaped integer arrays, in one sweep."""
+    return default_engine().psi_sum(x, y)
 
 
 def psi_exact(x: int, y: int) -> int:
-    """Number of y-smooth integers in [1, x], by the memoized recursion."""
+    """Number of y-smooth integers in [1, x], by the engine."""
     x, y = int(x), int(y)
     if x < 0:
         raise ParameterError("x must be non-negative")
@@ -102,19 +240,12 @@ def psi_exact(x: int, y: int) -> int:
         return x
     if y < 2:
         return 1
-    if (y + 1) * (y + 1) > x:
-        if x <= PRIME_CAP:
-            _ensure_primes(x)
-            return _count_with_one_large_factor(x, y)
-        raise ResourceError(
-            f"y near sqrt(x) needs the primes up to x={x}, beyond cap {PRIME_CAP}")
-    # recursion: cover primes to y, plus headroom so subcalls can use the
-    # one-large-factor shortcut whenever x' < (y+1)^2
-    _ensure_primes(min(max(y + 1, min((y + 1) * (y + 1), x)), PRIME_CAP))
-    j = int(np.searchsorted(_parr, y, side="right"))
-    if j == 0:
-        return 1
-    return _psi_rec(x, j)
+    if x > X_SUM_LIMIT:
+        raise ResourceError(f"x={x} beyond {X_SUM_LIMIT}; weights would overflow int64")
+    engine = default_engine()
+    if x <= engine.leaf_limit:
+        return engine.psi_small(x, y)
+    return engine.psi_sum([x], [y])
 
 
 def psi_bruteforce(sieve: PrimeSieve, x: int, y: int) -> int:

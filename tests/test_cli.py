@@ -30,6 +30,12 @@ def test_rho_domain_error_exit_code(capsys):
     assert "error" in err
 
 
+def test_rho_nan_is_an_error(capsys):
+    code, out, err = run(capsys, "rho", "--u", "nan")
+    assert code == 1
+    assert out == "" and "error" in err
+
+
 def test_no_arguments_is_usage_error(capsys):
     assert dispatch([]) == 2
     capsys.readouterr()
@@ -82,6 +88,14 @@ def test_box_exact_equals_psi(capsys):
     a, b = json.loads(out1), json.loads(out2)
     assert a["count"] == b["count"] and a["total"] == 10**4
     assert a["p_hat"] == a["count"] / 10**4
+
+
+def test_box_psi_sizes_sieve_to_top_prime_range(capsys):
+    # a sieve up to n = 10^10 is beyond 2^31; the top range ends at 10^6
+    code, out, _ = run(capsys, "box", "--n", "1e10", "--box", "0.45,0.15;0.1,0.05",
+                       "--method", "psi")
+    assert code == 0
+    assert json.loads(out)["count"] == 210496332
 
 
 def test_box_mc_fields(capsys):

@@ -38,6 +38,9 @@ def test_rho_domain_errors(table):
         rho(table, -0.01)
     with pytest.raises(DomainError):
         rho(table, table.u_max + 0.5)
+    for bad in (float("nan"), float("inf"), float("-inf"), np.array([1.0, np.nan])):
+        with pytest.raises(DomainError):
+            rho(table, bad)
     # a few ulps past the end is rounding noise, not an error
     assert rho(table, table.u_max * (1 + 1e-16)) == rho(table, table.u_max)
 

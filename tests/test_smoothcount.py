@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from billingsley import (DomainError, ParameterError, build_rho_table,
-                         configure_psi_memo, psi_bruteforce, psi_dickman,
-                         psi_exact, rho)
+from billingsley import (DomainError, ParameterError, ResourceError,
+                         build_rho_table, psi_bruteforce, psi_dickman, psi_exact,
+                         rho)
+from billingsley.smoothcount import LEAF_LIMIT, X_SUM_LIMIT, PsiEngine, psi_sum
 from conftest import RHO_ORACLE
 
 
@@ -68,14 +69,55 @@ def test_sandwich():
         assert psi_exact(x, x) == x
 
 
-def test_memo_capacity_does_not_change_results():
-    baseline = [psi_exact(x, y) for x, y in [(10**5, 50), (10**6, 100), (12345, 11)]]
-    configure_psi_memo(64)  # tiny LRU forces heavy eviction
-    try:
-        assert [psi_exact(x, y)
-                for x, y in [(10**5, 50), (10**6, 100), (12345, 11)]] == baseline
-    finally:
-        configure_psi_memo(1 << 20)
+def test_pinned_large_values():
+    assert psi_exact(10**11, 1000) == 1412243472
+    assert psi_exact(3 * 10**11, 1000) == 2933641996
+
+
+def test_random_against_bruteforce(sieve7):
+    rnd = random.Random(11)
+    T = LEAF_LIMIT
+    cases = [(x, rnd.randint(2, 3000)) for x in (T - 1, T, T + 1) for _ in range(3)]
+    for _ in range(40):
+        y = rnd.randint(2, 3000)
+        cases.append((rnd.randint(1, 10**7), y))
+        sq = (y + 1) ** 2
+        cases.append((min(10**7, sq + rnd.randint(-2, 2)), y))
+    for x, y in cases:
+        assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y), (x, y)
+
+
+def test_sweep_paths_against_bruteforce(sieve5):
+    # a tiny leaf table sends small x through every stage of the sweep
+    engine = PsiEngine(leaf_limit=64)
+    rnd = random.Random(12)
+    for _ in range(300):
+        x = rnd.randint(1, 10**5)
+        near_root = max(2, int(x**0.5) + rnd.randint(-2, 2))
+        y = rnd.choice([2, 3, 5, rnd.randint(2, 400), near_root])
+        assert engine.psi_sum([x], [y]) == psi_bruteforce(sieve5, x, y), (x, y)
+
+
+def test_batch_sum_equals_single_queries():
+    rnd = random.Random(13)
+    xs = [0, 1, 7, 10**6] + [rnd.randint(1, 10**7) for _ in range(30)]
+    ys = [3, 1, 100, 10**6] + [rnd.randint(1, 3000) for _ in range(30)]
+    assert psi_sum(xs, ys) == sum(psi_exact(x, y) for x, y in zip(xs, ys))
+
+
+def test_results_do_not_depend_on_call_order():
+    cases = [(10**5, 50), (10**9, 100), (12345, 11), (10**7, 3000), (10**6, 100)]
+    fresh = [PsiEngine().psi_sum([x], [y]) for x, y in cases]
+    shared = PsiEngine()
+    backwards = [shared.psi_sum([x], [y]) for x, y in reversed(cases)][::-1]
+    assert fresh == backwards == [psi_exact(x, y) for x, y in cases]
+
+
+def test_int64_weight_limit_is_checked_up_front():
+    with pytest.raises(ResourceError):
+        psi_exact(X_SUM_LIMIT + 1, 1000)
+    with pytest.raises(ResourceError):
+        psi_sum([X_SUM_LIMIT // 2] * 3, [5] * 3)
 
 
 def test_dickman_estimate(table):
