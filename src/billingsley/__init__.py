@@ -19,7 +19,7 @@ from .factor_stats import (BoxSpec, EmpiricalEstimate, ExactProbability, FactorV
 from .pd_process import (PDSample, pd_box_probability, pd_box_probability_refined,
                          pd_density, pd_sample, pd_sample_batch)
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate, mertens_sum,
-                     mertens_sum_from, power_ceil, power_floor)
+                     power_ceil, power_floor)
 from .rng import DEFAULT_SEED
 from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 
@@ -32,7 +32,7 @@ __all__ = [
     "build_rho_table", "build_sieve", "distance_to_complement", "factor_vector",
     "h_function",
     "inf_density_on_box", "marginal_L1_cdf", "mertens_constant_estimate",
-    "mertens_sum", "mertens_sum_from", "pd_box_probability",
+    "mertens_sum", "pd_box_probability",
     "pd_box_probability_refined", "pd_density", "pd_sample", "pd_sample_batch",
     "power_ceil", "power_floor", "prime_bounds", "psi_bruteforce", "psi_dickman",
     "psi_exact", "ranked_factors", "recursion_residual", "rho",

@@ -9,12 +9,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
-import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .convergence import BoxCriterion, run_criterion
@@ -27,9 +23,7 @@ from .pd_process import (DEFAULT_TRUNCATION, pd_box_probability_refined, pd_dens
 from .primes import build_sieve, mertens_constant_estimate, mertens_sum, power_floor
 from .rng import DEFAULT_SEED
 from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
-from .suite import BUNDLES, run_suite
-
-CACHE_ENV = "BILLINGSLEY_CACHE"
+from .suite import BUNDLES, SIEVE_LIMIT, run_suite
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -38,57 +32,15 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _cache_dir(args) -> Path | None:
-    if getattr(args, "cache_dir", None):
-        return Path(args.cache_dir)
-    env = os.environ.get(CACHE_ENV)
-    return Path(env) if env else None
-
-
 def _table_csv(table: DickmanTable) -> str:
-    lines = [f"# u_max={table.u_max!r} step={table.step!r} "
-             f"order={table.interpolation_order}",
-             "u,rho"]
-    for j, v in enumerate(table.values):
+    lines = [f"# u_max={table.u_max!r} step={table.step!r}", "u,rho"]
+    for j, v in enumerate(table.values.tolist()):
         lines.append(f"{j * table.step!r},{v!r}")
     return "\n".join(lines) + "\n"
 
 
-def _load_cached_table(path: Path, u_max: float, step: float) -> DickmanTable | None:
-    try:
-        with path.open(encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                return None
-            fields = dict(part.split("=", 1) for part in header[1:].split())
-            if (float(fields.get("u_max", "nan")) != u_max
-                    or float(fields.get("step", "nan")) != step):
-                return None
-            if fh.readline().strip() != "u,rho":
-                return None
-            values = np.array([float(line.split(",")[1]) for line in fh if line.strip()])
-    except (OSError, ValueError, IndexError):
-        return None
-    expected = int(math.ceil(u_max / step - 1e-9)) + 1
-    if len(values) != expected:
-        return None
-    return DickmanTable(u_max=u_max, step=step, values=values,
-                        interpolation_order=int(fields.get("order", 3)))
-
-
 def _get_table(args) -> DickmanTable:
-    u_max = getattr(args, "umax", DEFAULT_U_MAX)
-    step = getattr(args, "step", DEFAULT_STEP)
-    cache = _cache_dir(args)
-    if cache is not None:
-        path = cache / "rho_table.csv"
-        table = _load_cached_table(path, u_max, step) if path.exists() else None
-        if table is None:
-            table = build_rho_table(u_max, step)
-            cache.mkdir(parents=True, exist_ok=True)
-            path.write_text(_table_csv(table), encoding="utf-8")
-        return table
-    return build_rho_table(u_max, step)
+    return build_rho_table(args.umax, args.step)
 
 
 def _json_text(payload: dict) -> str:
@@ -228,9 +180,12 @@ def _cmd_pd_box(args) -> int:
 def _cmd_verify(args) -> int:
     box = BoxSpec.from_string(args.box)
     ladder = [int(float(v)) for v in args.ladder.split(",")]
-    # both the exact scan and the Monte Carlo factor checks need the sieve to
-    # reach the largest ladder entry
-    sieve = build_sieve(max(max(ladder), 10**4))
+    # the scan and Monte Carlo need the sieve to reach n; entries past
+    # SIEVE_LIMIT are counted through the prime-tuple identity instead, which
+    # needs primes only up to the top coordinate's bound
+    box.require_inside_u()
+    top = prime_bounds(max(ladder), box)[0][1]
+    sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
     table = _get_table(args)
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
     report = run_criterion(sieve, table, ladder, box, crit, budget=args.samples,
@@ -274,8 +229,6 @@ def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=
     if table:
         sub.add_argument("--umax", type=float, default=DEFAULT_U_MAX)
         sub.add_argument("--step", type=float, default=DEFAULT_STEP)
-        sub.add_argument("--cache-dir", default=None,
-                         help=f"rho-table cache directory (or ${CACHE_ENV})")
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if threads:

@@ -20,7 +20,8 @@ import numpy as np
 
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError
-from .factor_stats import BoxSpec, box_probability_exact, sample_box_probability
+from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
+                           sample_box_probability)
 from .primes import PrimeSieve
 from .rng import DEFAULT_SEED
 
@@ -143,8 +144,10 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     """Evaluate P(X_n in B) along the ladder and compare against
     (1 - eps) * vol(B) * inf_B f.
 
-    n up to exact_threshold (and within the sieve) is counted exactly; larger
-    n fall back to Monte Carlo with a 4-sigma margin on the verdict.
+    n up to exact_threshold (and within the sieve) is counted exactly by the
+    scan, n beyond the sieve exactly by the prime-tuple identity (the sieve
+    must reach their top prime bound); the n in between fall back to Monte
+    Carlo with a 4-sigma margin on the verdict.
     """
     if crit.k != box.k:
         raise ParameterError(f"criterion is for k={crit.k}, box has k={box.k}")
@@ -159,8 +162,9 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     lower = (1.0 - crit.epsilon) * vol * inf_f
     entries = []
     for n in sorted(int(v) for v in ladder):
-        if n <= exact_threshold and n <= sieve.limit:
-            est = box_probability_exact(sieve, n, box)
+        if n > sieve.limit or n <= exact_threshold:
+            est = (box_probability_exact(sieve, n, box) if n <= sieve.limit
+                   else box_probability_via_psi(sieve, n, box))
             entries.append(LadderEntry(n=n, method="exact", estimate=est.value,
                                        std_err=None, verdict=est.value >= lower))
         else:

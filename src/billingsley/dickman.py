@@ -46,14 +46,16 @@ class DickmanTable:
     """rho on the uniform grid j*step for j = 0..len(values)-1.
 
     values[j] = 1 exactly while j*step <= 1, strictly positive and
-    non-increasing throughout.  Immutable after construction; evaluation is
-    read-only, so a table can be shared freely across threads.
+    non-increasing throughout.  values is read-only, so a table can be
+    shared freely across threads.
     """
 
     u_max: float
     step: float
     values: np.ndarray
-    interpolation_order: int = 3
+
+    def __post_init__(self):
+        self.values.flags.writeable = False
 
     def rho(self, u):
         return rho(self, u)

@@ -147,21 +147,46 @@ class EmpiricalEstimate:
                    std_err=math.sqrt(p * (1.0 - p) / total), seed=seed)
 
 
+def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
+    """The k largest prime factors of each m in [1, limit] with multiplicity,
+    descending and padded with 1, as an (m.size, k) array: rank i is the
+    largest prime factor of m with the i larger ranks divided out."""
+    if k < 1:
+        raise ParameterError("k must be >= 1")
+    lpf = sieve.largest_prime_factor
+    out = np.empty((k, m.size), dtype=lpf.dtype)
+    for i in range(k):
+        if i:
+            m = m // out[i - 1]
+        out[i] = lpf[m]
+    return out.T
+
+
+def _single(sieve: PrimeSieve, N: int) -> np.ndarray:
+    if not 1 <= N <= sieve.limit:
+        raise DomainError(f"{N} outside sieve range [1, {sieve.limit}]")
+    return np.array([N], dtype=np.int64)
+
+
+def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[FactorVector]:
+    p = _peel(sieve, N, k)
+    # math.log, not np.log, which differs from it in the last bit on some primes
+    logn = math.log(n)
+    q, inv = np.unique(p, return_inverse=True)
+    scaled = np.array([math.log(v) / logn if v > 1 else 0.0 for v in q.tolist()])
+    L = scaled[inv.reshape(-1)].reshape(p.shape)
+    return [FactorVector(n=n, N=a, p=tuple(b), L=tuple(c))
+            for a, b, c in zip(N.tolist(), p.tolist(), L.tolist())]
+
+
 def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
     """The k largest prime factors of N with multiplicity, descending,
     padded with 1 beyond Omega(N)."""
-    if k < 1:
-        raise ParameterError("k must be >= 1")
-    factors = sieve.factorize(N)  # ascending
-    top = factors[-k:][::-1]
-    return tuple(top) + (1,) * (k - len(top))
+    return tuple(_peel(sieve, _single(sieve, N), k)[0].tolist())
 
 
 def factor_vector(sieve: PrimeSieve, n: int, N: int, k: int) -> FactorVector:
-    p = ranked_factors(sieve, N, k)
-    logn = math.log(n)
-    L = tuple(math.log(q) / logn if q > 1 else 0.0 for q in p)
-    return FactorVector(n=n, N=N, p=p, L=L)
+    return _factor_vectors(sieve, n, _single(sieve, N), k)[0]
 
 
 def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
@@ -177,21 +202,18 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec,
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = prime_bounds(n, box)
-    lpf = sieve.largest_prime_factor_table()
     count = 0
     for start in range(1, n + 1, chunk):
-        stop = min(n, start + chunk - 1)
-        m = np.arange(start, stop + 1, dtype=np.int64)
-        ok = np.ones(m.shape, dtype=bool)
-        cur = m
-        for lo, hi in bounds:
-            p = lpf[cur]
-            ok &= (p >= lo) & (p <= hi)
-            if not ok.any():
-                break
-            cur = cur // np.maximum(p, np.int64(1))
-        count += int(np.count_nonzero(ok))
+        m = np.arange(start, min(n, start + chunk - 1) + 1, dtype=np.int64)
+        count += _count_in_box(sieve, m, bounds)
     return ExactProbability(count=count, total=n)
+
+
+def _count_in_box(sieve: PrimeSieve, m: np.ndarray, bounds) -> int:
+    """How many m have their ranked factors inside the prime intervals."""
+    lo, hi = np.array(bounds, dtype=np.int64).T
+    p = _peel(sieve, m, len(bounds))
+    return int(np.count_nonzero(np.all((p >= lo) & (p <= hi), axis=1)))
 
 
 def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:
@@ -239,15 +261,7 @@ def _mc_shard(sieve: PrimeSieve, n: int, bounds, seed: int, shard: int,
               count: int) -> int:
     if count == 0:
         return 0
-    lpf = sieve.largest_prime_factor_table()
-    m = rng.uniform_ints(seed, shard, count, n)
-    ok = np.ones(m.shape, dtype=bool)
-    cur = m
-    for lo, hi in bounds:
-        p = lpf[cur]
-        ok &= (p >= lo) & (p <= hi)
-        cur = cur // np.maximum(p, np.int64(1))
-    return int(np.count_nonzero(ok))
+    return _count_in_box(sieve, rng.uniform_ints(seed, shard, count, n), bounds)
 
 
 def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int,
@@ -262,7 +276,6 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
         raise ParameterError("samples must be >= 1")
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    sieve.largest_prime_factor_table()  # build once before threading
     bounds = prime_bounds(n, box)
     counts = rng.partition(samples, MC_SHARDS)
     if threads > 1:
@@ -291,5 +304,4 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
     """Draw `count` uniform integers from [1, n] and rank their factors."""
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    draws = rng.uniform_ints(seed, 0, count, n)
-    return [factor_vector(sieve, n, int(N), k) for N in draws]
+    return _factor_vectors(sieve, n, rng.uniform_ints(seed, 0, count, n), k)

@@ -1,13 +1,14 @@
-"""Smallest-prime-factor sieve, prime-reciprocal sums, and exact n^t endpoints.
+"""Largest-prime-factor sieve, prime-reciprocal sums, and exact n^t endpoints.
 
-The sieve stores the least prime divisor of every m <= limit, which gives
-O(log m) factorization for the ranked-factor statistics; a largest-prime-factor
-table is derived lazily for the vectorized enumerations.
+The sieve stores the largest prime factor of every m <= limit and the
+ascending primes.  Dividing m by its largest prime factor again and again
+lists its prime factors in descending order, which is all that the ranked
+factor statistics, the exact box scan and psi_bruteforce read.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -15,35 +16,37 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, ResourceError
 
-#: refuse sieves whose arrays would exceed this many bytes (spf + lpf, int32)
+#: refuse sieves whose build would need more than this many bytes; the
+#: estimate (_build_bytes) is about 7 bytes per integer, so the default admits
+#: limits up to about 6.6e8
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PrimeSieve:
-    """Least-prime-divisor table for 2..limit.
+    """Largest-prime-factor table for 1..limit and the primes up to limit.
 
-    ``smallest_prime_factor[m]`` is the least prime dividing m; m is prime
-    iff ``smallest_prime_factor[m] == m``.  Index 0 and 1 hold the value 1.
-    Instances are immutable after construction and safe to share.
+    ``largest_prime_factor[m]`` is the largest prime dividing m (1 at
+    indices 0 and 1); m >= 2 is prime iff it equals m.  ``prime_array``
+    holds the primes in ascending order as int64.  Both arrays are
+    read-only, so a sieve can be shared across threads.
     """
 
     limit: int
-    smallest_prime_factor: np.ndarray
-    _primes: np.ndarray | None = field(default=None, repr=False)
-    _lpf: np.ndarray | None = field(default=None, repr=False)
+    largest_prime_factor: np.ndarray
+    prime_array: np.ndarray
+
+    def __post_init__(self):
+        self.largest_prime_factor.flags.writeable = False
+        self.prime_array.flags.writeable = False
 
     def primes(self) -> np.ndarray:
         """Ascending array of all primes <= limit."""
-        if self._primes is None:
-            spf = self.smallest_prime_factor
-            idx = np.arange(self.limit + 1, dtype=spf.dtype)
-            self._primes = np.flatnonzero(spf == idx)[1:].astype(np.int64)  # drop m=1
-        return self._primes
+        return self.prime_array
 
     def primes_in_range(self, a: int, b: int) -> np.ndarray:
         """Primes p with a <= p <= b."""
-        ps = self.primes()
+        ps = self.prime_array
         i = np.searchsorted(ps, a, side="left")
         j = np.searchsorted(ps, b, side="right")
         return ps[i:j]
@@ -51,48 +54,59 @@ class PrimeSieve:
     def is_prime(self, m: int) -> bool:
         if m < 2 or m > self.limit:
             return False
-        return int(self.smallest_prime_factor[m]) == m
-
-    def largest_prime_factor_table(self) -> np.ndarray:
-        """lpf[m] = largest prime factor of m (lpf[1] = 1), built on first use."""
-        if self._lpf is None:
-            lpf = np.ones(self.limit + 1, dtype=np.int32)
-            for p in self.primes():
-                lpf[p::p] = p
-            self._lpf = lpf
-        return self._lpf
+        return int(self.largest_prime_factor[m]) == m
 
     def factorize(self, m: int) -> list[int]:
         """All prime factors of m with multiplicity, ascending."""
         if not 1 <= m <= self.limit:
             raise DomainError(f"{m} outside sieve range [1, {self.limit}]")
-        spf = self.smallest_prime_factor
+        lpf = self.largest_prime_factor
         out = []
         while m > 1:
-            p = int(spf[m])
+            p = int(lpf[m])
             out.append(p)
             m //= p
-        return out
+        return out[::-1]
+
+
+def _build_bytes(limit: int) -> int:
+    """Peak bytes of build_sieve: the int32 table, a one-byte mask over it,
+    and at most 24 bytes per prime (pi(limit) < 1.26 limit / ln limit) for
+    the primes above sqrt(limit) as int64 and int32, and all the primes."""
+    return 5 * (limit + 1) + 24 * int(1.26 * limit / math.log(limit))
 
 
 def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeSieve:
-    """Sieve the least prime divisor of every integer in [2, limit]."""
+    """Sieve the largest prime factor of every integer in [2, limit].
+
+    Primes p <= sqrt(limit) are written in ascending order, one slice each,
+    so the largest of them dividing m is left in place.  Every m has at most
+    one prime factor above sqrt(limit); those primes are the entries no slice
+    reached, and they are written last, one vectorized write per cofactor r
+    into the view of the multiples of r.
+    """
     if limit < 2 or limit > 2**31 - 1:
         raise ParameterError(f"sieve limit must be in [2, 2^31 - 1], got {limit}")
-    if 8 * (limit + 1) > memory_budget:
+    need = _build_bytes(limit)
+    if need > memory_budget:
         raise ResourceError(
-            f"sieve to {limit} needs ~{8 * (limit + 1) / 2**30:.1f} GiB, "
+            f"sieve to {limit} needs ~{need / 2**30:.1f} GiB, "
             f"budget is {memory_budget / 2**30:.1f} GiB"
         )
-    spf = np.zeros(limit + 1, dtype=np.int32)
-    for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p:: p]
-            block[block == 0] = p
-    rest = np.flatnonzero(spf == 0)
-    spf[rest] = rest
-    spf[0:2] = 1
-    return PrimeSieve(limit=limit, smallest_prime_factor=spf)
+    lpf = np.ones(limit + 1, dtype=np.int32)
+    root = math.isqrt(limit)
+    small = []
+    for p in range(2, root + 1):
+        if lpf[p] == 1:  # no smaller prime divides p
+            small.append(p)
+            lpf[p::p] = p
+    big = np.flatnonzero(lpf[root + 1:] == 1) + (root + 1)
+    values = big.astype(np.int32)  # spares a cast in every write
+    for r in range(1, limit // int(big[0]) + 1):  # Bertrand: big is not empty
+        j = np.searchsorted(big, limit // r, side="right")
+        lpf[::r][big[:j]] = values[:j]
+    primes = np.concatenate((np.array(small, dtype=np.int64), big))
+    return PrimeSieve(limit=limit, largest_prime_factor=lpf, prime_array=primes)
 
 
 # ---------------------------------------------------------------------------
@@ -146,25 +160,13 @@ def power_ceil(n: int, t: float) -> int:
 def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     """Sum of 1/p over primes a <= p <= b, accumulated in ascending order.
 
-    Plain double accumulation: restarting from a partial sum and folding in
-    the remaining primes reproduces the full-range value exactly.
+    np.cumsum adds strictly left to right (np.sum would add pairwise), so the
+    value is bit for bit that of a plain loop over the ascending primes.
     """
     if not 2 <= a or a > b or b > sieve.limit:
         raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
-    total = 0.0
-    for p in sieve.primes_in_range(a, b).tolist():
-        total += 1.0 / p
-    return total
-
-
-def mertens_sum_from(sieve: PrimeSieve, a: int, b: int, start: float) -> float:
-    """Continue the ascending accumulation of 1/p over [a, b] from ``start``."""
-    if not 2 <= a or a > b or b > sieve.limit:
-        raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
-    total = float(start)
-    for p in sieve.primes_in_range(a, b).tolist():
-        total += 1.0 / p
-    return total
+    ps = sieve.primes_in_range(a, b)
+    return float(np.cumsum(1.0 / ps)[-1]) if ps.size else 0.0
 
 
 def mertens_constant_estimate(sieve: PrimeSieve, x: int) -> float:

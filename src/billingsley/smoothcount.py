@@ -258,8 +258,7 @@ def psi_bruteforce(sieve: PrimeSieve, x: int, y: int) -> int:
         raise ParameterError("need x >= 1 and y >= 1")
     if x > sieve.limit:
         raise DomainError(f"x={x} beyond sieve limit {sieve.limit}")
-    lpf = sieve.largest_prime_factor_table()
-    return int(np.count_nonzero(lpf[1: x + 1] <= y))
+    return int(np.count_nonzero(sieve.largest_prime_factor[1: x + 1] <= y))
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from billingsley import build_rho_table, psi_exact
 from billingsley.cli import dispatch
 
 
@@ -116,46 +118,15 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert target.read_text() == out
 
 
-def test_rho_table_csv_and_cache(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    code, out, _ = run(capsys, "rho-table", "--umax", "2", "--step", "0.01",
-                       "--cache-dir", str(cache))
+def test_rho_table_csv_round_trips(capsys):
+    code, out, _ = run(capsys, "rho-table", "--umax", "2", "--step", "0.01")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0].startswith("#") and "u_max=" in lines[0]
-    assert lines[1] == "u,rho"
-    assert len(lines) == 2 + 201
-    cached = cache / "rho_table.csv"
-    assert cached.exists()
-    # second run must serve identical bytes from the cache
-    code, out2, _ = run(capsys, "rho", "--u", "1.5", "--umax", "2", "--step", "0.01",
-                        "--cache-dir", str(cache))
-    assert code == 0
-    assert float(out2) == pytest.approx(1 - math.log(1.5), abs=1e-6)
-    # header mismatch (different params) triggers a rebuild, not a wrong read
-    code, out3, _ = run(capsys, "rho", "--u", "1.5", "--umax", "3", "--step", "0.01",
-                        "--cache-dir", str(cache))
-    assert code == 0
-    header = cached.read_text().splitlines()[0]
-    assert "u_max=3" in header
-
-
-def test_corrupt_cache_is_rebuilt(tmp_path, capsys):
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    (cache / "rho_table.csv").write_text("garbage\n1,2\n")
-    code, out, _ = run(capsys, "rho", "--u", "2.0", "--umax", "3", "--step", "0.001",
-                       "--cache-dir", str(cache))
-    assert code == 0
-    assert out.strip() == "0.306853"
-
-
-def test_cache_env_variable(tmp_path, capsys, monkeypatch):
-    cache = tmp_path / "envcache"
-    monkeypatch.setenv("BILLINGSLEY_CACHE", str(cache))
-    code, _, _ = run(capsys, "rho", "--u", "1.0", "--umax", "2", "--step", "0.01")
-    assert code == 0
-    assert (cache / "rho_table.csv").exists()
+    assert lines[:2] == ["# u_max=2.0 step=0.01", "u,rho"]
+    table = build_rho_table(2.0, 0.01)
+    rows = [line.split(",") for line in lines[2:]]
+    assert [float(u) for u, _ in rows] == [j * 0.01 for j in range(201)]
+    assert np.array_equal(np.array([float(v) for _, v in rows]), table.values)
 
 
 def test_psi_ladder_csv(capsys):
@@ -230,6 +201,18 @@ def test_verify_mc_entries(tmp_path, capsys):
     assert entry["method"] == "mc"
     assert entry["std_err"] > 0
     assert entry["verdict"] is True
+
+
+def test_verify_counts_past_the_sieve_exactly(capsys):
+    # 3e9 is beyond any sieve; the identity needs primes only to n^0.6
+    n = 3 * 10**9
+    code, out, _ = run(capsys, "verify", "--box", "0.5,0.1", "--ladder", "1e4,3e9")
+    assert code == 0
+    entry = json.loads(out)["results"]["entries"][1]
+    assert entry["method"] == "exact" and entry["verdict"]
+    count = psi_exact(n, 485593) - psi_exact(n, 54772)
+    assert count == 546129641
+    assert entry["p"] == count / n
 
 
 def test_verify_inadmissible_box_fails(capsys):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+import numpy as np
+
 from billingsley import (BoxSpec, DomainError, ParameterError, box_probability_exact,
                          box_probability_via_psi, factor_vector, marginal_L1_cdf,
                          prime_bounds, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
+from billingsley.factor_stats import _peel
 
 
 def largest_factor_trial_division(m):
@@ -24,6 +27,24 @@ def test_ranked_factors_examples(sieve5):
     assert ranked_factors(sieve5, 1, 2) == (1, 1)
     assert ranked_factors(sieve5, 97, 2) == (97, 1)
     assert ranked_factors(sieve5, 360, 5) == (5, 3, 3, 2, 2)
+
+
+def test_peel_against_trial_division(sieve7):
+    rnd = random.Random(12)
+    ms = [1, 2, 3, 4, 2**23, 3**14, 9999991, 10**7] + [rnd.randint(1, 10**7)
+                                                       for _ in range(300)]
+    k = 24  # above Omega(m) for every m <= 10^7
+    got = _peel(sieve7, np.array(ms, dtype=np.int64), k)
+    for m, row in zip(ms, got.tolist()):
+        factors, d = [], 2
+        while d * d <= m:
+            while m % d == 0:
+                factors.append(d)
+                m //= d
+            d += 1
+        if m > 1:
+            factors.append(m)
+        assert row == sorted(factors, reverse=True) + [1] * (k - len(factors))
 
 
 def test_ranked_factors_errors(sieve5):

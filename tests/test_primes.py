@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from billingsley import (DomainError, ParameterError, ResourceError, build_sieve,
-                         mertens_constant_estimate, mertens_sum, mertens_sum_from,
-                         power_ceil, power_floor)
+                         mertens_constant_estimate, mertens_sum, power_ceil,
+                         power_floor)
+from billingsley.smoothcount import PsiEngine
 
 
 def trial_division_primes(limit):
@@ -21,13 +23,6 @@ def test_small_primes_identified():
     assert sieve.primes().tolist() == [2, 3, 5, 7]
 
 
-def test_spf_examples():
-    sieve = build_sieve(100)
-    assert sieve.smallest_prime_factor[9] == 3
-    assert sieve.smallest_prime_factor[35] == 5
-    assert sieve.smallest_prime_factor[97] == 97
-
-
 def test_sieve_against_trial_division(sieve5):
     oracle = trial_division_primes(10**5)
     got = sieve5.primes()
@@ -35,14 +30,36 @@ def test_sieve_against_trial_division(sieve5):
     assert got.tolist() == oracle
 
 
-def test_spf_is_least_prime_divisor(sieve5):
-    rnd = random.Random(3)
-    spf = sieve5.smallest_prime_factor
-    for _ in range(500):
-        m = rnd.randint(2, 10**5)
-        p = int(spf[m])
-        assert m % p == 0
-        assert all(m % d for d in range(2, p))
+def test_lpf_against_trial_division(sieve5):
+    want = [1, 1]
+    for m in range(2, 10**5 + 1):
+        big, d, rest = 1, 2, m
+        while d * d <= rest:
+            while rest % d == 0:
+                big, rest = d, rest // d
+            d += 1
+        want.append(max(big, rest))
+    assert sieve5.largest_prime_factor.tolist() == want
+
+
+def test_lpf_against_psi_engine_leaf_table():
+    # two separately written builders of the same table
+    sieve = build_sieve(1 << 20)
+    assert np.array_equal(sieve.largest_prime_factor[1:], PsiEngine().leaf_labels[1:])
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 5, 24, 25, 26, 97, 121])
+def test_tiny_sieves_are_prefixes(sieve5, limit):
+    sieve = build_sieve(limit)
+    assert np.array_equal(sieve.largest_prime_factor,
+                          sieve5.largest_prime_factor[: limit + 1])
+    assert sieve.primes().tolist() == trial_division_primes(limit)
+
+
+def test_sieve_tables_are_read_only(sieve5, table):
+    for arr in (sieve5.largest_prime_factor, sieve5.primes(), table.values):
+        with pytest.raises(ValueError):
+            arr[1] = 0
 
 
 def test_factorize_reconstructs(sieve5):
@@ -61,10 +78,12 @@ def test_sieve_parameter_and_resource_errors():
         build_sieve(1)
     with pytest.raises(ResourceError):
         build_sieve(10**9, memory_budget=1 << 20)
+    with pytest.raises(ResourceError):
+        build_sieve(2**31 - 1)  # past the default budget, before any allocation
 
 
 def test_largest_prime_factor_table(sieve5):
-    lpf = sieve5.largest_prime_factor_table()
+    lpf = sieve5.largest_prime_factor
     assert lpf[1] == 1
     assert lpf[12] == 3
     assert lpf[97] == 97
@@ -93,13 +112,15 @@ def test_mertens_domain_errors(sieve5):
         mertens_constant_estimate(sieve5, 2)
 
 
-def test_mertens_additive_when_accumulation_continues(sieve5):
-    # ordered accumulation is additive over adjacent ranges when the second
-    # leg continues from the first partial sum (fold over concatenation)
-    for a, m, b in [(2, 97, 1000), (2, 500, 10**5), (11, 4999, 40000)]:
-        whole = mertens_sum(sieve5, a, b)
-        part = mertens_sum(sieve5, a, m)
-        assert mertens_sum_from(sieve5, m + 1, b, start=part) == whole
+def test_mertens_sum_is_the_ascending_fold(sieve7):
+    # the same bits as adding 1/p one prime at a time, smallest first
+    n, (t, dt) = 10**7, (0.3, 0.05)
+    for a, b in [(2, 1000), (11, 40000), (2, 10**6), (2, n),
+                 (power_ceil(n, t), power_floor(n, t + dt))]:
+        total = 0.0
+        for p in sieve7.primes_in_range(a, b).tolist():
+            total += 1.0 / p
+        assert mertens_sum(sieve7, a, b) == total
 
 
 def test_power_bounds_exact_integer_hits():
