@@ -7,6 +7,15 @@ open region U = {t_1 > ... > t_k > 0, sum t_i < 1} and zero elsewhere
 independent uniforms: lengths 1-U_1, U_1-U_1U_2, U_1U_2-U_1U_2U_3, ...,
 ranked downward after truncation, with the unbroken remainder prod U_i
 carried explicitly as tail mass.
+
+Box probabilities integrate the innermost coordinate in closed form: by the
+delay equation u rho'(u) = -rho(u - 1), for outer coordinates summing to s,
+int_a^b rho((1-s)/t - 1) dt/t = rho((1-s)/b) - rho((1-s)/a).  The outer k-1
+coordinates use the midpoint rule, so a pass evaluates grid^(k-1) outer
+cells (two rho reads each) and k = 1 is exact.  The closed form reads rho at
+(1 - t_1 - ... - t_{k-1})/t_k, one unit past the density's own largest
+argument, so the table must reach that far.  A pass over more than
+MAX_OUTER_CELLS outer cells raises ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -17,11 +26,21 @@ import numpy as np
 
 from . import rng
 from .dickman import DickmanTable, rho
-from .errors import ParameterError
+from .errors import DomainError, ParameterError, ResourceError
 from .factor_stats import BoxSpec
 from .rng import DEFAULT_SEED
 
 DEFAULT_TRUNCATION = 60
+
+#: most outer cells one quadrature pass may evaluate: (2*256)^3, so k = 4
+#: runs at the default grid and k >= 5 is refused
+MAX_OUTER_CELLS = 1 << 27
+
+#: outer cells evaluated at once by the quadrature (whole first-axis rows)
+_SLAB_CELLS = 1 << 16
+
+#: rows per block of the stick sampler; a block's temporaries stay a few MB
+_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -60,17 +79,23 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     """Rows of ranked stick lengths and the tail-mass vector.
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
-    row consumes counter (start + i) * truncation + j of shard 0.
+    row consumes counter (start + i) * truncation + j of shard 0.  The rows
+    are filled in blocks of _BLOCK_ROWS, which does not change their bits.
     """
-    u = rng.uniforms(seed, 0, start * truncation,
-                     count * truncation).reshape(count, truncation)
-    prefix = np.cumprod(u, axis=1)
-    sticks = np.empty_like(u)
-    sticks[:, 0] = 1.0 - u[:, 0]
-    sticks[:, 1:] = prefix[:, :-1] - prefix[:, 1:]
-    tails = prefix[:, -1].copy()
-    sticks.sort(axis=1)
-    return sticks[:, ::-1], tails
+    sticks = np.empty((count, truncation))
+    tails = np.empty(count)
+    for lo in range(0, count, _BLOCK_ROWS):
+        rows = min(_BLOCK_ROWS, count - lo)
+        u = rng.uniforms(seed, 0, (start + lo) * truncation,
+                         rows * truncation).reshape(rows, truncation)
+        block = np.empty_like(u)
+        block[:, 0] = 1.0 - u[:, 0]
+        prefix = np.cumprod(u, axis=1, out=u)
+        np.subtract(prefix[:, :-1], prefix[:, 1:], out=block[:, 1:])
+        tails[lo:lo + rows] = prefix[:, -1]
+        block.sort(axis=1)
+        sticks[lo:lo + rows] = block[:, ::-1]
+    return sticks, tails
 
 
 def pd_sample(seed: int = DEFAULT_SEED, truncation: int = DEFAULT_TRUNCATION) -> PDSample:
@@ -94,42 +119,67 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
 
 
 def _density_grid(table: DickmanTable, box: BoxSpec, grid: int) -> float:
-    """Midpoint-rule mean of the density over the box, streamed along the
-    first axis so the working set stays at grid^(k-1) cells."""
-    axes = [t + (np.arange(grid) + 0.5) * (d / grid)
-            for t, d in zip(box.t, box.dt)]
+    """Integral of the density over the box: the innermost coordinate in
+    closed form, the outer k-1 by the midpoint rule.
+
+    For outer coordinates summing to s, the delay equation gives
+    int_a^b rho((1-s)/t - 1) dt/t = rho((1-s)/b) - rho((1-s)/a).  The outer
+    mesh is streamed along its first axis in slabs of whole rows of about
+    _SLAB_CELLS cells, so the working set stays at max(_SLAB_CELLS,
+    grid^(k-2)) cells.
+    """
+    a, b = box.t[-1], box.upper()[-1]
+
+    def inner(s, prod):
+        return (rho(table, (1.0 - s) / b) - rho(table, (1.0 - s) / a)) / prod
+
     if box.k == 1:
-        t1 = axes[0]
-        f = rho(table, (1.0 - t1) / t1) / t1
-        return float(np.mean(f) * box.volume())
-    rest = np.meshgrid(*axes[1:], indexing="ij")
-    rest_sum = np.zeros_like(rest[0])
-    rest_prod = np.ones_like(rest[0])
-    for m in rest:
-        rest_sum += m
-        rest_prod *= m
-    rest_sum = rest_sum.ravel()
-    rest_prod = rest_prod.ravel()
-    t_last = rest[-1].ravel()
+        return float(inner(0.0, 1.0))
+    first, *mids = [t + (np.arange(grid) + 0.5) * (d / grid)
+                    for t, d in zip(box.t[:-1], box.dt[:-1])]
+    rest_sum, rest_prod = np.zeros(1), np.ones(1)
+    for ax in mids:
+        rest_sum = np.add.outer(rest_sum, ax).ravel()
+        rest_prod = np.multiply.outer(rest_prod, ax).ravel()
+    rows = max(1, _SLAB_CELLS // rest_sum.size)
     total = 0.0
-    for x0 in axes[0]:
-        arg = (1.0 - x0 - rest_sum) / t_last
-        total += float(np.sum(rho(table, arg) / (x0 * rest_prod)))
-    return total / grid ** box.k * box.volume()
+    for lo in range(0, grid, rows):
+        x0 = first[lo:lo + rows, None]
+        total += float(np.sum(inner(x0 + rest_sum, x0 * rest_prod)))
+    return total / grid ** (box.k - 1) * math.prod(box.dt[:-1])
 
 
-def pd_box_probability(table: DickmanTable, box: BoxSpec, grid: int = 256) -> float:
-    """Integral of the density over the box by tensor midpoint quadrature."""
+def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> None:
+    """Every precondition of one pass at `grid`, checked before any work."""
     if grid < 1:
         raise ParameterError("grid must be >= 1")
     box.require_inside_u()
+    # the closed form reads rho at (1 - s)/t_k, one unit past the density's
+    # own argument (1 - s - t_k)/t_k
+    need = (1.0 - sum(box.t[:-1])) / box.t[-1]
+    if need > table.u_max:
+        raise DomainError(f"the box needs rho up to u = {need:.6g}, but the "
+                          f"table stops at u_max = {table.u_max:g}")
+    cells = grid ** (box.k - 1)
+    if cells > MAX_OUTER_CELLS:
+        raise ResourceError(
+            f"k = {box.k} at grid {grid} needs {cells} outer cells, more than "
+            f"the cap of {MAX_OUTER_CELLS}")
+
+
+def pd_box_probability(table: DickmanTable, box: BoxSpec, grid: int = 256) -> float:
+    """Integral of the density over the box: closed form in the innermost
+    coordinate, midpoint rule with `grid` nodes on each outer axis."""
+    _validate(table, box, grid)
     return _density_grid(table, box, grid)
 
 
 def pd_box_probability_refined(table: DickmanTable, box: BoxSpec,
                                grid: int = 256) -> tuple[float, float]:
     """Value at doubled resolution plus a Richardson error estimate
-    |I(2g) - I(g)| / 3 (midpoint rule halves to a quarter of the error)."""
-    coarse = pd_box_probability(table, box, grid)
-    fine = pd_box_probability(table, box, 2 * grid)
+    |I(2g) - I(g)| / 3 (midpoint rule halves to a quarter of the error).
+    At k = 1 both passes are exact and the estimate is 0."""
+    _validate(table, box, 2 * grid)
+    coarse = _density_grid(table, box, grid)
+    fine = _density_grid(table, box, 2 * grid)
     return fine, abs(fine - coarse) / 3.0

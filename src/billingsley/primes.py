@@ -40,10 +40,6 @@ class PrimeSieve:
         self.largest_prime_factor.flags.writeable = False
         self.prime_array.flags.writeable = False
 
-    def primes(self) -> np.ndarray:
-        """Ascending array of all primes <= limit."""
-        return self.prime_array
-
     def primes_in_range(self, a: int, b: int) -> np.ndarray:
         """Primes p with a <= p <= b."""
         ps = self.prime_array

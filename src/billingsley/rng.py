@@ -40,25 +40,37 @@ def stream_key(seed: int, shard: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_M1)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_M2)
-    return x ^ (x >> np.uint64(31))
+    """splitmix64 finalizer applied in place to a uint64 array; returns x."""
+    x ^= x >> np.uint64(30)
+    x *= np.uint64(_M1)
+    x ^= x >> np.uint64(27)
+    x *= np.uint64(_M2)
+    x ^= x >> np.uint64(31)
+    return x
+
+
+def _keyed_counters(counters: np.ndarray, key: int) -> np.ndarray:
+    """Mix a fresh uint64 counter array, in place, into the stream's words."""
+    with np.errstate(over="ignore"):
+        counters *= np.uint64(GOLDEN)
+        counters += np.uint64(key)
+        return _mix64_array(counters)
 
 
 def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
     """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
-    key = stream_key(seed, shard)
     counters = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        return _mix64_array(counters * np.uint64(GOLDEN) + np.uint64(key))
+    return _keyed_counters(counters, stream_key(seed, shard))
 
 
 def uniforms(seed: int, shard: int, start: int, count: int) -> np.ndarray:
     """Doubles in the open interval (0, 1), one per counter."""
     z = raw64(seed, shard, start, count)
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
 def _mulhi64(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -87,10 +99,10 @@ def uniform_ints(seed: int, shard: int, count: int, n: int) -> np.ndarray:
     """
     if n < 1 or n > (1 << 63) - 1:
         raise ValueError("n must be in [1, 2^63 - 1] so results fit an int64 array")
-    base = np.arange(count, dtype=np.uint64) << np.uint64(ATTEMPT_BITS)
+    base = np.arange(count, dtype=np.uint64)
+    base <<= np.uint64(ATTEMPT_BITS)
     key = stream_key(seed, shard)
-    with np.errstate(over="ignore"):
-        z = _mix64_array((base + np.uint64(0)) * np.uint64(GOLDEN) + np.uint64(key))
+    z = _keyed_counters(base, key)
     high, low = _mulhi64(z, n)
     threshold = ((1 << 64) - n) % n
     out = high.astype(np.int64) + 1

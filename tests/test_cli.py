@@ -179,6 +179,13 @@ def test_pd_box_cli(capsys):
     assert d["error_estimate"] < 1e-6
 
 
+def test_pd_box_cli_refuses_k5_at_default_grid(capsys):
+    box = "0.3,0.02;0.2,0.02;0.12,0.02;0.07,0.02;0.04,0.02"
+    code, out, err = run(capsys, "pd-box", "--box", box)
+    assert code == 1
+    assert out == "" and "outer cells" in err
+
+
 def test_verify_roundtrip(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run(capsys, "verify", "--box", "0.5,0.1", "--epsilon", "0.25",

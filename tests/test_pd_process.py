@@ -4,9 +4,53 @@ import random
 import numpy as np
 import pytest
 
-from billingsley import (BoxSpec, DomainError, ParameterError, build_rho_table,
-                         pd_box_probability, pd_box_probability_refined, pd_density,
-                         pd_sample, pd_sample_batch, rho)
+from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
+                         build_rho_table, pd_box_probability, pd_box_probability_refined,
+                         pd_density, pd_sample, pd_sample_batch, rho, rng)
+from billingsley.pd_process import MAX_OUTER_CELLS, _BLOCK_ROWS, _validate
+
+
+def _one_shot_stick_matrix(seed, count, truncation, start=0):
+    # reference sampler: every row from one uniforms call, no row blocks
+    u = rng.uniforms(seed, 0, start * truncation,
+                     count * truncation).reshape(count, truncation)
+    prefix = np.cumprod(u, axis=1)
+    sticks = np.empty_like(u)
+    sticks[:, 0] = 1.0 - u[:, 0]
+    sticks[:, 1:] = prefix[:, :-1] - prefix[:, 1:]
+    tails = prefix[:, -1].copy()
+    sticks.sort(axis=1)
+    return sticks[:, ::-1], tails
+
+
+def _midpoint_oracle(table, box, grid):
+    # the full grid^k tensor midpoint rule over the density, streamed along
+    # the first axis
+    axes = [t + (np.arange(grid) + 0.5) * (d / grid)
+            for t, d in zip(box.t, box.dt)]
+    if box.k == 1:
+        t1 = axes[0]
+        f = rho(table, (1.0 - t1) / t1) / t1
+        return float(np.mean(f) * box.volume())
+    rest = np.meshgrid(*axes[1:], indexing="ij")
+    rest_sum = np.zeros_like(rest[0])
+    rest_prod = np.ones_like(rest[0])
+    for m in rest:
+        rest_sum += m
+        rest_prod *= m
+    rest_sum = rest_sum.ravel()
+    rest_prod = rest_prod.ravel()
+    t_last = rest[-1].ravel()
+    total = 0.0
+    for x0 in axes[0]:
+        arg = (1.0 - x0 - rest_sum) / t_last
+        total += float(np.sum(rho(table, arg) / (x0 * rest_prod)))
+    return total / grid ** box.k * box.volume()
+
+
+def _midpoint_oracle_refined(table, box, grid):
+    fine = _midpoint_oracle(table, box, 2 * grid)
+    return fine, abs(fine - _midpoint_oracle(table, box, grid)) / 3.0
 
 
 def test_sample_construction_identity():
@@ -28,6 +72,26 @@ def test_sample_matches_batch_rows():
     part, ptails = pd_sample_batch(9, 2, start=3)
     assert np.array_equal(part, sticks[3:5])
     assert np.array_equal(ptails, tails[3:5])
+
+
+@pytest.mark.parametrize("truncation, start", [(60, 12345), (1, 7)])
+def test_block_fill_matches_one_shot_sampler(truncation, start):
+    count = 2 * _BLOCK_ROWS + 17
+    sticks, tails = pd_sample_batch(31, count, truncation, start=start)
+    want, want_tails = _one_shot_stick_matrix(31, count, truncation, start)
+    assert sticks.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert tails.tobytes() == want_tails.tobytes()
+
+
+def test_rows_across_a_block_boundary_are_single_draws():
+    sticks, tails = pd_sample_batch(5, _BLOCK_ROWS + 3)
+    one = pd_sample(seed=5)
+    assert one.components.tobytes() == sticks[0].tobytes()
+    assert one.tail_mass == tails[0]
+    for i in range(_BLOCK_ROWS - 2, _BLOCK_ROWS + 3):
+        row, tail = pd_sample_batch(5, 1, start=i)
+        assert row[0].tobytes() == sticks[i].tobytes()
+        assert tail[0] == tails[i]
 
 
 def test_sample_validation():
@@ -81,6 +145,36 @@ def test_density_u_argument_out_of_table():
         pd_box_probability(small, BoxSpec((0.3,), (0.05,)), grid=16)
 
 
+def test_box_probability_needs_one_more_unit_of_table():
+    # the closed inner integral reads rho at (1 - s)/t_k, one unit past the
+    # density's own argument (1 - s - t_k)/t_k
+    small = build_rho_table(u_max=2.0, step=1e-3)
+    assert pd_density(small, [0.55, 0.22]) > 0  # (1 - 0.77)/0.22 < 2
+    with pytest.raises(DomainError, match=r"u = 2\.5\b"):
+        pd_box_probability(small, BoxSpec((0.5, 0.2), (0.1, 0.05)), grid=16)
+    with pytest.raises(DomainError, match=r"u = 2\.5\b"):
+        pd_box_probability_refined(small, BoxSpec((0.4,), (0.1,)))
+    val = pd_box_probability(small, BoxSpec((0.5,), (0.1,)))  # needs u = 2
+    assert val == pytest.approx(math.log(1.2), abs=1e-12)
+
+
+def test_k5_at_default_grid_is_refused_before_any_work(table):
+    box = BoxSpec((0.3, 0.2, 0.12, 0.07, 0.04), (0.02,) * 5)
+    with pytest.raises(ResourceError, match="outer cells"):
+        pd_box_probability_refined(table, box)
+    with pytest.raises(ResourceError):
+        pd_box_probability(table, box, grid=256)
+    with pytest.raises(ResourceError):
+        pd_box_probability(table, BoxSpec((0.5, 0.2), (0.1, 0.05)),
+                           grid=MAX_OUTER_CELLS + 1)
+
+
+def test_k4_at_default_grid_is_within_the_cap(table):
+    box = BoxSpec((0.3, 0.2, 0.12, 0.07), (0.02,) * 4)
+    _validate(table, box, 2 * 256)  # the refined pass at the default grid
+    assert (2 * 256) ** 3 == MAX_OUTER_CELLS
+
+
 def test_density_normalization_k1(table):
     # int_0^1 rho((1-t)/t)/t dt = 1; integrate where the table reaches
     # ((1-t)/t <= 20 for t >= 1/21) --- the remaining tail is bounded by
@@ -98,6 +192,40 @@ def test_box_probability_k1_analytic(table):
     val, err = pd_box_probability_refined(table, BoxSpec((0.5,), (0.1,)), grid=256)
     assert val == pytest.approx(math.log(1.2), abs=1e-7)
     assert err < 1e-7
+
+
+def test_box_probability_k1_is_exact(table):
+    box = BoxSpec((0.3,), (0.15,))
+    val, err = pd_box_probability_refined(table, box, grid=4)
+    assert val == rho(table, 1 / box.upper()[0]) - rho(table, 1 / 0.3)
+    assert err == 0.0
+    assert val == pytest.approx(_midpoint_oracle(table, box, 4096), abs=1e-9)
+
+
+@pytest.mark.parametrize("box, grid", [
+    (BoxSpec((0.45, 0.15), (0.1, 0.1)), 64),
+    (BoxSpec((0.5, 0.2), (0.05, 0.08)), 64),
+    (BoxSpec((0.35, 0.2, 0.1), (0.05, 0.05, 0.05)), 32),
+    (BoxSpec((0.4, 0.25, 0.1), (0.05, 0.05, 0.05)), 32),
+    (BoxSpec((0.3, 0.2, 0.12, 0.07), (0.02,) * 4), 8),
+])
+def test_closed_inner_integral_matches_midpoint_oracle(table, box, grid):
+    want, want_err = _midpoint_oracle_refined(table, box, grid)
+    val, err = pd_box_probability_refined(table, box, grid)
+    assert abs(val - want) <= 4 * want_err
+    assert err < want_err  # one axis fewer carries discretisation error
+
+
+@pytest.mark.parametrize("text, grid, ref", [
+    # split Gauss-Legendre values, computed independently of the library
+    ("0.45,0.1;0.15,0.1", 256, 0.05653721671479754),
+    ("0.35,0.05;0.2,0.05;0.1,0.05", 128, 0.002709944617963229),
+])
+def test_refined_quadrature_hits_independent_references(table, text, grid, ref):
+    val, err = pd_box_probability_refined(table, BoxSpec.from_string(text), grid)
+    miss = abs(val - ref)
+    assert miss <= 1e-9
+    assert miss <= 4 * err  # the stated estimate bounds the miss
 
 
 def test_box_probability_narrow_box_is_small(table):
@@ -137,7 +265,8 @@ def test_rho_near_kink_stays_accurate(table):
 
 
 def test_sampler_agrees_with_quadrature(table):
-    # five fixed boxes, 10^6 samples each, 4-sigma binomial tolerance
+    # five fixed boxes, the same 10^6 samples for each, 4-sigma binomial
+    # tolerance
     boxes = [BoxSpec((0.5,), (0.1,)),
              BoxSpec((0.3,), (0.15,)),
              BoxSpec((0.62,), (0.2,)),
@@ -145,16 +274,16 @@ def test_sampler_agrees_with_quadrature(table):
              BoxSpec((0.5, 0.2), (0.05, 0.08))]
     total = 10**6
     chunk = 10**5
-    for box in boxes:
-        want = pd_box_probability(table, box, grid=256)
-        hits = 0
-        for c in range(total // chunk):
-            sticks, _ = pd_sample_batch(4242, chunk, start=c * chunk)
-            pts = sticks[:, : box.k]
+    hits = [0] * len(boxes)
+    for c in range(total // chunk):
+        sticks, _ = pd_sample_batch(4242, chunk, start=c * chunk)
+        for j, box in enumerate(boxes):
             ok = np.ones(chunk, dtype=bool)
             for i in range(box.k):
-                ok &= (pts[:, i] >= box.t[i]) & (pts[:, i] <= box.t[i] + box.dt[i])
-            hits += int(np.count_nonzero(ok))
-        freq = hits / total
+                ok &= (sticks[:, i] >= box.t[i]) & (sticks[:, i] <= box.t[i] + box.dt[i])
+            hits[j] += int(np.count_nonzero(ok))
+    for box, h in zip(boxes, hits):
+        want = pd_box_probability(table, box, grid=256)
+        freq = h / total
         sd = math.sqrt(max(want * (1 - want), 1e-12) / total)
         assert abs(freq - want) < 4 * sd, (box, freq, want)

@@ -20,12 +20,12 @@ def trial_division_primes(limit):
 
 def test_small_primes_identified():
     sieve = build_sieve(10)
-    assert sieve.primes().tolist() == [2, 3, 5, 7]
+    assert sieve.prime_array.tolist() == [2, 3, 5, 7]
 
 
 def test_sieve_against_trial_division(sieve5):
     oracle = trial_division_primes(10**5)
-    got = sieve5.primes()
+    got = sieve5.prime_array
     assert len(got) == len(oracle)
     assert got.tolist() == oracle
 
@@ -53,11 +53,11 @@ def test_tiny_sieves_are_prefixes(sieve5, limit):
     sieve = build_sieve(limit)
     assert np.array_equal(sieve.largest_prime_factor,
                           sieve5.largest_prime_factor[: limit + 1])
-    assert sieve.primes().tolist() == trial_division_primes(limit)
+    assert sieve.prime_array.tolist() == trial_division_primes(limit)
 
 
 def test_sieve_tables_are_read_only(sieve5, table):
-    for arr in (sieve5.largest_prime_factor, sieve5.primes(), table.values):
+    for arr in (sieve5.largest_prime_factor, sieve5.prime_array, table.values):
         with pytest.raises(ValueError):
             arr[1] = 0
 
