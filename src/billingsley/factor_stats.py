@@ -17,6 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,8 +108,7 @@ class BoxSpec:
         return cls(t=tuple(ts), dt=tuple(dts))
 
 
-@dataclass(frozen=True)
-class FactorVector:
+class FactorVector(NamedTuple):
     """A sampled integer N <= n with its k largest prime factors (descending,
     padded with 1) and their logs scaled by log n."""
 
@@ -175,8 +175,9 @@ def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[Fa
     q, inv = np.unique(p, return_inverse=True)
     scaled = np.array([math.log(v) / logn if v > 1 else 0.0 for v in q.tolist()])
     L = scaled[inv.reshape(-1)].reshape(p.shape)
-    return [FactorVector(n=n, N=a, p=tuple(b), L=tuple(c))
-            for a, b, c in zip(N.tolist(), p.tolist(), L.tolist())]
+    # zipping the columns yields each row as a tuple, with no tuple(list)
+    return [FactorVector(n, a, b, c)
+            for a, b, c in zip(N.tolist(), zip(*p.T.tolist()), zip(*L.T.tolist()))]
 
 
 def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
@@ -198,22 +199,54 @@ def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
 def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec,
                           chunk: int = 1 << 21) -> ExactProbability:
     """Exact count of m <= n whose ranked factors fall in the box's prime
-    intervals, scanned in chunks off the sieve."""
+    intervals, scanned in chunks off the sieve: rank 1 is a slice of the
+    table, and only the m whose rank 1 is inside go on to be peeled."""
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    bounds = prime_bounds(n, box)
+    bounds = _scan_bounds(sieve, n, box)
+    lpf = sieve.largest_prime_factor
     count = 0
     for start in range(1, n + 1, chunk):
-        m = np.arange(start, min(n, start + chunk - 1) + 1, dtype=np.int64)
-        count += _count_in_box(sieve, m, bounds)
+        stop = min(n + 1, start + chunk)
+        count += _count_survivors(lpf, lpf[start:stop], bounds,
+                                  lambda rows: rows.astype(lpf.dtype) + start)
     return ExactProbability(count=count, total=n)
 
 
 def _count_in_box(sieve: PrimeSieve, m: np.ndarray, bounds) -> int:
     """How many m have their ranked factors inside the prime intervals."""
-    lo, hi = np.array(bounds, dtype=np.int64).T
-    p = _peel(sieve, m, len(bounds))
-    return int(np.count_nonzero(np.all((p >= lo) & (p <= hi), axis=1)))
+    lpf = sieve.largest_prime_factor
+    return _count_survivors(lpf, lpf[m], bounds, lambda rows: m[rows])
+
+
+def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
+    """prime_bounds cut at the sieve limit, where the primes stop, so that
+    they compare in the table's int32; None if some interval is empty."""
+    bounds = [(lo, min(hi, sieve.limit)) for lo, hi in prime_bounds(n, box)]
+    return None if any(lo > hi for lo, hi in bounds) else bounds
+
+
+def _count_survivors(lpf: np.ndarray, p: np.ndarray, bounds, m_at) -> int:
+    """How many integers have ranks 1..k inside the _scan_bounds intervals,
+    given rank 1 of each as p and the integers at chosen positions as
+    m_at(rows).
+
+    Rank i + 1 is divided out and read only for the integers whose ranks
+    1..i are inside; padding 1 peels 1 to itself, as in _peel.
+    """
+    if bounds is None:
+        return 0
+    (lo, hi), rest = bounds[0], bounds[1:]
+    rows = np.flatnonzero((p >= lo) & (p <= hi))
+    if not rest or not rows.size:
+        return rows.size
+    m, p = m_at(rows), p[rows]
+    for lo, hi in rest:
+        m = m // p
+        p = lpf[m]
+        inside = (p >= lo) & (p <= hi)
+        m, p = m[inside], p[inside]
+    return m.size
 
 
 def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:
@@ -276,7 +309,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
         raise ParameterError("samples must be >= 1")
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    bounds = prime_bounds(n, box)
+    bounds = _scan_bounds(sieve, n, box)
     counts = rng.partition(samples, MC_SHARDS)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -47,23 +47,6 @@ class PrimeSieve:
         j = np.searchsorted(ps, b, side="right")
         return ps[i:j]
 
-    def is_prime(self, m: int) -> bool:
-        if m < 2 or m > self.limit:
-            return False
-        return int(self.largest_prime_factor[m]) == m
-
-    def factorize(self, m: int) -> list[int]:
-        """All prime factors of m with multiplicity, ascending."""
-        if not 1 <= m <= self.limit:
-            raise DomainError(f"{m} outside sieve range [1, {self.limit}]")
-        lpf = self.largest_prime_factor
-        out = []
-        while m > 1:
-            p = int(lpf[m])
-            out.append(p)
-            m //= p
-        return out[::-1]
-
 
 def _build_bytes(limit: int) -> int:
     """Peak bytes of build_sieve: the int32 table, a one-byte mask over it,

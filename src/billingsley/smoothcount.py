@@ -21,7 +21,9 @@ quotients z, with int64 multiplicities, that still need Psi(z, p_j):
 * any other z passes z // p_j^k, k >= 0, on to stage j - 1, where equal
   quotients merge; at p = 2 the sweep closes with the bit length.
 
-A single x <= T skips the sweep: one count off the leaf table.
+A single x <= T skips the sweep: one count off the leaf table.  That count,
+like psi_bruteforce, also takes an array of x: one cumulative sum up to the
+largest x and a gather.
 
 Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
 engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
@@ -113,9 +115,10 @@ class PsiEngine:
             self.prime_limit = limit
         return self.primes
 
-    def psi_small(self, x: int, y: int) -> int:
-        """Psi(x, y) for 1 <= x <= T by one count off the leaf table."""
-        return int(np.count_nonzero(self.leaf_labels[1: x + 1] <= y))
+    def psi_small(self, x, y: int):
+        """Psi(x, y) for 1 <= x <= T off the leaf table; x is an int, or an
+        integer array for an int64 array of counts."""
+        return _prefix_count(self.leaf_labels, self.leaf_limit, x, y)
 
     def psi_sum(self, x, y) -> int:
         """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
@@ -248,17 +251,34 @@ def psi_exact(x: int, y: int) -> int:
     return engine.psi_sum([x], [y])
 
 
-def psi_bruteforce(sieve: PrimeSieve, x: int, y: int) -> int:
-    """Psi(x, y) by scanning the sieve's largest-prime-factor table.
+def _prefix_count(labels: np.ndarray, limit: int, x, y: int):
+    """#{1 <= m <= x : labels[m] <= y} for an int x, or for each x of an
+    integer array as an int64 array: one cumulative sum of the labels up to
+    the largest x, then a gather (an int x reads only the last sum)."""
+    try:
+        x = np.asarray(x, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(f"x beyond table limit {limit}") from None
+    y = int(y)
+    if y < 1 or (x.size and int(x.min()) < 1):
+        raise ParameterError("need x >= 1 and y >= 1")
+    top = int(x.max(initial=0))
+    if top > limit:
+        raise DomainError(f"x={top} beyond table limit {limit}")
+    smooth = labels[1: top + 1] <= y
+    if not x.ndim:  # the last prefix count, without a table-sized int32 array
+        return int(np.count_nonzero(smooth))
+    # counts stay <= limit < 2^31, so the running sum fits int32
+    return np.cumsum(smooth, dtype=np.int32)[x - 1].astype(np.int64)
+
+
+def psi_bruteforce(sieve: PrimeSieve, x, y: int):
+    """Psi(x, y) by counting off the sieve's largest-prime-factor table; x is
+    an int, or an integer array for an int64 array of counts.
 
     m = 1 counts (it has no prime factor at all).
     """
-    x, y = int(x), int(y)
-    if x < 1 or y < 1:
-        raise ParameterError("need x >= 1 and y >= 1")
-    if x > sieve.limit:
-        raise DomainError(f"x={x} beyond sieve limit {sieve.limit}")
-    return int(np.count_nonzero(sieve.largest_prime_factor[1: x + 1] <= y))
+    return _prefix_count(sieve.largest_prime_factor, sieve.limit, x, y)
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

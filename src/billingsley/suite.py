@@ -22,7 +22,7 @@ from .pd_process import pd_box_probability_refined, pd_sample_batch
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate,
                      mertens_sum, power_ceil, power_floor)
 from .rng import DEFAULT_SEED
-from .smoothcount import psi_bruteforce, psi_exact
+from .smoothcount import default_engine, psi_bruteforce, psi_exact
 
 SIEVE_LIMIT = 10**7
 
@@ -116,20 +116,46 @@ def check_alternating_sum(ctx: SuiteContext) -> dict:
 
 
 def check_psi_oracle_equivalence(ctx: SuiteContext) -> dict:
-    """psi_exact == psi_bruteforce for every x <= 10^4 over the pinned y set."""
+    """psi_exact == psi_bruteforce for every x <= 10^4 over the pinned y set.
+
+    x <= 10^4 lies below the engine's 2^20 leaf limit, so this checks the
+    engine's leaf-table route against the sieve's LPF table, not the sweep
+    (the tier-1 tests cover that).  Each fixed-y column is one prefix count
+    per side; psi_exact answers y = 1 and y = x before it reaches the table,
+    so those columns call it per x.  mismatches and first_mismatch count the
+    (x, y) pairs x-major, then y in PSI_EQUIV_Y + (x,) order.
+    """
     sieve = ctx.sieve
-    mismatches = 0
+    engine = default_engine()
+    xs = np.arange(1, PSI_EQUIV_X_MAX + 1, dtype=np.int64)
+    exact = [[psi_exact(x, y) for x in xs.tolist()] if y < 2 else
+             engine.psi_small(xs, y) for y in PSI_EQUIV_Y]
+    exact.append([psi_exact(x, x) for x in xs.tolist()])
+    brute = [psi_bruteforce(sieve, xs, y) for y in PSI_EQUIV_Y]
+    brute.append(_bruteforce_diagonal(sieve, PSI_EQUIV_X_MAX))
+    bad = np.asarray(exact, dtype=np.int64).T != np.asarray(brute).T
+    mismatches = int(np.count_nonzero(bad))
     first_bad = None
-    for x in range(1, PSI_EQUIV_X_MAX + 1):
-        for y in PSI_EQUIV_Y + (x,):
-            if psi_exact(x, y) != psi_bruteforce(sieve, x, y):
-                mismatches += 1
-                if first_bad is None:
-                    first_bad = [x, y]
+    if mismatches:
+        i, j = divmod(int(np.argmax(bad)), bad.shape[1])
+        first_bad = [i + 1, (PSI_EQUIV_Y + (i + 1,))[j]]
     return {"criterion": 3, "name": "psi_oracle_equivalence",
             "x_max": PSI_EQUIV_X_MAX, "y_values": list(PSI_EQUIV_Y) + ["x"],
             "mismatches": mismatches, "first_mismatch": first_bad,
             "passed": mismatches == 0}
+
+
+def _bruteforce_diagonal(sieve: PrimeSieve, x_max: int) -> np.ndarray:
+    """psi_bruteforce(sieve, x, x) for x = 1..x_max as an int64 array: x less
+    the m <= x whose table entry exceeds x.  An entry lpf[m] > m (none in a
+    correct table) spoils x = m..lpf[m]-1, which a difference array counts."""
+    m = np.arange(1, x_max + 1, dtype=np.int64)
+    lab = sieve.largest_prime_factor[1: x_max + 1].astype(np.int64)
+    over = lab > m
+    spoiled = np.zeros(x_max + 2, dtype=np.int64)
+    np.add.at(spoiled, m[over], 1)
+    np.add.at(spoiled, np.minimum(lab[over], x_max + 1), -1)
+    return m - np.cumsum(spoiled)[1:-1]
 
 
 def check_prime_tuple_identity(ctx: SuiteContext) -> dict:

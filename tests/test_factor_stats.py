@@ -10,7 +10,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, box_probability_e
                          box_probability_via_psi, factor_vector, marginal_L1_cdf,
                          prime_bounds, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
-from billingsley.factor_stats import _peel
+from billingsley.factor_stats import _count_in_box, _peel, _scan_bounds
 
 
 def largest_factor_trial_division(m):
@@ -66,6 +66,14 @@ def test_factor_vector_invariants(sieve5):
         assert all(0.0 <= v <= 1.0 for v in fv.L)
         assert all(a >= b for a, b in zip(fv.L, fv.L[1:]))
         assert fv.p[0] == largest_factor_trial_division(N) or N == 1
+
+
+def test_factor_vector_is_an_immutable_named_tuple(sieve5):
+    fv = factor_vector(sieve5, 10**5, 360, 3)
+    assert fv == (10**5, 360, (5, 3, 3), fv.L)
+    assert fv._fields == ("n", "N", "p", "L")
+    with pytest.raises(AttributeError):
+        fv.N = 12
 
 
 def test_box_spec_parsing_and_validation():
@@ -269,3 +277,126 @@ def test_sample_factor_vectors_deterministic(sieve5):
     assert rows1 == rows2
     assert all(1 <= fv.N <= 10**5 for fv in rows1)
     assert all(len(fv.p) == 3 for fv in rows1)
+
+
+# ---------------------------------------------------------------------------
+# survivors-only box count against the full peel it replaced
+
+def full_peel_count(sieve, m, bounds):
+    """The box count before survivors-only peeling: all k ranks of every m."""
+    lo, hi = np.array(bounds, dtype=np.int64).T
+    p = _peel(sieve, m, len(bounds))
+    return int(np.count_nonzero(np.all((p >= lo) & (p <= hi), axis=1)))
+
+
+def log_box(n, intervals):
+    """The box whose coordinate intervals are [n^t, n^{t+dt}] = [a, b]."""
+    t = [math.log(a) / math.log(n) for a, _ in intervals]
+    up = [math.log(b) / math.log(n) for _, b in intervals]
+    return BoxSpec(tuple(t), tuple(u - v for u, v in zip(up, t)))
+
+
+def prime_box(n, ranges):
+    """A box whose prime intervals are exactly the given integer ranges."""
+    return log_box(n, [(a - 0.5, b + 0.5) for a, b in ranges])
+
+
+def random_box(rnd, k):
+    """Descending left ends; widths may overlap the next coordinate."""
+    t, dt, top = [], [], rnd.uniform(0.3, 0.8)
+    for _ in range(k):
+        t.append(rnd.uniform(0.02, top))
+        dt.append(rnd.uniform(0.005, 0.25))
+        top = t[-1]
+    return BoxSpec(tuple(t), tuple(dt))
+
+
+N_SCAN = 10**5
+
+#: (k, integer ranges) with prime endpoints, and with no prime or no integer
+SPECIAL_RANGES = [
+    (1, [(11, 97)]),
+    (2, [(101, 997), (2, 13)]),
+    (3, [(31, 313), (7, 31), (2, 7)]),
+    (2, [(211, 211), (3, 3)]),                     # one prime each
+    (1, [(24, 28)]),                               # integers, no prime
+    (2, [(101, 997), (114, 126)]),                 # second range holds no prime
+]
+
+#: a box whose second interval [24.2, 24.8] holds no integer at all
+NO_INTEGER_BOX = log_box(N_SCAN, [(30.5, 313.5), (24.2, 24.8), (1.5, 7.5)])
+
+
+def scan_boxes():
+    rnd = random.Random(2024)
+    boxes = [random_box(rnd, k) for k in (1, 2, 3, 4) for _ in range(5)]
+    return boxes + [prime_box(N_SCAN, r) for _, r in SPECIAL_RANGES] + [NO_INTEGER_BOX]
+
+
+def test_prime_box_helper_hits_its_ranges(sieve5):
+    for k, ranges in SPECIAL_RANGES:
+        assert prime_bounds(N_SCAN, prime_box(N_SCAN, ranges)) == ranges
+    assert prime_bounds(N_SCAN, NO_INTEGER_BOX)[1] == (25, 24)
+    assert _scan_bounds(sieve5, N_SCAN, NO_INTEGER_BOX) is None
+
+
+def test_exact_scan_matches_full_peel(sieve5):
+    m = np.arange(1, N_SCAN + 1, dtype=np.int64)
+    for box in scan_boxes():
+        want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
+        for chunk in (1000, N_SCAN):
+            got = box_probability_exact(sieve5, N_SCAN, box, chunk=chunk).count
+            assert got == want, (box, chunk)
+
+
+def test_exact_scan_chunk_one_matches_full_peel(sieve5):
+    # one chunk per integer: every slice boundary and the survivor loop on
+    # single rows (about a second per box, so one box per k)
+    m = np.arange(1, N_SCAN + 1, dtype=np.int64)
+    rnd = random.Random(7)
+    boxes = [random_box(rnd, 1), prime_box(N_SCAN, SPECIAL_RANGES[1][1]),
+             prime_box(N_SCAN, SPECIAL_RANGES[2][1]), random_box(rnd, 4)]
+    for box in boxes:
+        want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
+        assert box_probability_exact(sieve5, N_SCAN, box, chunk=1).count == want
+
+
+def test_exact_scan_special_ranges_are_counted(sieve5):
+    counts = {tuple(r): box_probability_exact(sieve5, N_SCAN, prime_box(N_SCAN, r)).count
+              for _, r in SPECIAL_RANGES}
+    assert counts[((24, 28),)] == 0
+    assert counts[((101, 997), (114, 126))] == 0
+    assert box_probability_exact(sieve5, N_SCAN, NO_INTEGER_BOX).count == 0
+    # ranks (211, 3) means m = 211 * 3 * s with s 3-smooth
+    def three_smooth(s):
+        for q in (2, 3):
+            while s % q == 0:
+                s //= q
+        return s == 1
+    assert counts[((211, 211), (3, 3))] == sum(
+        1 for s in range(1, N_SCAN // 633 + 1) if three_smooth(s))
+
+
+def test_mc_count_matches_full_peel(sieve5):
+    rnd = random.Random(99)
+    m = np.array([rnd.randint(1, N_SCAN) for _ in range(20000)] + [1, N_SCAN] * 3,
+                 dtype=np.int64)
+    for box in scan_boxes():
+        want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
+        assert _count_in_box(sieve5, m, _scan_bounds(sieve5, N_SCAN, box)) == want, box
+
+
+#: sample_box_probability hits at n = 10^6 with 2 * 10^5 draws, recorded
+#: with the full-peel count; the Monte Carlo route must stay bit-identical
+MC_PINNED_HITS = [
+    (BoxSpec((0.5,), (0.1,)), {7: 36048, 42: 35892}),
+    (BoxSpec((0.45, 0.15), (0.1, 0.1)), {7: 11489, 42: 11385}),
+    (BoxSpec((0.4, 0.25, 0.1), (0.05, 0.05, 0.05)), {7: 958, 42: 907}),
+]
+
+
+def test_mc_hits_pinned(sieve6):
+    for box, hits in MC_PINNED_HITS:
+        for seed, want in hits.items():
+            est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
+            assert est.hits == want, (box, seed)

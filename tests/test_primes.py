@@ -62,17 +62,6 @@ def test_sieve_tables_are_read_only(sieve5, table):
             arr[1] = 0
 
 
-def test_factorize_reconstructs(sieve5):
-    rnd = random.Random(4)
-    for _ in range(200):
-        m = rnd.randint(1, 10**5)
-        fs = sieve5.factorize(m)
-        assert math.prod(fs) == m
-        assert fs == sorted(fs)
-    with pytest.raises(DomainError):
-        sieve5.factorize(10**5 + 1)
-
-
 def test_sieve_parameter_and_resource_errors():
     with pytest.raises(ParameterError):
         build_sieve(1)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from billingsley import (DomainError, ParameterError, ResourceError,
@@ -18,6 +19,8 @@ def test_bruteforce_examples(sieve5):
 def test_bruteforce_domain(sieve5):
     with pytest.raises(DomainError):
         psi_bruteforce(sieve5, 10**5 + 1, 2)
+    with pytest.raises(DomainError):
+        psi_bruteforce(sieve5, 10**20, 2)      # beyond int64 too
     with pytest.raises(ParameterError):
         psi_bruteforce(sieve5, 0, 2)
 
@@ -46,6 +49,32 @@ def test_exact_equals_bruteforce_dense(sieve5):
 def test_exact_equals_bruteforce_large_spot(sieve7):
     for x, y in [(10**4, 10), (10**5, 50), (10**6, 997), (10**7, 3162), (10**6, 2)]:
         assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y)
+
+
+def test_array_x_equals_scalar_calls(sieve5):
+    rnd = random.Random(21)
+    engine = PsiEngine()
+    xs = np.array([1, 2, 1, 10**5, 7, 7] + [rnd.randint(1, 10**5) for _ in range(200)],
+                  dtype=np.int64)
+    for y in (1, 2, 3, 13, 97, 316, 10**5, 10**9):
+        brute = psi_bruteforce(sieve5, xs, y)
+        small = engine.psi_small(xs, y)
+        assert brute.dtype == small.dtype == np.int64
+        assert brute.tolist() == [psi_bruteforce(sieve5, int(x), y) for x in xs]
+        assert small.tolist() == [engine.psi_small(int(x), y) for x in xs]
+        assert brute.tolist() == small.tolist()
+    grid = xs[:200].reshape(10, 20)
+    assert psi_bruteforce(sieve5, grid, 5).shape == (10, 20)
+    assert psi_bruteforce(sieve5, np.zeros(0, dtype=np.int64), 5).size == 0
+
+
+def test_array_x_domain(sieve5):
+    with pytest.raises(ParameterError):
+        psi_bruteforce(sieve5, np.array([3, 0, 5]), 2)
+    with pytest.raises(DomainError):
+        psi_bruteforce(sieve5, np.array([3, 10**5 + 1]), 2)
+    with pytest.raises(DomainError):
+        PsiEngine().psi_small(np.array([LEAF_LIMIT + 1]), 2)
 
 
 def test_monotone_in_x_and_y():
