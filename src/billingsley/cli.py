@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -179,7 +180,7 @@ def _cmd_pd_box(args) -> int:
 
 def _cmd_verify(args) -> int:
     box = BoxSpec.from_string(args.box)
-    ladder = [int(float(v)) for v in args.ladder.split(",")]
+    ladder = args.ladder
     # the scan and Monte Carlo need the sieve to reach n; entries past
     # SIEVE_LIMIT are counted through the prime-tuple identity instead, which
     # needs primes only up to the top coordinate's bound
@@ -211,6 +212,27 @@ def _cmd_suite(args) -> int:
 
 class UsageError(Exception):
     pass
+
+
+def _count(value: str) -> int:
+    """An exact integer literal, or a finite float literal with an integral
+    value such as 1e7."""
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    try:
+        v = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not (math.isfinite(v) and v.is_integer()):
+        raise argparse.ArgumentTypeError(f"not a finite integer: {value!r}")
+    return int(v)
+
+
+def _ladder(value: str) -> list[int]:
+    """Comma-separated _count entries."""
+    return [_count(v) for v in value.split(",")]
 
 
 def _positive_int(value: str) -> int:
@@ -270,28 +292,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("psi-ladder", help="Psi(n, n^{1/t})/n versus rho(t) by decades")
     s.add_argument("--t", type=float, default=2.0)
-    s.add_argument("--nmin", type=lambda v: int(float(v)), default=10**4)
-    s.add_argument("--nmax", type=lambda v: int(float(v)), required=True)
+    s.add_argument("--nmin", type=_count, default=10**4)
+    s.add_argument("--nmax", type=_count, required=True)
     _add_common(s, digits=False, table=True)
     s.set_defaults(fn=_cmd_psi_ladder)
 
     s = subs.add_parser("box", help="probability that ranked factors fall in a box")
-    s.add_argument("--n", type=lambda v: int(float(v)), required=True)
+    s.add_argument("--n", type=_count, required=True)
     s.add_argument("--box", required=True, help="'t1,dt1;t2,dt2;...'")
     s.add_argument("--method", choices=("exact", "psi", "mc"), default="exact")
-    s.add_argument("--samples", type=lambda v: int(float(v)), default=10**5)
+    s.add_argument("--samples", type=_count, default=10**5)
     _add_common(s, digits=False, seed=True, threads=True)
     s.set_defaults(fn=_cmd_box)
 
     s = subs.add_parser("sample-factors", help="draw integers and rank their factors")
-    s.add_argument("--n", type=lambda v: int(float(v)), required=True)
-    s.add_argument("--count", type=lambda v: int(float(v)), required=True)
+    s.add_argument("--n", type=_count, required=True)
+    s.add_argument("--count", type=_count, required=True)
     s.add_argument("--k", type=int, default=3)
     _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_sample_factors)
 
     s = subs.add_parser("pd-sample", help="ranked stick-breaking samples as CSV")
-    s.add_argument("--count", type=lambda v: int(float(v)), required=True)
+    s.add_argument("--count", type=_count, required=True)
     s.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
     s.add_argument("--k", type=int, default=5)
     _add_common(s, digits=False, seed=True)
@@ -311,9 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("verify", help="box-criterion harness along an n-ladder")
     s.add_argument("--box", required=True)
     s.add_argument("--epsilon", type=float, default=0.25)
-    s.add_argument("--ladder", required=True, help="'1e4,1e5,1e6'")
-    s.add_argument("--samples", type=lambda v: int(float(v)), default=10**5)
-    s.add_argument("--exact-threshold", type=lambda v: int(float(v)), default=10**6)
+    s.add_argument("--ladder", type=_ladder, required=True, help="'1e4,1e5,1e6'")
+    s.add_argument("--samples", type=_count, default=10**5)
+    s.add_argument("--exact-threshold", type=_count, default=10**6)
     s.add_argument("--report", default=None)
     _add_common(s, digits=False, out=False, table=True, seed=True, threads=True)
     s.set_defaults(fn=_cmd_verify)

@@ -102,8 +102,8 @@ def _interp_rho(values: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
 
 def build_rho_table(u_max: float = DEFAULT_U_MAX, step: float = DEFAULT_STEP) -> DickmanTable:
     """Tabulate rho on [0, u_max] with the given grid spacing."""
-    if not (u_max >= 1):
-        raise ParameterError(f"u_max must be >= 1, got {u_max}")
+    if not (math.isfinite(u_max) and u_max >= 1):
+        raise ParameterError(f"u_max must be finite and >= 1, got {u_max}")
     if not (0 < step <= 0.01):
         raise ParameterError(f"step must lie in (0, 0.01], got {step}")
 

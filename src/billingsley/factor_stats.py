@@ -10,6 +10,15 @@ For a box B = prod [t_i, t_i + dt_i] the probability P(P_i(N) in
 All three resolve interval endpoints through the same power_ceil/power_floor
 pair, so a prime on the boundary classifies identically everywhere; the first
 two must agree to the integer.
+
+The identity sums the innermost prime in closed form: the m <= N whose
+largest prime lies in [a, b] number sum_{a <= q <= b} Psi(N/q, q) =
+Psi(N, b) - Psi(N, a - 1).  Tuples run over the outer k - 1 ranges; a row
+whose quotient N is at most the Psi engine's leaf limit (2^20) takes two
+prefix counts off the engine's leaf table, and only larger N are expanded
+and swept.  The identity reads the sieve's prime list but never its
+largest-prime-factor table, which the scan reads, so each route checks the
+other through an independently built table.
 """
 from __future__ import annotations
 
@@ -24,7 +33,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError
 from .primes import PrimeSieve, power_ceil, power_floor
-from .smoothcount import psi_exact, psi_sum
+from .smoothcount import default_engine, psi_exact, psi_sum
 
 from .rng import DEFAULT_SEED
 
@@ -251,43 +260,65 @@ def _count_survivors(lpf: np.ndarray, p: np.ndarray, bounds, m_at) -> int:
 
 def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:
     """The same probability through the prime-tuple sum
-    sum Psi(n // (p_1 ... p_k), p_k), one Psi-engine sweep per chunk of tuples.
+    sum Psi(n // (p_1 ... p_k), p_k), with the innermost prime in closed form.
 
     Requires the box inside U, which makes the per-coordinate prime ranges
     disjoint and descending: tuples are strictly ordered and the underlying
     events disjoint, so the sum counts each m exactly once.
+
+    Tuples run over the outer k - 1 ranges only.  Each m <= N whose largest
+    prime lies in the innermost range [a, b] is counted once by
+    sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, max(a - 1, 1)),
+    so a row with quotient N = n // (p_1 ... p_{k-1}) <= LEAF_LIMIT takes two
+    prefix counts off the Psi engine's leaf table (k = 1 has the one row
+    N = n).  The table cannot answer a larger N, so those rows expand the
+    innermost prime as well and go to psi_sum, a chunk of tuples at a time.
+
+    Only the sieve's prime list is read, never its largest-prime-factor
+    table: the exact scan reads that table and this route the engine's, so
+    each is an independent check on the other.
     """
     box.require_inside_u()
-    if n < 1:
-        raise DomainError("n must be positive")
+    if not 1 <= n < 1 << 63:
+        raise DomainError("n must be in [1, 2^63 - 1]")
     bounds = prime_bounds(n, box)
     if bounds[0][1] > sieve.limit:
         raise DomainError(
             f"top prime range reaches {bounds[0][1]}, beyond sieve limit {sieve.limit}")
-    ranges = [sieve.primes_in_range(lo, hi) for lo, hi in bounds]
+    *outer, (a, b) = bounds
+    ranges = [sieve.primes_in_range(lo, hi) for lo, hi in outer]
+    inner = [sieve.primes_in_range(a, b)]
+    engine = default_engine()
     count = 0
-    for z, last in _prime_tuples(n, ranges):
-        count += psi_sum(z, last)
+    for N, _ in _prime_tuples(np.array([n], dtype=np.int64), ranges):
+        small = N <= engine.leaf_limit
+        if small.any():
+            N_small = N[small]
+            count += int(engine.psi_small(N_small, b).sum()
+                         - engine.psi_small(N_small, max(a - 1, 1)).sum())
+        if not small.all():
+            for z, q in _prime_tuples(N[~small], inner):
+                count += psi_sum(z, q)
     return ExactProbability(count=count, total=n)
 
 
-def _prime_tuples(n: int, ranges: list):
-    """Yield (n // (p_1 ... p_k), p_k) as int64 arrays over the tuples drawn
-    one prime per range with p_1 ... p_k <= n, about PSI_TUPLE_CHUNK pairs at
-    a time.  Products stay <= n, so they never overflow."""
-    def extend(prods, level):
+def _prime_tuples(N: np.ndarray, ranges: list):
+    """Yield (N // (p_1 ... p_j), p_j) as int64 arrays over the quotients N
+    and the tuples drawn one prime per range with p_1 ... p_j <= N, about
+    PSI_TUPLE_CHUNK at a time (p_j is None when there are no ranges).
+    Quotients only shrink, so nothing overflows."""
+    def extend(z, last, level):
+        if level == len(ranges):
+            yield z, last
+            return
         primes = ranges[level]
         step = max(1, PSI_TUPLE_CHUNK // max(primes.size, 1))
-        for start in range(0, prods.size, step):
-            head = prods[start:start + step]
-            rows, cols = np.nonzero(primes[None, :] <= (n // head)[:, None])
-            tails = head[rows] * primes[cols]
-            if level == len(ranges) - 1:
-                yield n // tails, primes[cols]
-            else:
-                yield from extend(tails, level + 1)
+        for start in range(0, z.size, step):
+            head = z[start:start + step]
+            rows, cols = np.nonzero(primes[None, :] <= head[:, None])
+            yield from extend(head[rows] // primes[cols], primes[cols], level + 1)
 
-    yield from extend(np.ones(1, dtype=np.int64), 0)
+    yield from extend(N, None, 0)
 
 
 def _mc_shard(sieve: PrimeSieve, n: int, bounds, seed: int, shard: int,

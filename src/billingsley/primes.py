@@ -21,6 +21,13 @@ from .errors import DomainError, ParameterError, ResourceError
 #: limits up to about 6.6e8
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
+#: build_sieve tiles the largest of these primes dividing m, period 30030
+SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
+
+#: build_sieve writes the other primes up to sqrt(limit) this many table
+#: entries (1 MiB) at a time
+SIEVE_SEGMENT = 1 << 18
+
 
 @dataclass(frozen=True, eq=False)
 class PrimeSieve:
@@ -58,9 +65,11 @@ def _build_bytes(limit: int) -> int:
 def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeSieve:
     """Sieve the largest prime factor of every integer in [2, limit].
 
-    Primes p <= sqrt(limit) are written in ascending order, one slice each,
-    so the largest of them dividing m is left in place.  Every m has at most
-    one prime factor above sqrt(limit); those primes are the entries no slice
+    Primes p <= sqrt(limit) are written in ascending order, so the largest
+    of them dividing m is left in place: the wheel primes 2..13 by tiling
+    their periodic pattern, the others one slice per prime inside segments
+    of SIEVE_SEGMENT entries, which stay in cache.  Every m has at most one
+    prime factor above sqrt(limit); those primes are the entries no slice
     reached, and they are written last, one vectorized write per cofactor r
     into the view of the multiples of r.
     """
@@ -72,13 +81,26 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
             f"sieve to {limit} needs ~{need / 2**30:.1f} GiB, "
             f"budget is {memory_budget / 2**30:.1f} GiB"
         )
-    lpf = np.ones(limit + 1, dtype=np.int32)
     root = math.isqrt(limit)
-    small = []
+    wheel = [p for p in SIEVE_WHEEL if p <= root]
+    pattern = np.ones(math.prod(wheel), dtype=np.int32)
+    for p in wheel:
+        pattern[::p] = p
+    lpf = np.resize(pattern, limit + 1)
+    # find the other primes up to root on the head of the table, then write
+    # each of them into every segment
+    others = []
+    head = lpf[: root + 1]
     for p in range(2, root + 1):
-        if lpf[p] == 1:  # no smaller prime divides p
-            small.append(p)
-            lpf[p::p] = p
+        if head[p] == 1:  # no smaller prime divides p
+            others.append(p)
+            head[p * p::p] = p
+    for start in range(0, limit + 1, SIEVE_SEGMENT):
+        seg = lpf[start: start + SIEVE_SEGMENT]
+        for p in others:
+            seg[-start % p::p] = p
+    lpf[0] = 1
+    small = wheel + others
     big = np.flatnonzero(lpf[root + 1:] == 1) + (root + 1)
     values = big.astype(np.int32)  # spares a cast in every write
     for r in range(1, limit // int(big[0]) + 1):  # Bertrand: big is not empty

@@ -74,19 +74,29 @@ def uniforms(seed: int, shard: int, start: int, count: int) -> np.ndarray:
 
 
 def _mulhi64(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit halves of x * n for uint64 array x, scalar n < 2^64."""
-    x0 = x & np.uint64(0xFFFFFFFF)
-    x1 = x >> np.uint64(32)
-    n0 = np.uint64(n & 0xFFFFFFFF)
-    n1 = np.uint64(n >> 32)
+    """(high, low) 64-bit halves of x * n for uint64 array x, scalar n < 2^64.
+
+    The low half is the wrapping product.  The high half sums 32x32-bit
+    partial products; for n < 2^32 only the two with n's low word remain,
+    and x1*n0 + (x0*n0 >> 32) < 2^64 needs no carry.
+    """
+    m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    n0, n1 = np.uint64(n & 0xFFFFFFFF), np.uint64(n >> 32)
     with np.errstate(over="ignore"):
-        ll = x0 * n0
-        lh = x0 * n1
-        hl = x1 * n0
-        hh = x1 * n1
-        carry = (ll >> np.uint64(32)) + (lh & np.uint64(0xFFFFFFFF)) + (hl & np.uint64(0xFFFFFFFF))
-        high = hh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (carry >> np.uint64(32))
-        low = (carry << np.uint64(32)) | (ll & np.uint64(0xFFFFFFFF))
+        low = x * np.uint64(n)
+        ll = x & m32
+        ll *= n0
+        ll >>= s32
+        hl = x >> s32
+        hl *= n0
+        if not n1:
+            hl += ll
+            hl >>= s32
+            return hl, low
+        lh = (x & m32) * n1
+        hh = (x >> s32) * n1
+        carry = ll + (lh & m32) + (hl & m32)
+        high = hh + (lh >> s32) + (hl >> s32) + (carry >> s32)
     return high, low
 
 

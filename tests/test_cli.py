@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -232,3 +233,65 @@ def test_verify_inadmissible_box_fails(capsys):
 def test_suite_bogus_name(capsys):
     assert dispatch(["suite", "--name", "bogus"]) == 2
     capsys.readouterr()
+
+
+#: every option that takes a float or a count, as (argv, option, value
+#: template); the rest of each argv is valid and cheap
+NON_FINITE_OPTIONS = [
+    (["rho"], "--u", "{}"),
+    (["rho", "--u", "2"], "--umax", "{}"),
+    (["rho", "--u", "2"], "--step", "{}"),
+    (["rho-table"], "--umax", "{}"),
+    (["rho-table"], "--step", "{}"),
+    (["psi", "--x", "100", "--y", "10", "--method", "dickman"], "--umax", "{}"),
+    (["psi", "--x", "100", "--y", "10", "--method", "dickman"], "--step", "{}"),
+    (["psi-ladder", "--nmax", "1e5"], "--t", "{}"),
+    (["psi-ladder", "--nmax", "1e5"], "--nmin", "{}"),
+    (["psi-ladder"], "--nmax", "{}"),
+    (["psi-ladder", "--nmax", "1e5"], "--umax", "{}"),
+    (["box", "--box", "0.5,0.1"], "--n", "{}"),
+    (["box", "--box", "0.5,0.1", "--method", "psi"], "--n", "{}"),
+    (["box", "--n", "1e4"], "--box", "{},0.1"),
+    (["box", "--n", "1e4"], "--box", "0.5,{}"),
+    (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc"], "--samples", "{}"),
+    (["sample-factors", "--count", "10"], "--n", "{}"),
+    (["sample-factors", "--n", "1e4"], "--count", "{}"),
+    (["pd-sample"], "--count", "{}"),
+    (["pd-density"], "--point", "{},0.1"),
+    (["pd-density", "--point", "0.5,0.1"], "--umax", "{}"),
+    (["pd-box"], "--box", "{},0.1"),
+    (["pd-box"], "--box", "0.5,{}"),
+    (["pd-box", "--box", "0.5,0.1"], "--step", "{}"),
+    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--epsilon", "{}"),
+    (["verify", "--box", "0.5,0.02"], "--ladder", "{}"),
+    (["verify", "--box", "0.5,0.02"], "--ladder", "1e4,{}"),
+    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--samples", "{}"),
+    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--exact-threshold", "{}"),
+    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--umax", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv,option,template", NON_FINITE_OPTIONS)
+def test_non_finite_options_fail_with_a_message(capsys, argv, option, template, value):
+    # --opt=value, so that "-inf" reaches the option's own parser; any
+    # uncaught exception fails the test with its traceback
+    code, out, err = run(capsys, *argv, f"{option}={template.format(value)}")
+    assert code != 0
+    assert "error" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_count_options_are_exact_integers(capsys):
+    from billingsley.cli import _count
+    assert _count("10000000000000001") == 10**16 + 1
+    assert _count("1e7") == _count("10000000") == 10**7
+    assert _count("-3") == -3
+    for bad in ("1.5", "1e-3", "nan", "inf", "-inf", "1e400", "ten", ""):
+        with pytest.raises(argparse.ArgumentTypeError):
+            _count(bad)
+    # an integer past float precision reaches the command unrounded
+    code, out, _ = run(capsys, "box", "--n", "10000000000000001", "--box", "0.05,0.01",
+                       "--method", "psi")
+    assert code == 0
+    assert json.loads(out)["total"] == 10**16 + 1

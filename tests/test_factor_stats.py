@@ -6,11 +6,12 @@ import pytest
 
 import numpy as np
 
-from billingsley import (BoxSpec, DomainError, ParameterError, box_probability_exact,
-                         box_probability_via_psi, factor_vector, marginal_L1_cdf,
-                         prime_bounds, ranked_factors, sample_box_probability,
-                         sample_factor_vectors)
+from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
+                         box_probability_exact, box_probability_via_psi, build_sieve,
+                         factor_vector, marginal_L1_cdf, prime_bounds, psi_bruteforce,
+                         ranked_factors, sample_box_probability, sample_factor_vectors)
 from billingsley.factor_stats import _count_in_box, _peel, _scan_bounds
+from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
 
 
 def largest_factor_trial_division(m):
@@ -121,6 +122,9 @@ def test_via_psi_requires_box_inside_u(sieve5):
         box_probability_via_psi(sieve5, 1000, BoxSpec((1.01,), (0.2,)))
     with pytest.raises(DomainError):
         box_probability_via_psi(sieve5, 1000, BoxSpec((0.5, 0.45), (0.1, 0.04)))
+    for n in (0, 1 << 63):  # quotients are int64
+        with pytest.raises(DomainError):
+            box_probability_via_psi(sieve5, n, BoxSpec((0.01,), (0.01,)))
 
 
 def test_cross_method_identity(sieve5):
@@ -400,3 +404,139 @@ def test_mc_hits_pinned(sieve6):
         for seed, want in hits.items():
             est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
             assert est.hits == want, (box, seed)
+
+
+# ---------------------------------------------------------------------------
+# the Psi route with the innermost prime in closed form, against the full
+# prime-tuple sum it replaced
+
+def tuple_route_count(sieve, n, box):
+    """sum Psi(n // (p_1 ... p_k), p_k) over every prime tuple, all k levels
+    expanded and handed to psi_sum a chunk at a time."""
+    box.require_inside_u()
+    ranges = [sieve.primes_in_range(lo, hi) for lo, hi in prime_bounds(n, box)]
+    count = 0
+
+    def extend(prods, level):
+        nonlocal count
+        primes = ranges[level]
+        step = max(1, (1 << 20) // max(primes.size, 1))
+        for start in range(0, prods.size, step):
+            head = prods[start:start + step]
+            rows, cols = np.nonzero(primes[None, :] <= (n // head)[:, None])
+            tails = head[rows] * primes[cols]
+            if level == len(ranges) - 1:
+                count += psi_sum(n // tails, primes[cols])
+            else:
+                extend(tails, level + 1)
+
+    extend(np.ones(1, dtype=np.int64), 0)
+    return count
+
+
+def random_box_inside_u(rnd, k):
+    while True:
+        ts = tuple(sorted((rnd.uniform(0.02, 0.6) for _ in range(k)), reverse=True))
+        box = BoxSpec(ts, tuple(rnd.uniform(0.005, 0.15) for _ in range(k)))
+        if box.inside_u():
+            return box
+
+
+@pytest.mark.parametrize("n,per_k", [(10**5, 6), (10**7, 3)])
+def test_via_psi_matches_tuple_route_and_scan(sieve5, sieve7, n, per_k):
+    sieve = sieve5 if n <= sieve5.limit else sieve7
+    rnd = random.Random(n + 6)
+    for k in (1, 2, 3, 4):
+        for _ in range(per_k):
+            box = random_box_inside_u(rnd, k)
+            got = box_probability_via_psi(sieve, n, box).count
+            assert got == tuple_route_count(sieve, n, box), (box, n)
+            assert got == box_probability_exact(sieve, n, box).count, (box, n)
+
+
+#: boxes past the sieve whose outer quotients n // (p_1 ... p_{k-1}) fall on
+#: both sides of the leaf limit, and a k = 1 box, whose one row N = n is
+#: beyond it
+STRADDLING_BOXES = [
+    (10**9, "0.3,0.1;0.1,0.05"),
+    (10**10, "0.2,0.1;0.1,0.05;0.03,0.04"),
+    (10**10, "0.18,0.04;0.12,0.04;0.07,0.04;0.02,0.03"),
+    (10**9, "0.5,0.1"),
+]
+
+
+@pytest.mark.parametrize("n,text", STRADDLING_BOXES)
+def test_via_psi_rows_across_the_leaf_limit(sieve7, n, text):
+    box = BoxSpec.from_string(text)
+    *outer, _ = prime_bounds(n, box)
+    top = n // math.prod(lo for lo, _ in outer)
+    bottom = n // math.prod(hi for _, hi in outer)
+    if box.k > 1:
+        assert bottom <= LEAF_LIMIT < top
+    assert (box_probability_via_psi(sieve7, n, box).count
+            == tuple_route_count(sieve7, n, box))
+
+
+def test_via_psi_edge_intervals(sieve5):
+    # innermost interval [2, 13]: a - 1 = 1 is where the clamp sits
+    box = prime_box(N_SCAN, [(101, 997), (2, 13)])
+    assert prime_bounds(N_SCAN, box)[1] == (2, 13)
+    # innermost intervals with integers but no prime, and with no integer
+    no_prime = prime_box(N_SCAN, [(101, 997), (24, 28)])
+    no_integer = log_box(N_SCAN, [(30.5, 313.5), (24.2, 24.8)])
+    assert prime_bounds(N_SCAN, no_integer)[1] == (25, 24)
+    for b in (box, no_prime, no_integer, prime_box(N_SCAN, [(24, 28)])):
+        want = box_probability_exact(sieve5, N_SCAN, b).count
+        assert box_probability_via_psi(sieve5, N_SCAN, b).count == want, b
+        assert tuple_route_count(sieve5, N_SCAN, b) == want, b
+    assert box_probability_via_psi(sieve5, N_SCAN, no_prime).count == 0
+    # n = 1: every bound is (1, 1), so a - 1 = 0 is clamped to 1
+    assert box_probability_via_psi(sieve5, 1, BoxSpec((0.5,), (0.1,))).count == 0
+
+
+def test_innermost_identity_row_by_row(sieve5):
+    # sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, max(a - 1, 1)) for
+    # every N, including N < a, as the route evaluates it off the engine
+    engine = default_engine()
+    N = np.arange(1, 3001, dtype=np.int64)
+    for a, b in [(2, 2), (2, 13), (3, 3), (14, 16), (30, 60), (101, 997), (2500, 2999)]:
+        want = np.zeros(N.size, dtype=np.int64)
+        for q in sieve5.primes_in_range(a, b).tolist():
+            z = N // q
+            want[z >= 1] += psi_bruteforce(sieve5, z[z >= 1], q)
+        got = engine.psi_small(N, b) - engine.psi_small(N, max(a - 1, 1))
+        assert np.array_equal(got, want), (a, b)
+
+
+@pytest.fixture(scope="module")
+def sieve_top_1e12():
+    """Primes up to the top bound of the k = 2 box at n = 10^12."""
+    return build_sieve(prime_bounds(10**12, BoxSpec.from_string("0.45,0.15;0.1,0.05"))[0][1])
+
+
+def test_via_psi_pins_past_the_leaf_limit(sieve_top_1e12):
+    k2 = BoxSpec.from_string("0.45,0.15;0.1,0.05")
+    k3 = BoxSpec.from_string("0.35,0.05;0.2,0.05;0.1,0.05")
+    for n, box, want in [(10**11, k2, 1832352703), (10**11, k3, 360282710)]:
+        assert box_probability_via_psi(sieve_top_1e12, n, box).count == want
+        assert tuple_route_count(sieve_top_1e12, n, box) == want
+    # from the full tuple route, which takes seconds here
+    assert box_probability_via_psi(sieve_top_1e12, 10**12, k2).count == 16663915721
+
+
+def test_via_psi_reads_no_largest_prime_factor_table(sieve7):
+    # a sieve whose prime list is intact but whose table is garbage: the
+    # scan breaks, the Psi route does not notice
+    rnd = np.random.default_rng(5)
+    broken = PrimeSieve(limit=sieve7.limit,
+                        largest_prime_factor=rnd.integers(1, 1 << 30, sieve7.limit + 1,
+                                                          dtype=np.int32),
+                        prime_array=sieve7.prime_array.copy())
+    box2 = BoxSpec.from_string("0.45,0.15;0.1,0.05")
+    assert (box_probability_exact(broken, 10**6, box2).count
+            != box_probability_exact(sieve7, 10**6, box2).count)
+    for n, text in [(10**6, "0.45,0.15;0.1,0.05"), (10**7, "0.5,0.1"),
+                    (10**10, "0.35,0.05;0.2,0.05;0.1,0.05"), *STRADDLING_BOXES]:
+        box = BoxSpec.from_string(text)
+        assert (box_probability_via_psi(broken, n, box).count
+                == box_probability_via_psi(sieve7, n, box).count), (n, text)

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -30,22 +31,46 @@ def test_sieve_against_trial_division(sieve5):
     assert got.tolist() == oracle
 
 
-def test_lpf_against_trial_division(sieve5):
+#: limits around the wheel period 30030 and the sieve segment 2^18, and the
+#: tiny limits where the wheel is cut to the primes up to sqrt(limit)
+SIEVE_LIMITS = (list(range(2, 400)) + [30029, 30030, 30031, 60060, 2**17 - 1,
+                                        2**17 + 1, 2**18 - 1, 2**18 + 1, 10**5])
+
+
+@functools.cache
+def trial_division_lpf(limit):
+    """Largest prime factor of every m <= limit (1 at 0 and 1) by trial division."""
     want = [1, 1]
-    for m in range(2, 10**5 + 1):
+    for m in range(2, limit + 1):
         big, d, rest = 1, 2, m
         while d * d <= rest:
             while rest % d == 0:
                 big, rest = d, rest // d
             d += 1
         want.append(max(big, rest))
-    assert sieve5.largest_prime_factor.tolist() == want
+    return want
 
 
-def test_lpf_against_psi_engine_leaf_table():
+def test_lpf_against_trial_division(sieve5):
+    want = trial_division_lpf(max(SIEVE_LIMITS))
+    assert sieve5.largest_prime_factor.tolist() == want[: 10**5 + 1]
+    for limit in SIEVE_LIMITS:
+        sieve = build_sieve(limit)
+        assert sieve.largest_prime_factor.tolist() == want[: limit + 1], limit
+        assert sieve.prime_array.tolist() == [m for m in range(2, limit + 1)
+                                              if want[m] == m], limit
+
+
+def test_lpf_against_psi_engine_leaf_table(sieve7):
     # two separately written builders of the same table
     sieve = build_sieve(1 << 20)
     assert np.array_equal(sieve.largest_prime_factor[1:], PsiEngine().leaf_labels[1:])
+    engine = PsiEngine(leaf_limit=10**7)
+    for sieve in [build_sieve(limit) for limit in SIEVE_LIMITS] + [sieve7]:
+        assert np.array_equal(sieve.largest_prime_factor[1:],
+                              engine.leaf_labels[1: sieve.limit + 1]), sieve.limit
+        assert np.array_equal(sieve.prime_array,
+                              engine.primes[engine.primes <= sieve.limit]), sieve.limit
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 5, 24, 25, 26, 97, 121])

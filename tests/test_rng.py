@@ -61,6 +61,34 @@ def test_mulhi_against_python_ints():
             assert int(lo[i]) == prod & rng.MASK64
 
 
+def _mulhi64_four_products(x, n):
+    """The multiply-high as first written: four 32x32-bit partial products
+    and a carry chain for every n."""
+    x0 = x & np.uint64(0xFFFFFFFF)
+    x1 = x >> np.uint64(32)
+    n0 = np.uint64(n & 0xFFFFFFFF)
+    n1 = np.uint64(n >> 32)
+    with np.errstate(over="ignore"):
+        ll = x0 * n0
+        lh = x0 * n1
+        hl = x1 * n0
+        hh = x1 * n1
+        carry = (ll >> np.uint64(32)) + (lh & np.uint64(0xFFFFFFFF)) + (hl & np.uint64(0xFFFFFFFF))
+        high = hh + (lh >> np.uint64(32)) + (hl >> np.uint64(32)) + (carry >> np.uint64(32))
+        low = (carry << np.uint64(32)) | (ll & np.uint64(0xFFFFFFFF))
+    return high, low
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10**7, 2**32 - 1, 2**32, 2**32 + 1, 10**12,
+                               3 * 10**17, 2**62 + 12345, 2**63 - 1])
+def test_mulhi_matches_four_product_oracle(n):
+    words = np.concatenate((rng.raw64(17, 4, 0, 50_000),
+                            np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)))
+    hi, lo = rng._mulhi64(words, n)
+    want_hi, want_lo = _mulhi64_four_products(words, n)
+    assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
+
+
 def test_small_n_uniformity():
     # n = 3: all residues reachable, roughly equal
     v = rng.uniform_ints(1, 0, 30000, 3)
