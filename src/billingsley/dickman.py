@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, ParameterError
+from .errors import DomainError, NumericalError, ParameterError, check_memory
 
 DEFAULT_U_MAX = 20.0
 DEFAULT_STEP = 1e-4
@@ -107,7 +107,9 @@ def build_rho_table(u_max: float = DEFAULT_U_MAX, step: float = DEFAULT_STEP) ->
     if not (0 < step <= 0.01):
         raise ParameterError(f"step must lie in (0, 0.01], got {step}")
 
-    n_nodes = int(math.ceil(u_max / step - 1e-9)) + 1
+    span = u_max / step  # may be inf for a subnormal step
+    check_memory(8 * span, f"a rho table of {span:.3g} nodes")
+    n_nodes = int(math.ceil(span - 1e-9)) + 1
     vals = np.ones(n_nodes)
     j1 = int(math.floor(1.0 / step + 1e-9))  # last node at u <= 1 (up to rounding)
     if j1 >= n_nodes - 1:

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_memory
 from .primes import PrimeSieve, power_ceil, power_floor
 from .smoothcount import default_engine, psi_exact, psi_sum
 
@@ -365,7 +365,13 @@ def marginal_L1_cdf(n: int, t: float) -> float:
 
 def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
                           seed: int = DEFAULT_SEED) -> list[FactorVector]:
-    """Draw `count` uniform integers from [1, n] and rank their factors."""
+    """Draw `count` uniform integers from [1, n] and rank their factors.
+
+    Refuses, before any draw, rows whose peak memory would exceed the
+    budget: about 240 + 77 k bytes each (the FactorVector objects included,
+    as measured with tracemalloc), counted as 256 + 80 k.
+    """
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
+    check_memory((256 + 80 * k) * count, f"{count} factor rows of rank {k}")
     return _factor_vectors(sieve, n, rng.uniform_ints(seed, 0, count, n), k)

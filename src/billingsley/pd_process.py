@@ -6,7 +6,10 @@ open region U = {t_1 > ... > t_k > 0, sum t_i < 1} and zero elsewhere
 (boundary included in "elsewhere").  Sampling breaks a unit stick at
 independent uniforms: lengths 1-U_1, U_1-U_1U_2, U_1U_2-U_1U_2U_3, ...,
 ranked downward after truncation, with the unbroken remainder prod U_i
-carried explicitly as tail mass.
+carried explicitly as tail mass.  The sampler fills blocks of about
+rng.BLOCK_WORDS uniforms column-major, one stick index per contiguous row, so
+that generating, multiplying and differencing a block are passes over
+memory that stays in cache; only the final sort works row by row.
 
 Box probabilities integrate the innermost coordinate in closed form: by the
 delay equation u rho'(u) = -rho(u - 1), for outer coordinates summing to s,
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError, ResourceError
+from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .factor_stats import BoxSpec
 from .rng import DEFAULT_SEED
 
@@ -38,9 +41,6 @@ MAX_OUTER_CELLS = 1 << 27
 
 #: outer cells evaluated at once by the quadrature (whole first-axis rows)
 _SLAB_CELLS = 1 << 16
-
-#: rows per block of the stick sampler; a block's temporaries stay a few MB
-_BLOCK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -79,22 +79,47 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     """Rows of ranked stick lengths and the tail-mass vector.
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
-    row consumes counter (start + i) * truncation + j of shard 0.  The rows
-    are filled in blocks of _BLOCK_ROWS, which does not change their bits.
+    row consumes counter (start + i) * truncation + j of shard 0.  Rows are
+    filled in blocks of about rng.BLOCK_WORDS draws, max(1, BLOCK_WORDS //
+    truncation) rows, held column-major as (truncation, rows) so that each
+    step is a pass over contiguous rows of the block: the unmixed words are
+    one add to a precomputed block, rng._uniform_block mixes them into
+    uniforms, the prefix products take truncation - 1 row multiplies and the
+    stick lengths one subtract.  One transpose copy turns the lengths into
+    draws, which are sorted and copied out reversed.  The blocks change no
+    bits.  Refuses, before allocating, output and buffers over the memory
+    budget: 8 * (truncation + 1) bytes per row plus four block buffers.
     """
-    sticks = np.empty((count, truncation))
+    t = truncation
+    rows = max(1, min(count, rng.BLOCK_WORDS // t))
+    check_memory(8 * ((t + 1) * count + 4 * t * rows),
+                 f"{count} PD draws at truncation {t}")
+    # base[j, i] is the unmixed word of counter i * t + j; moving it on by
+    # (start + lo) * t counters gives draw j of row start + lo + i
+    offsets = np.add.outer(np.arange(t, dtype=np.uint64),
+                           np.arange(rows, dtype=np.uint64) * np.uint64(t))
+    base = rng._counter_words(offsets, rng.stream_key(seed, 0))
+    words, scratch = np.empty_like(base), np.empty_like(base)
+    prefix = np.empty(base.shape)
+    sticks = np.empty((count, t))
     tails = np.empty(count)
-    for lo in range(0, count, _BLOCK_ROWS):
-        rows = min(_BLOCK_ROWS, count - lo)
-        u = rng.uniforms(seed, 0, (start + lo) * truncation,
-                         rows * truncation).reshape(rows, truncation)
-        block = np.empty_like(u)
-        block[:, 0] = 1.0 - u[:, 0]
-        prefix = np.cumprod(u, axis=1, out=u)
-        np.subtract(prefix[:, :-1], prefix[:, 1:], out=block[:, 1:])
-        tails[lo:lo + rows] = prefix[:, -1]
-        block.sort(axis=1)
-        sticks[lo:lo + rows] = block[:, ::-1]
+    for lo in range(0, count, rows):
+        n = min(rows, count - lo)
+        x = rng._advance(base[:, :n], (start + lo) * t, words[:, :n])
+        p = rng._uniform_block(x, scratch[:, :n], prefix[:, :n])
+        p_rows = list(p)
+        for prev, row in zip(p_rows, p_rows[1:]):
+            np.multiply(row, prev, out=row)
+        tails[lo:lo + n] = p[-1]
+        # the words are spent: their buffer takes the stick lengths, and
+        # the scratch buffer the draws
+        lengths = words.view(np.float64)[:, :n]
+        np.subtract(1.0, p[0], out=lengths[0])
+        np.subtract(p[:-1], p[1:], out=lengths[1:])
+        draws = scratch.view(np.float64).reshape(-1)[:n * t].reshape(n, t)
+        np.copyto(draws, lengths.T)
+        draws.sort(axis=1)
+        sticks[lo:lo + n] = draws[:, ::-1]
     return sticks, tails
 
 

@@ -14,12 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, ResourceError
-
-#: refuse sieves whose build would need more than this many bytes; the
-#: estimate (_build_bytes) is about 7 bytes per integer, so the default admits
-#: limits up to about 6.6e8
-DEFAULT_MEMORY_BUDGET = 4 << 30
+from .errors import DEFAULT_MEMORY_BUDGET, DomainError, ParameterError, check_memory
 
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
@@ -58,7 +53,9 @@ class PrimeSieve:
 def _build_bytes(limit: int) -> int:
     """Peak bytes of build_sieve: the int32 table, a one-byte mask over it,
     and at most 24 bytes per prime (pi(limit) < 1.26 limit / ln limit) for
-    the primes above sqrt(limit) as int64 and int32, and all the primes."""
+    the primes above sqrt(limit) as int64 and int32, and all the primes.
+    About 7 bytes per integer, so the default memory budget admits limits
+    up to about 6.6e8."""
     return 5 * (limit + 1) + 24 * int(1.26 * limit / math.log(limit))
 
 
@@ -75,12 +72,7 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
     """
     if limit < 2 or limit > 2**31 - 1:
         raise ParameterError(f"sieve limit must be in [2, 2^31 - 1], got {limit}")
-    need = _build_bytes(limit)
-    if need > memory_budget:
-        raise ResourceError(
-            f"sieve to {limit} needs ~{need / 2**30:.1f} GiB, "
-            f"budget is {memory_budget / 2**30:.1f} GiB"
-        )
+    check_memory(_build_bytes(limit), f"sieve to {limit}", memory_budget)
     root = math.isqrt(limit)
     wheel = [p for p in SIEVE_WHEEL if p <= root]
     pattern = np.ones(math.prod(wheel), dtype=np.int32)
@@ -133,11 +125,22 @@ def _compare_power(m: int, n: int, t: float) -> int:
     return (dm > val) - (dm < val)
 
 
+def _float_power(n: int, t: float) -> float:
+    """n^t as a float; ParameterError unless it is finite."""
+    try:
+        c = math.exp(t * math.log(n)) if n > 1 else 1.0
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ParameterError(f"n^t is not a finite float at n = {n}, t = {t:g}")
+    return c
+
+
 def power_floor(n: int, t: float) -> int:
     """floor(n^t) with deterministic resolution of near-integer boundaries."""
     if n < 1 or t < 0:
         raise ParameterError("power_floor needs n >= 1 and t >= 0")
-    c = math.exp(t * math.log(n)) if n > 1 else 1.0
+    c = _float_power(n, t)
     m0 = round(c)
     if abs(c - m0) > max(_BAND_ABS, c * _BAND_REL) or m0 < 1:
         return math.floor(c)
@@ -148,7 +151,7 @@ def power_ceil(n: int, t: float) -> int:
     """ceil(n^t), resolved the same way as power_floor."""
     if n < 1 or t < 0:
         raise ParameterError("power_ceil needs n >= 1 and t >= 0")
-    c = math.exp(t * math.log(n)) if n > 1 else 1.0
+    c = _float_power(n, t)
     m0 = round(c)
     if abs(c - m0) > max(_BAND_ABS, c * _BAND_REL) or m0 < 1:
         return math.ceil(c)

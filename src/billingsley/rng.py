@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import check_memory
+
 #: fixed documented default seed; never time-based
 DEFAULT_SEED = 42
 
@@ -39,38 +41,99 @@ def stream_key(seed: int, shard: int) -> int:
     return mix64(mix64(seed & MASK64) ^ mix64((shard + 0x5851F42D4C957F2D) & MASK64))
 
 
-def _mix64_array(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer applied in place to a uint64 array; returns x."""
-    x ^= x >> np.uint64(30)
-    x *= np.uint64(_M1)
-    x ^= x >> np.uint64(27)
-    x *= np.uint64(_M2)
-    x ^= x >> np.uint64(31)
-    return x
+#: words per block of the stream fills (raw64's mixing, uniforms, the PD
+#: stick sampler): a block's four 8-byte buffers (2 MiB) stay in a core's L2
+#: cache; a sweep of 2^13..2^19 on a Xeon with 2 MiB of L2 per core found
+#: 2^16 fastest for the sampler and for uniforms
+BLOCK_WORDS = 1 << 16
+
+#: bytes per draw of uniform_ints at its peak, where at most five 8-byte
+#: arrays of one entry per draw are alive (the words, the multiply-high's
+#: halves and partial products, the result)
+_INT_DRAW_BYTES = 40
+
+_S10, _S27, _S30, _S31 = (np.uint64(s) for s in (10, 27, 30, 31))
 
 
-def _keyed_counters(counters: np.ndarray, key: int) -> np.ndarray:
-    """Mix a fresh uint64 counter array, in place, into the stream's words."""
+def _counter_words(counters: np.ndarray, key: int) -> np.ndarray:
+    """counters * GOLDEN + key (mod 2^64) in place: the stream's words before
+    mixing."""
     with np.errstate(over="ignore"):
         counters *= np.uint64(GOLDEN)
         counters += np.uint64(key)
-        return _mix64_array(counters)
+    return counters
+
+
+def _advance(words: np.ndarray, by: int, out: np.ndarray) -> np.ndarray:
+    """Unmixed words moved on by `by` counters, written into out."""
+    return np.add(words, np.uint64(by * GOLDEN & MASK64), out=out)
+
+
+def _mix64_array(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer applied in place to a uint64 array; returns x.
+
+    scratch is a uint64 array of x's shape that takes each shifted copy, so
+    no step allocates a temporary.
+    """
+    for shift, mult in ((_S30, _M1), (_S27, _M2)):
+        np.right_shift(x, shift, out=scratch)
+        x ^= scratch
+        x *= np.uint64(mult)
+    np.right_shift(x, _S31, out=scratch)
+    x ^= scratch
+    return x
+
+
+def _unit_doubles(words: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(k + 0.5) * 2^-53 into out, for k the top 53 bits of each word.
+
+    The value is computed as (2k + 1) * 2^-54: converting the integer 2k + 1
+    rounds it to 53 bits exactly as k + 0.5 rounds, so the bits are the same.
+    Round-half-even sends k = 2^53 - 1, the words >= 2^64 - 2048, to exactly
+    1.0; the range is [2^-54, 1].  words is overwritten.
+    """
+    words >>= _S10
+    words |= np.uint64(1)
+    return np.multiply(words.view(np.int64), 2.0 ** -54, out=out)
+
+
+def _uniform_block(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mix the unmixed words x in place, with a uint64 scratch array of x's
+    shape, and write their doubles into out: the one path from counters to
+    uniforms."""
+    return _unit_doubles(_mix64_array(x, scratch), out)
+
+
+def _mixed(counters: np.ndarray, key: int) -> np.ndarray:
+    """The stream's words at a 1-d uint64 counter array, computed in place
+    and mixed in blocks of BLOCK_WORDS."""
+    words = _counter_words(counters, key)
+    scratch = np.empty(min(words.size, BLOCK_WORDS), dtype=np.uint64)
+    for lo in range(0, words.size, BLOCK_WORDS):
+        x = words[lo:lo + BLOCK_WORDS]
+        _mix64_array(x, scratch[:x.size])
+    return words
 
 
 def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
     """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    return _keyed_counters(counters, stream_key(seed, shard))
+    return _mixed(np.arange(start, start + count, dtype=np.uint64),
+                  stream_key(seed, shard))
 
 
 def uniforms(seed: int, shard: int, start: int, count: int) -> np.ndarray:
-    """Doubles in the open interval (0, 1), one per counter."""
-    z = raw64(seed, shard, start, count)
-    z >>= np.uint64(11)
-    u = z.astype(np.float64)
-    u += 0.5
-    u *= 2.0 ** -53
-    return u
+    """Doubles (k + 0.5) * 2^-53, k the top 53 bits of each word of raw64, in
+    [2^-54, 1]; exactly 1.0 has probability 2^-53."""
+    # the unmixed words of counters 0..BLOCK_WORDS-1, moved on to each block
+    base = _counter_words(np.arange(min(count, BLOCK_WORDS), dtype=np.uint64),
+                          stream_key(seed, shard))
+    x, scratch = np.empty_like(base), np.empty_like(base)
+    out = np.empty(count)
+    for lo in range(0, count, BLOCK_WORDS):
+        u = out[lo:lo + BLOCK_WORDS]
+        m = u.size
+        _uniform_block(_advance(base[:m], start + lo, x[:m]), scratch[:m], u)
+    return out
 
 
 def _mulhi64(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -109,10 +172,11 @@ def uniform_ints(seed: int, shard: int, count: int, n: int) -> np.ndarray:
     """
     if n < 1 or n > (1 << 63) - 1:
         raise ValueError("n must be in [1, 2^63 - 1] so results fit an int64 array")
+    check_memory(_INT_DRAW_BYTES * count, f"{count} uniform integers")
     base = np.arange(count, dtype=np.uint64)
     base <<= np.uint64(ATTEMPT_BITS)
     key = stream_key(seed, shard)
-    z = _keyed_counters(base, key)
+    z = _mixed(base, key)
     high, low = _mulhi64(z, n)
     threshold = ((1 << 64) - n) % n
     out = high.astype(np.int64) + 1

@@ -282,6 +282,27 @@ def test_non_finite_options_fail_with_a_message(capsys, argv, option, template, 
     assert out == ""
 
 
+#: finite values too large to serve, each refused before allocating or
+#: overflowing: the sample counts and the rho table by the memory budget,
+#: the box coordinate by float overflow in n^t
+OVERSIZED_ARGV = [
+    ["pd-sample", "--count", "1e16"],
+    ["sample-factors", "--n", "1e4", "--count", "1e16"],
+    ["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "1e16"],
+    ["rho", "--u", "2", "--umax", "1e16"],
+    ["rho", "--u", "2", "--step", "5e-324"],
+    ["box", "--n", "1e4", "--box", "1e30,0.1"],
+]
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_ARGV, ids=" ".join)
+def test_oversized_values_fail_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
 def test_count_options_are_exact_integers(capsys):
     from billingsley.cli import _count
     assert _count("10000000000000001") == 10**16 + 1

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from billingsley import (DomainError, NumericalError, ParameterError,
-                         QuadratureConfig, build_rho_table, h_function,
+                         QuadratureConfig, ResourceError, build_rho_table, h_function,
                          recursion_residual, rho, rho_via_alternating_sum)
 from conftest import H_ORACLE, RHO_ORACLE
 
@@ -52,6 +52,11 @@ def test_build_parameter_errors():
         build_rho_table(step=0.02)
     with pytest.raises(ParameterError):
         build_rho_table(step=0.0)
+
+
+def test_oversized_table_is_refused_before_allocation():
+    with pytest.raises(ResourceError, match="rho table"):
+        build_rho_table(u_max=1e16)
 
 
 def test_table_invariants(table):

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
+from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve, ResourceError,
                          box_probability_exact, box_probability_via_psi, build_sieve,
                          factor_vector, marginal_L1_cdf, prime_bounds, psi_bruteforce,
                          ranked_factors, sample_box_probability, sample_factor_vectors)
@@ -281,6 +281,11 @@ def test_sample_factor_vectors_deterministic(sieve5):
     assert rows1 == rows2
     assert all(1 <= fv.N <= 10**5 for fv in rows1)
     assert all(len(fv.p) == 3 for fv in rows1)
+
+
+def test_oversized_factor_rows_are_refused_before_any_draw(sieve5):
+    with pytest.raises(ResourceError, match="factor rows"):
+        sample_factor_vectors(sieve5, 10**5, 10**16, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -7,11 +8,16 @@ import pytest
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
                          build_rho_table, pd_box_probability, pd_box_probability_refined,
                          pd_density, pd_sample, pd_sample_batch, rho, rng)
-from billingsley.pd_process import MAX_OUTER_CELLS, _BLOCK_ROWS, _validate
+from billingsley.pd_process import MAX_OUTER_CELLS, _validate
+
+
+def _block_rows(truncation):
+    return max(1, rng.BLOCK_WORDS // truncation)
 
 
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
-    # reference sampler: every row from one uniforms call, no row blocks
+    # reference sampler: every row from one uniforms call, row-major, no
+    # blocks
     u = rng.uniforms(seed, 0, start * truncation,
                      count * truncation).reshape(count, truncation)
     prefix = np.cumprod(u, axis=1)
@@ -74,21 +80,61 @@ def test_sample_matches_batch_rows():
     assert np.array_equal(ptails, tails[3:5])
 
 
-@pytest.mark.parametrize("truncation, start", [(60, 12345), (1, 7)])
+@pytest.mark.parametrize("truncation, start", [(60, 12345), (1, 7), (7, 3), (777, 2)])
 def test_block_fill_matches_one_shot_sampler(truncation, start):
-    count = 2 * _BLOCK_ROWS + 17
+    count = 2 * _block_rows(truncation) + 17
     sticks, tails = pd_sample_batch(31, count, truncation, start=start)
     want, want_tails = _one_shot_stick_matrix(31, count, truncation, start)
+    assert sticks.flags.c_contiguous
     assert sticks.tobytes() == np.ascontiguousarray(want).tobytes()
     assert tails.tobytes() == want_tails.tobytes()
 
 
+#: sha256 of the little-endian sticks then tails of pd_sample_batch(seed,
+#: count, truncation, start), frozen from the row-major sampler before the
+#: column-major fill; the counts are 1 and one block (rng.BLOCK_WORDS = 2^16
+#: words) of rows minus one, exactly and plus one
+PINNED_SAMPLES = [
+    (42, 300000, 60, 0, "abc031149b3054d81081995aebc556828e30b45aca1dc5586df82470a8d21a1f"),
+    (3, 1, 1, 5, "49c656730015d7f8e34591dfeefc1403715a105849c55d0a506b7fd8eb0c38af"),
+    (3, 65535, 1, 5, "c7433ce2f66006f22950da9771679dc1a18011e653dc384356678639cb21bc0e"),
+    (3, 65536, 1, 5, "1e7420aaa24abc355d2d50de4d620d9491b9ad1fbbab0f1ffd9dad430ae7c72c"),
+    (3, 65537, 1, 5, "5c89c397e1c9b9c601ec56087f9ead04c14845c52bf30b2f14e729ec0801ac3f"),
+    (11, 1, 7, 999, "6b027538e55505a338e32eb8f7747398cebd8a3b25227c4c55855348f5871fd5"),
+    (11, 9361, 7, 999, "70834d751d5c037535e1f05602a9d74c5592d2abfa357a4c393cf9fa79727ba4"),
+    (11, 9362, 7, 999, "27e9e3d6e1c5a459f2930253c0e78094265e071a57c24af847300a033e95e742"),
+    (11, 9363, 7, 999, "9929d82bba2d76bd5a1222c375154c3ce292ed768dddfb91f46a0383e0d03930"),
+    (13, 1, 777, 12345, "8bec56edf724c83d9174213c77bcb28bc8c9b50bb11a99a8dfbdd0770bbd8d14"),
+    (13, 83, 777, 12345, "e2eaa5a0dfec2c4514895fe349814a05fafd89165fbd9ccf5f496468222009e5"),
+    (13, 84, 777, 12345, "24e5b7520416174c2d8ca59b9b9c9f31df1df0dc34212a1d97232db9708e95cc"),
+    (13, 85, 777, 12345, "139b7a752ef82ed8e5c461fd906688d6a957a541783c169d4381f254cf872194"),
+]
+
+
+@pytest.mark.parametrize("seed, count, truncation, start, digest", PINNED_SAMPLES)
+def test_samples_match_pinned_digests(seed, count, truncation, start, digest):
+    sticks, tails = pd_sample_batch(seed, count, truncation, start=start)
+    h = hashlib.sha256(sticks.astype("<f8").tobytes())
+    h.update(tails.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
+def test_oversized_draws_are_refused_before_allocation():
+    with pytest.raises(ResourceError, match="PD draws"):
+        pd_sample_batch(1, 10**16)
+    with pytest.raises(ResourceError):
+        pd_sample_batch(1, 1, truncation=10**12)
+    with pytest.raises(ResourceError):
+        pd_sample(seed=1, truncation=10**12)
+
+
 def test_rows_across_a_block_boundary_are_single_draws():
-    sticks, tails = pd_sample_batch(5, _BLOCK_ROWS + 3)
+    rows = _block_rows(60)
+    sticks, tails = pd_sample_batch(5, rows + 3)
     one = pd_sample(seed=5)
     assert one.components.tobytes() == sticks[0].tobytes()
     assert one.tail_mass == tails[0]
-    for i in range(_BLOCK_ROWS - 2, _BLOCK_ROWS + 3):
+    for i in range(rows - 2, rows + 3):
         row, tail = pd_sample_batch(5, 1, start=i)
         assert row[0].tobytes() == sticks[i].tobytes()
         assert tail[0] == tails[i]

@@ -177,6 +177,13 @@ def test_power_bounds_parameter_errors():
         power_floor(0, 0.5)
     with pytest.raises(ParameterError):
         power_ceil(10, -0.1)
+    # n^t past the float range, or not a number, is a parameter error, not
+    # an OverflowError or ValueError
+    for t in (1e30, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="not a finite float"):
+            power_ceil(10**4, t)
+        with pytest.raises(ParameterError, match="not a finite float"):
+            power_floor(2, t)
 
 
 def test_mertens_range_approximates_log_ratio(sieve7):

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from billingsley import rng
+from billingsley import ResourceError, rng
 
 
 def test_raw64_deterministic_and_stream_separated():
@@ -17,10 +17,28 @@ def test_raw64_deterministic_and_stream_separated():
 
 
 def test_mix64_matches_vector_path():
-    z = rng.raw64(7, 3, 0, 16)
+    # raw64 mixes in blocks of BLOCK_WORDS; check the words on both sides of
+    # the first boundary too
+    b = rng.BLOCK_WORDS
+    z = rng.raw64(7, 3, 0, b + 2)
     key = rng.stream_key(7, 3)
-    for i in range(16):
+    for i in [*range(16), b - 2, b - 1, b, b + 1]:
         assert int(z[i]) == rng.mix64((i * rng.GOLDEN + key) & rng.MASK64)
+
+
+def test_unit_doubles_at_the_ends_of_the_word_range():
+    # k + 0.5 rounds half to even, so the top 2048 words give exactly 1.0
+    words = np.array([0, 2**64 - 2049, 2**64 - 2048, 2**64 - 1], dtype=np.uint64)
+    out = rng._unit_doubles(words, np.empty(4))
+    assert out.tolist() == [2.0**-54, 1.0 - 2.0**-52, 1.0, 1.0]
+
+
+def test_uniforms_are_the_doubles_of_raw64_across_blocks():
+    b = rng.BLOCK_WORDS
+    u = rng.uniforms(3, 1, 77, b + 9)
+    want = (rng.raw64(3, 1, 77, b + 9) >> np.uint64(11)).astype(np.float64)
+    want = (want + 0.5) * 2.0**-53
+    assert u.tobytes() == want.tobytes()
 
 
 def test_uniforms_open_interval():
@@ -49,6 +67,8 @@ def test_uniform_ints_deterministic():
 def test_uniform_ints_validation():
     with pytest.raises(ValueError):
         rng.uniform_ints(1, 0, 10, 0)
+    with pytest.raises(ResourceError, match="uniform integers"):
+        rng.uniform_ints(1, 0, 10**16, 10)
 
 
 def test_mulhi_against_python_ints():
