@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 domain/numerical/resource error, 2 usage error.
-When --out (or --report) is given, the file receives exactly the bytes that
-went to standard output.  All randomized subcommands take an explicit --seed
-(default 42) and are bitwise reproducible, independent of --threads.
+When --out (or --report) is given, the output goes to that file alone, and
+the file holds the bytes the same command prints without it.  All
+randomized subcommands take an explicit --seed (default 42) and are bitwise
+reproducible, independent of --threads.
 """
 from __future__ import annotations
 
@@ -28,9 +29,10 @@ from .suite import BUNDLES, SIEVE_LIMIT, run_suite
 
 
 def _emit(text: str, out: str | None) -> None:
-    sys.stdout.write(text)
     if out:
         Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
 
 def _table_csv(table: DickmanTable) -> str:
@@ -74,15 +76,11 @@ def _cmd_mertens(args) -> int:
     if args.x is not None:
         sieve = build_sieve(max(args.x, 2))
         value = mertens_constant_estimate(sieve, args.x)
-        text = (f"x,mertens_constant_estimate\n{args.x},{value!r}\n"
-                if args.out else f"{value:.{args.digits}f}\n")
     else:
         a, b = args.range
         sieve = build_sieve(max(b, 2))
         value = mertens_sum(sieve, a, b)
-        text = (f"a,b,reciprocal_sum\n{a},{b},{value!r}\n"
-                if args.out else f"{value:.{args.digits}f}\n")
-    _emit(text, args.out)
+    _emit(f"{value:.{args.digits}f}\n", args.out)
     return 0
 
 
@@ -247,7 +245,8 @@ def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=
         sub.add_argument("--digits", type=int, default=6,
                          help="decimal places for human-readable numbers")
     if out:
-        sub.add_argument("--out", default=None, help="also write the output to this file")
+        sub.add_argument("--out", default=None,
+                         help="write the output to this file instead of stdout")
     if table:
         sub.add_argument("--umax", type=float, default=DEFAULT_U_MAX)
         sub.add_argument("--step", type=float, default=DEFAULT_STEP)
@@ -276,16 +275,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_rho_table)
 
     s = subs.add_parser("mertens", help="prime-reciprocal sums")
-    s.add_argument("--x", type=int, default=None,
+    s.add_argument("--x", type=_count, default=None,
                    help="print sum_{p<=x} 1/p - log log x")
-    s.add_argument("--range", type=int, nargs=2, metavar=("A", "B"), default=None,
+    s.add_argument("--range", type=_count, nargs=2, metavar=("A", "B"), default=None,
                    help="print sum of 1/p over primes in [A, B]")
     _add_common(s)
     s.set_defaults(fn=_cmd_mertens)
 
     s = subs.add_parser("psi", help="count y-smooth integers up to x")
-    s.add_argument("--x", type=int, required=True)
-    s.add_argument("--y", type=int, required=True)
+    s.add_argument("--x", type=_count, required=True)
+    s.add_argument("--y", type=_count, required=True)
     s.add_argument("--method", choices=("brute", "exact", "dickman"), default="exact")
     _add_common(s, table=True)
     s.set_defaults(fn=_cmd_psi)

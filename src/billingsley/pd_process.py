@@ -42,6 +42,18 @@ MAX_OUTER_CELLS = 1 << 27
 #: outer cells evaluated at once by the quadrature (whole first-axis rows)
 _SLAB_CELLS = 1 << 16
 
+#: fewest rows in a sampler block while it stays within _MAX_BLOCK_WORDS
+#: draws: wide truncations would otherwise make blocks so thin that the
+#: per-row steps are mostly call overhead
+_MIN_BLOCK_ROWS = 256
+_MAX_BLOCK_WORDS = 1 << 20
+
+
+def _block_rows(truncation: int) -> int:
+    """Rows in a full sampler block at this truncation."""
+    return max(1, rng.BLOCK_WORDS // truncation,
+               min(_MIN_BLOCK_ROWS, _MAX_BLOCK_WORDS // truncation))
+
 
 @dataclass(frozen=True)
 class PDSample:
@@ -80,9 +92,9 @@ def _stick_matrix(seed: int, count: int, truncation: int,
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
     row consumes counter (start + i) * truncation + j of shard 0.  Rows are
-    filled in blocks of about rng.BLOCK_WORDS draws, max(1, BLOCK_WORDS //
-    truncation) rows, held column-major as (truncation, rows) so that each
-    step is a pass over contiguous rows of the block: the unmixed words are
+    filled in blocks of _block_rows(truncation) rows (capped at the count),
+    held column-major as (truncation, rows) so that each step is a pass
+    over contiguous rows of the block: the unmixed words are
     one add to a precomputed block, rng._uniform_block mixes them into
     uniforms, the prefix products take truncation - 1 row multiplies and the
     stick lengths one subtract.  One transpose copy turns the lengths into
@@ -91,7 +103,7 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     budget: 8 * (truncation + 1) bytes per row plus four block buffers.
     """
     t = truncation
-    rows = max(1, min(count, rng.BLOCK_WORDS // t))
+    rows = min(count, _block_rows(t))
     check_memory(8 * ((t + 1) * count + 4 * t * rows),
                  f"{count} PD draws at truncation {t}")
     # base[j, i] is the unmixed word of counter i * t + j; moving it on by

@@ -12,14 +12,25 @@ Lagarias-Miller-Odlyzko and Deleglise-Rivat).  Stage j holds the distinct
 quotients z, with int64 multiplicities, that still need Psi(z, p_j):
 
 * z <= p_j counts z;
-* z <= T (the leaf limit) is looked up in a table of the integers up to T
-  labelled by their largest prime factor, unless all of the stage's leaves
-  admit the identity below and its rows are fewer than the table's;
-* (p_j + 1)^2 > z uses the one-large-factor identity
+* p_j < z <= T (the leaf limit) takes one of the three routes below;
+* other z < (p_j + 1)^2 use the one-large-factor identity
   Psi(z, p) = z - sum_{p < q <= z} floor(z/q)
             = z - sum_{r <= z/(p+1)} (pi(z // r) - pi(p));
 * any other z passes z // p_j^k, k >= 0, on to stage j - 1, where equal
   quotients merge; at p = 2 the sweep closes with the bit length.
+
+The leaf set holds the integers up to T whose largest prime factor is at
+most p_j.  A refilter filters the previous refilter's set down to it; the
+first one scans a table of all integers up to T labelled by largest prime
+factor and counts as T entries.  Each leaf-range z is then one search.
+
+* If all of the stage's leaf-range z admit the identity and its rows are
+  no more than the leaf set's entries, they take the identity.
+* Otherwise, if they number at least 1 / REFILTER_RATIO of those entries,
+  the set is refiltered and they are counted off it.
+* Otherwise they are too few to pay for a refilter and pass on like the
+  z above T.  Passed-on quotients gather, merged, until a stage holds
+  enough of them.
 
 A single x <= T skips the sweep: one count off the leaf table.  That count,
 like psi_bruteforce, also takes an array of x: one cumulative sum up to the
@@ -28,10 +39,11 @@ largest x and a gather.
 Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
 engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
 y beyond the cap raises ResourceError, and quotients beyond it are divided
-down instead.  psi_exact(10^12, 1000) takes about half a second; work grows
-with the number of distinct quotients above T, roughly x / T divisors.  The
-x of a batch must sum to at most 2^62 so that every weighted partial sum fits
-in int64; larger batches raise ResourceError before any work.
+down instead.  psi_exact(10^12, 1000) takes about a quarter of a second on
+a 2-vCPU Xeon VM; work grows with the number of distinct quotients above T,
+roughly x / T divisors.  The x of a batch must sum to at most 2^62 so that
+every weighted partial sum fits in int64; larger batches raise
+ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -49,6 +61,12 @@ PRIME_CAP = 10**8
 
 #: quotients up to this many are answered from the engine's leaf table
 LEAF_LIMIT = 1 << 20
+
+#: a stage refilters the leaf set only for at least 1 / REFILTER_RATIO of its
+#: entries in leaf-range quotients (the first build counts as T entries);
+#: in a sweep of 16..128 on psi_exact(3e11 and 1e12, 1000), 24-64 were
+#: within 5% of each other and 16, 96 and 128 slower
+REFILTER_RATIO = 48
 
 #: the x of one batch must sum to at most this: a weight times a count stays
 #: below twice the batch's x, so every partial sum fits in int64
@@ -168,22 +186,26 @@ class PsiEngine:
                 total += int(np.dot(w, np.searchsorted(_POW2, z, side="right")))
                 z = z[:0]
             else:
-                # z is sorted: [<= p | leaves <= T | identity | pass on], where
-                # leaves that all admit the identity take it when its rows
-                # cost less than refiltering the leaf table
+                # z is sorted: [<= p | leaves <= T | identity | pass on]; the
+                # leaves take the identity, the leaf set or, too few to pay
+                # for its refilter, all pass on (sending the ones that admit
+                # the identity to it costs more rows than carrying them)
                 a = int(np.searchsorted(z, p, side="right"))
                 b = max(a, int(np.searchsorted(z, T, side="right")))
                 c = max(a, int(np.searchsorted(z, min((p + 1) ** 2 - 1, PRIME_CAP),
                                                side="right")))
                 total += int(np.dot(w[:a], z[:a]))
-                if b > a and (c < b or int(np.sum(z[a:b] // (p + 1))) >
-                              (T if leaves is None else leaves.size)):
-                    leaves = (np.flatnonzero(lab <= p) if leaves is None
-                              else leaves[lab[leaves] <= p])
-                    total += int(np.dot(w[a:b], np.searchsorted(leaves, z[a:b],
-                                                                side="right")))
-                    a = b
-                c = max(b, c)
+                scan = T if leaves is None else leaves.size
+                if b > a and (c < b or int(np.sum(z[a:b] // (p + 1))) > scan):
+                    if (b - a) * REFILTER_RATIO < scan:
+                        c = a
+                    else:
+                        leaves = (np.flatnonzero(lab <= p) if leaves is None
+                                  else leaves[lab[leaves] <= p])
+                        total += int(np.dot(w[a:b], np.searchsorted(
+                            leaves, z[a:b], side="right")))
+                        a = b
+                        c = max(b, c)
                 if c > a:
                     total += self._one_large_factor(z[a:c], w[a:c], j)
                 z, w = z[c:], w[c:]

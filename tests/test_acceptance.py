@@ -94,7 +94,7 @@ def test_criterion_10_proposition1_harness(ctx):
     _run(ctx, 10, check_proposition1_harness)
 
 
-def test_criterion_11_determinism(tmp_path, capsys):
+def test_criterion_11_determinism(tmp_path):
     payloads = []
     for threads in ("1", "4"):
         path = tmp_path / f"suite_t{threads}.json"
@@ -102,7 +102,6 @@ def test_criterion_11_determinism(tmp_path, capsys):
                          "--threads", threads, "--report", str(path)])
         assert code == 0
         payloads.append(path.read_bytes())
-    capsys.readouterr()  # drop the mirrored stdout reports
     identical = payloads[0] == payloads[1]
     print(f"criterion 11: {'PASS' if identical else 'FAIL'}  "
           "suite --name all --seed 42 byte-identical across runs and threads 1/4")

@@ -113,10 +113,15 @@ def test_box_mc_fields(capsys):
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
-    target = tmp_path / "psi.txt"
-    code, out, _ = run(capsys, "psi", "--x", "100", "--y", "5", "--out", str(target))
-    assert code == 0
-    assert target.read_text() == out
+    # --out writes what the command prints without it, and prints nothing
+    for argv, expected in ((["psi", "--x", "100", "--y", "5"], "34\n"),
+                           (["mertens", "--range", "2", "10"], "1.176190\n")):
+        _, printed, _ = run(capsys, *argv)
+        target = tmp_path / f"{argv[0]}.txt"
+        code, out, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert target.read_text() == printed == expected
 
 
 def test_rho_table_csv_round_trips(capsys):
@@ -188,12 +193,15 @@ def test_pd_box_cli_refuses_k5_at_default_grid(capsys):
 
 
 def test_verify_roundtrip(tmp_path, capsys):
-    report = tmp_path / "report.json"
-    code, out, _ = run(capsys, "verify", "--box", "0.5,0.1", "--epsilon", "0.25",
-                       "--ladder", "1e3,1e4", "--report", str(report), "--umax", "3")
+    argv = ("verify", "--box", "0.5,0.1", "--epsilon", "0.25", "--ladder", "1e3,1e4",
+            "--umax", "3")
+    code, printed, _ = run(capsys, *argv)
     assert code == 0
-    payload = json.loads(out)
-    assert report.read_text(encoding="utf-8") == out
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, *argv, "--report", str(report))
+    assert code == 0 and out == ""
+    assert report.read_text(encoding="utf-8") == printed
+    payload = json.loads(printed)
     entries = payload["results"]["entries"]
     assert [e["n"] for e in entries] == [1000, 10000]
     assert all(e["verdict"] for e in entries)
@@ -268,6 +276,9 @@ NON_FINITE_OPTIONS = [
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--samples", "{}"),
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--exact-threshold", "{}"),
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--umax", "{}"),
+    (["mertens"], "--x", "{}"),
+    (["psi", "--y", "10"], "--x", "{}"),
+    (["psi", "--x", "100"], "--y", "{}"),
 ]
 
 
@@ -280,6 +291,30 @@ def test_non_finite_options_fail_with_a_message(capsys, argv, option, template, 
     assert code != 0
     assert "error" in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("pair", [("{}", "100"), ("2", "{}")])
+def test_mertens_range_refuses_non_finite(capsys, pair, value):
+    code, out, err = run(capsys, "mertens", "--range", *(v.format(value) for v in pair))
+    assert code == 2
+    assert "not a finite integer" in err and out == ""
+
+
+#: count options written as float literals, each with the same command in
+#: integer literals
+COUNT_LITERALS = [
+    (["psi", "--x", "1e6", "--y", "1e3"], ["psi", "--x", "1000000", "--y", "1000"]),
+    (["mertens", "--x", "1e4"], ["mertens", "--x", "10000"]),
+    (["mertens", "--range", "1e1", "1e2"], ["mertens", "--range", "10", "100"]),
+]
+
+
+@pytest.mark.parametrize("argv,plain", COUNT_LITERALS, ids=lambda a: " ".join(a))
+def test_count_options_accept_float_literals(capsys, argv, plain):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert out == run(capsys, *plain)[1]
 
 
 #: finite values too large to serve, each refused before allocating or

@@ -8,11 +8,7 @@ import pytest
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
                          build_rho_table, pd_box_probability, pd_box_probability_refined,
                          pd_density, pd_sample, pd_sample_batch, rho, rng)
-from billingsley.pd_process import MAX_OUTER_CELLS, _validate
-
-
-def _block_rows(truncation):
-    return max(1, rng.BLOCK_WORDS // truncation)
+from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _validate
 
 
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
@@ -93,7 +89,10 @@ def test_block_fill_matches_one_shot_sampler(truncation, start):
 #: sha256 of the little-endian sticks then tails of pd_sample_batch(seed,
 #: count, truncation, start), frozen from the row-major sampler before the
 #: column-major fill; the counts are 1 and one block (rng.BLOCK_WORDS = 2^16
-#: words) of rows minus one, exactly and plus one
+#: words) of rows minus one, exactly and plus one.  The last five, frozen
+#: before the block row floor, are one block of _MIN_BLOCK_ROWS = 256 rows
+#: minus one, exactly and plus one at T = 777, and several blocks at T = 2000
+#: and at T = 10^4 (104 rows, capped by _MAX_BLOCK_WORDS)
 PINNED_SAMPLES = [
     (42, 300000, 60, 0, "abc031149b3054d81081995aebc556828e30b45aca1dc5586df82470a8d21a1f"),
     (3, 1, 1, 5, "49c656730015d7f8e34591dfeefc1403715a105849c55d0a506b7fd8eb0c38af"),
@@ -108,6 +107,11 @@ PINNED_SAMPLES = [
     (13, 83, 777, 12345, "e2eaa5a0dfec2c4514895fe349814a05fafd89165fbd9ccf5f496468222009e5"),
     (13, 84, 777, 12345, "24e5b7520416174c2d8ca59b9b9c9f31df1df0dc34212a1d97232db9708e95cc"),
     (13, 85, 777, 12345, "139b7a752ef82ed8e5c461fd906688d6a957a541783c169d4381f254cf872194"),
+    (13, 255, 777, 12345, "d78d44890b7714c772089c91520874e9c428211a3eb7b4ee5965587833253302"),
+    (13, 256, 777, 12345, "2569232bd4412cfb3789535957275e5ab9408b9a586e9315193633ea69c4b543"),
+    (13, 257, 777, 12345, "7c8eaf36c5870b425d5991b82119842c5c3fd0dc3d4b1f95821f839df5ab85b9"),
+    (17, 1000, 2000, 3, "af7aad7f0f9bd29ad38f3afdf6329213526ed0fe5e34e4f587619e0bc9786c0d"),
+    (19, 250, 10000, 7, "9c42e2bf618ac2e163b2775c14bae5d3aab293e1e9f364cd00816f4abcec3db9"),
 ]
 
 

@@ -101,6 +101,8 @@ def test_sandwich():
 def test_pinned_large_values():
     assert psi_exact(10**11, 1000) == 1412243472
     assert psi_exact(3 * 10**11, 1000) == 2933641996
+    assert psi_exact(10**12, 1000) == 6471274933
+    assert psi_exact(10**11, 10**4) == 9091106074
 
 
 def test_random_against_bruteforce(sieve7):
@@ -117,14 +119,17 @@ def test_random_against_bruteforce(sieve7):
 
 
 def test_sweep_paths_against_bruteforce(sieve5):
-    # a tiny leaf table sends small x through every stage of the sweep
-    engine = PsiEngine(leaf_limit=64)
+    # a tiny leaf table sends small x through every stage of the sweep; at
+    # 4096 the few leaf-range quotients of a stage are passed on across
+    # many stages before they pay for a refilter of the leaf set
     rnd = random.Random(12)
-    for _ in range(300):
-        x = rnd.randint(1, 10**5)
-        near_root = max(2, int(x**0.5) + rnd.randint(-2, 2))
-        y = rnd.choice([2, 3, 5, rnd.randint(2, 400), near_root])
-        assert engine.psi_sum([x], [y]) == psi_bruteforce(sieve5, x, y), (x, y)
+    for leaf_limit in (64, 4096):
+        engine = PsiEngine(leaf_limit=leaf_limit)
+        for _ in range(300):
+            x = rnd.randint(1, 10**5)
+            near_root = max(2, int(x**0.5) + rnd.randint(-2, 2))
+            y = rnd.choice([2, 3, 5, rnd.randint(2, 400), near_root])
+            assert engine.psi_sum([x], [y]) == psi_bruteforce(sieve5, x, y), (x, y)
 
 
 def test_batch_sum_equals_single_queries():
