@@ -338,6 +338,26 @@ def test_oversized_values_fail_with_one_error_line(capsys, argv):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
+#: counts below 1, refused with the library's message instead of printing
+#: an empty result
+NON_POSITIVE_ARGV = [
+    (["sample-factors", "--n", "1e4", "--k", "3", "--count", "-3"], "count must be >= 1"),
+    (["sample-factors", "--n", "1e4", "--count", "0"], "count must be >= 1"),
+    (["pd-sample", "--count", "0"], "count must be >= 1"),
+    (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "0"],
+     "samples must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("argv, message", NON_POSITIVE_ARGV,
+                         ids=[" ".join(argv) for argv, _ in NON_POSITIVE_ARGV])
+def test_non_positive_counts_fail_with_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_count_options_are_exact_integers(capsys):
     from billingsley.cli import _count
     assert _count("10000000000000001") == 10**16 + 1

@@ -1,15 +1,20 @@
+import gc
+import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import numpy as np
 
-from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve, ResourceError,
-                         box_probability_exact, box_probability_via_psi, build_sieve,
-                         factor_vector, marginal_L1_cdf, prime_bounds, psi_bruteforce,
-                         ranked_factors, sample_box_probability, sample_factor_vectors)
+from billingsley import (BoxSpec, DomainError, FactorVector, ParameterError, PrimeSieve,
+                         ResourceError, box_probability_exact, box_probability_via_psi,
+                         build_sieve, factor_vector, marginal_L1_cdf, prime_bounds,
+                         psi_bruteforce, ranked_factors, sample_box_probability,
+                         sample_factor_vectors)
+from billingsley import rng
 from billingsley.factor_stats import _count_in_box, _peel, _scan_bounds
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
 
@@ -286,6 +291,69 @@ def test_sample_factor_vectors_deterministic(sieve5):
 def test_oversized_factor_rows_are_refused_before_any_draw(sieve5):
     with pytest.raises(ResourceError, match="factor rows"):
         sample_factor_vectors(sieve5, 10**5, 10**16, 3)
+
+
+@pytest.mark.parametrize("count, k, name", [(0, 3, "count"), (-3, 3, "count"),
+                                            (10, 0, "k"), (10, -5, "k")])
+def test_non_positive_factor_row_requests_are_refused_before_any_draw(
+        sieve5, monkeypatch, count, k, name):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    # at k < 0 the memory estimate is negative and admits any count
+    monkeypatch.setattr(rng, "uniform_ints", no_draw)
+    with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
+        sample_factor_vectors(sieve5, 10**5, count, k)
+
+
+#: sha256 of the N column then the row-major p columns, as int64 bytes, of
+#: sample_factor_vectors(sieve5, 10**5, 5000, 4, seed=7), taken from the row
+#: builder that called FactorVector(...) once per row
+FACTOR_ROWS_NP_SHA256 = "33110c21eb8ef658a9fe2d54482f9e5aed5f03cc5b71359b15b147e17445ec91"
+
+
+def test_factor_rows_are_pinned(sieve5):
+    n, k = 10**5, 4
+    rows = sample_factor_vectors(sieve5, n, 5000, k, seed=7)
+    assert len(rows) == 5000
+    assert all(type(fv) is FactorVector for fv in rows)
+    N = np.array([fv.N for fv in rows], dtype=np.int64)
+    p = np.array([fv.p for fv in rows], dtype=np.int64)
+    assert p.shape == (5000, k)
+    assert hashlib.sha256(N.tobytes() + p.tobytes()).hexdigest() == FACTOR_ROWS_NP_SHA256
+    # L is recomputed here rather than pinned: math.log rounds through the
+    # platform's libm
+    logn = math.log(n)
+    for fv in rows:
+        assert fv.n == n
+        assert fv.L == tuple(math.log(q) / logn if q > 1 else 0.0 for q in fv.p)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_factor_rows_leave_the_collector_as_found(sieve5, enabled):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        sample_factor_vectors(sieve5, 10**5, 1000, 3, seed=1)
+        assert gc.isenabled() is enabled
+        factor_vector(sieve5, 10**5, 360, 3)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_factor_row_peak_memory_is_within_the_guard(sieve7):
+    n, count, k = 10**7, 2 * 10**4, 3
+    sample_factor_vectors(sieve7, n, count, k, seed=1)  # first-call set-up, untraced
+    tracemalloc.start()
+    try:
+        rows = sample_factor_vectors(sieve7, n, count, k, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == count
+    # the estimate sample_factor_vectors refuses requests by
+    assert peak < (256 + 80 * k) * count
 
 
 # ---------------------------------------------------------------------------
