@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .convergence import BoxCriterion, run_criterion
-from .dickman import DEFAULT_STEP, DEFAULT_U_MAX, DickmanTable, build_rho_table, rho
+from .dickman import DEFAULT_U_MAX, NODES_PER_UNIT, DickmanTable, build_rho_table, rho
 from .errors import BillingsleyError
 from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
                            prime_bounds, sample_box_probability, sample_factor_vectors)
@@ -36,14 +36,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _table_csv(table: DickmanTable) -> str:
-    lines = [f"# u_max={table.u_max!r} step={table.step!r}", "u,rho"]
-    for j, v in enumerate(table.values.tolist()):
-        lines.append(f"{j * table.step!r},{v!r}")
+    lines = [f"# u_max={table.u_max!r} spacing={1 / NODES_PER_UNIT!r}", "u,rho"]
+    for j, v in enumerate(table.cells[0].tolist()):
+        lines.append(f"{j / NODES_PER_UNIT!r},{v!r}")
     return "\n".join(lines) + "\n"
-
-
-def _get_table(args) -> DickmanTable:
-    return build_rho_table(args.umax, args.step)
 
 
 def _json_text(payload: dict) -> str:
@@ -59,13 +55,13 @@ def _report_envelope(command: str, config: dict, results) -> dict:
 # subcommand handlers
 
 def _cmd_rho(args) -> int:
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     _emit(f"{rho(table, args.u):.{args.digits}f}\n", args.out)
     return 0
 
 
 def _cmd_rho_table(args) -> int:
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     _emit(_table_csv(table), args.out)
     return 0
 
@@ -93,7 +89,7 @@ def _cmd_psi(args) -> int:
         value = psi_exact(args.x, args.y)
         text = f"{value}\n"
     else:
-        table = _get_table(args)
+        table = build_rho_table(args.umax)
         value = psi_dickman(table, args.x, args.y)
         text = f"{value:.{args.digits}f}\n"
     _emit(text, args.out)
@@ -101,7 +97,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_psi_ladder(args) -> int:
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     rho_t = rho(table, args.t)
     lines = ["n,psi,psi_over_n,rho,abs_err"]
     n = args.nmin
@@ -162,14 +158,14 @@ def _cmd_pd_sample(args) -> int:
 
 
 def _cmd_pd_density(args) -> int:
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     point = [float(v) for v in args.point.split(",")]
     _emit(f"{pd_density(table, point):.{args.digits}f}\n", args.out)
     return 0
 
 
 def _cmd_pd_box(args) -> int:
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     box = BoxSpec.from_string(args.box)
     value, err = pd_box_probability_refined(table, box, grid=args.grid)
     _emit(_json_text({"value": value, "error_estimate": err}), args.out)
@@ -185,7 +181,7 @@ def _cmd_verify(args) -> int:
     box.require_inside_u()
     top = prime_bounds(max(ladder), box)[0][1]
     sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
-    table = _get_table(args)
+    table = build_rho_table(args.umax)
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
     report = run_criterion(sieve, table, ladder, box, crit, budget=args.samples,
                            seed=args.seed, exact_threshold=args.exact_threshold,
@@ -200,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    report, passed = run_suite(args.name, seed=args.seed, threads=args.threads)
+    report, passed = run_suite(args.name, seed=args.seed)
     _emit(_json_text(report), args.report)
     if not passed:
         first = next(r["name"] for r in report["results"] if not r["passed"])
@@ -233,8 +229,9 @@ def _ladder(value: str) -> list[int]:
     return [_count(v) for v in value.split(",")]
 
 
-def _positive_int(value: str) -> int:
-    n = int(value)
+def _positive_count(value: str) -> int:
+    """A _count of at least 1, refused before any sieve is built."""
+    n = _count(value)
     if n < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return n
@@ -249,11 +246,10 @@ def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=
                          help="write the output to this file instead of stdout")
     if table:
         sub.add_argument("--umax", type=float, default=DEFAULT_U_MAX)
-        sub.add_argument("--step", type=float, default=DEFAULT_STEP)
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
     if threads:
-        sub.add_argument("--threads", type=_positive_int, default=1)
+        sub.add_argument("--threads", type=_positive_count, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,19 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=_count, required=True)
     s.add_argument("--box", required=True, help="'t1,dt1;t2,dt2;...'")
     s.add_argument("--method", choices=("exact", "psi", "mc"), default="exact")
-    s.add_argument("--samples", type=_count, default=10**5)
+    s.add_argument("--samples", type=_positive_count, default=10**5)
     _add_common(s, digits=False, seed=True, threads=True)
     s.set_defaults(fn=_cmd_box)
 
     s = subs.add_parser("sample-factors", help="draw integers and rank their factors")
     s.add_argument("--n", type=_count, required=True)
-    s.add_argument("--count", type=_count, required=True)
+    s.add_argument("--count", type=_positive_count, required=True)
     s.add_argument("--k", type=int, default=3)
     _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_sample_factors)
 
     s = subs.add_parser("pd-sample", help="ranked stick-breaking samples as CSV")
-    s.add_argument("--count", type=_count, required=True)
+    s.add_argument("--count", type=_positive_count, required=True)
     s.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
     s.add_argument("--k", type=int, default=5)
     _add_common(s, digits=False, seed=True)
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--box", required=True)
     s.add_argument("--epsilon", type=float, default=0.25)
     s.add_argument("--ladder", type=_ladder, required=True, help="'1e4,1e5,1e6'")
-    s.add_argument("--samples", type=_count, default=10**5)
+    s.add_argument("--samples", type=_positive_count, default=10**5)
     s.add_argument("--exact-threshold", type=_count, default=10**6)
     s.add_argument("--report", default=None)
     _add_common(s, digits=False, out=False, table=True, seed=True, threads=True)
@@ -342,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("suite", help="run a named verification bundle")
     s.add_argument("--name", choices=BUNDLES, required=True)
     s.add_argument("--report", default=None)
-    _add_common(s, digits=False, out=False, seed=True, threads=True)
+    _add_common(s, digits=False, out=False, seed=True)
     s.set_defaults(fn=_cmd_suite)
 
     return parser

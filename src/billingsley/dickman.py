@@ -1,10 +1,16 @@
 """The Dickman function and Billingsley's nested log-integrals.
 
-rho is tabulated by marching the delay equation u*rho'(u) = -rho(u-1) forward
-from u = 1 with rho = 1 on [0, 1].  Because the right-hand side never involves
-rho(u) itself, the fourth-order step reduces to a composite Simpson rule over
-the (already tabulated) delayed values, interpolated cubically where they are
-needed between grid nodes.
+rho = 1 on [0, 1], and on each unit piece [k, k+1] it is a power series in
+eta = k+1-u (after Marsaglia, Zaman and Marsaglia, Math. Comp. 53, 1989):
+from the previous piece's coefficients d, the delay equation
+u*rho'(u) = -rho(u-1) and continuity at u = k give
+c_{i+1} = (d_i + i*c_i) / ((k+1)(i+1)) and c_0 = d_0 - sum_{i>=1} c_i.  The
+coefficients are positive, but c_0 cancels about log10(rho(k)/rho(k+1))
+digits, so they are computed in stdlib decimal at 20 digits beyond
+log10(1/rho(u_max)) and then rounded to float64.  The table holds rho at the
+nodes of the grid h = 2^-12 and, per cell, the cubic Hermite polynomial with
+the exact slopes rho'(u) = -rho(u-1)/u.  Pieces where rho drops below the
+float64 range (from u ~ 128) are not computed and read 0.
 
 The H_i family integrates prod dt_j/t_j over 1 < t_1 < ... < t_i < u subject
 to sum 1/t_j < 1, by recursive one-dimensional adaptive quadrature; the
@@ -15,17 +21,24 @@ innermost level is the closed form log(upper/lower).  The alternating sum
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, ParameterError, check_memory
 
 DEFAULT_U_MAX = 20.0
-DEFAULT_STEP = 1e-4
 
-#: positive floor for table entries once the true rho sinks below roundoff
-_VALUE_FLOOR = 1e-320
+#: grid nodes per unit of u; the spacing h = 2^-12 is a power of two, so the
+#: integers are nodes and u/h is exact
+NODES_PER_UNIT = 4096
+
+#: series terms kept in float64 at the nodes: on every piece up to the float
+#: range at most 53 are needed before the tail drops below 2^-56 of the piece's
+#: smallest value (the terms are positive and eta <= 1)
+_FLOAT_TERMS = 56
 
 
 @dataclass(frozen=True)
@@ -43,105 +56,83 @@ class QuadratureConfig:
 
 @dataclass(eq=False)
 class DickmanTable:
-    """rho on the uniform grid j*step for j = 0..len(values)-1.
+    """rho on [0, u_max] as one cubic per cell of the grid j*h, h = 2^-12.
 
-    values[j] = 1 exactly while j*step <= 1, strictly positive and
-    non-increasing throughout.  values is read-only, so a table can be
-    shared freely across threads.
+    cells has four rows a, b, c, d, one column per node j, and
+    rho(j*h + t*h) = a + t*(b + t*(c + t*d)) for t in [0, 1].  Row a holds
+    rho at the nodes: exactly 1 while j*h <= 1, then positive and
+    non-increasing until rho leaves the float64 range, and 0 from there on.
+    The last node is the first at or past u_max; its cell is read at t = 0
+    only.  cells is read-only, so a table can be shared freely across threads.
     """
 
     u_max: float
-    step: float
-    values: np.ndarray
+    cells: np.ndarray
 
     def __post_init__(self):
-        self.values.flags.writeable = False
-
-    def rho(self, u):
-        return rho(self, u)
+        self.cells.flags.writeable = False
 
 
-def _lagrange4(values: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Cubic Lagrange interpolation of values at real index positions x.
+def _piece_series(u_top: int) -> list[list[float]]:
+    """Float coefficients of rho on [k, k+1] about k+1 for k = 1 .. u_top-1,
+    stopping after the first piece whose rho(k+1) is below the float64 range.
 
-    The 4-node stencil is clamped to index window [lo, hi] so it never spans
-    a derivative kink of rho (the windows are the unit pieces of the grid).
+    log10(1/rho(u)) < u*log10(u*log(u) + 1) for every u >= 1 sets the working
+    precision, and the series are cut where 2^-terms drops below it.
     """
-    i0 = np.floor(x).astype(np.int64) - 1
-    i0 = np.clip(i0, lo, np.maximum(hi - 3, lo))
-    xi = x - i0
-    w0 = -(xi - 1) * (xi - 2) * (xi - 3) / 6.0
-    w1 = xi * (xi - 2) * (xi - 3) / 2.0
-    w2 = -xi * (xi - 1) * (xi - 3) / 2.0
-    w3 = xi * (xi - 1) * (xi - 2) / 6.0
-    return (w0 * values[i0] + w1 * values[i0 + 1]
-            + w2 * values[i0 + 2] + w3 * values[i0 + 3])
+    digits = 20 + min(u_top * math.log10(u_top * math.log(u_top) + 1), 320)
+    terms = int(3.4 * digits)
+    rows = []
+    with localcontext() as ctx:
+        ctx.prec = int(digits)
+        d = [Decimal(1)] + [Decimal(0)] * (terms - 1)  # rho = 1 on [0, 1]
+        for k in range(1, u_top):
+            c = [Decimal(0)] * terms
+            for i in range(terms - 1):
+                c[i + 1] = (d[i] + i * c[i]) / ((k + 1) * (i + 1))
+            c[0] = d[0] - sum(c[1:])
+            rows.append([float(v) for v in c[:_FLOAT_TERMS]])
+            if c[0] < sys.float_info.min:
+                break
+            d = c
+    return rows
 
 
-def _interp_rho(values: np.ndarray, step: float, u: np.ndarray) -> np.ndarray:
-    """Vectorized rho at arbitrary u in [0, grid end], piece-aware."""
-    u = np.asarray(u, dtype=np.float64)
-    out = np.ones_like(u)
-    mask = u > 1.0
-    if not np.any(mask):
-        return out
-    um = u[mask]
-    top = len(values) - 1
-    piece = np.floor(um * (1 - 1e-15)).astype(np.int64)  # unit piece containing u
-    lo = np.ceil(piece / step - 1e-9).astype(np.int64)
-    hi = np.floor((piece + 1) / step + 1e-9).astype(np.int64)
-    np.clip(lo, 0, top, out=lo)
-    np.clip(hi, 0, top, out=hi)
-    # a partial top piece may hold fewer than 4 nodes; widen rather than fail
-    short = hi - lo < 3
-    if np.any(short):
-        lo[short] = np.maximum(lo[short] - 4, 0)
-    out[mask] = _lagrange4(values, um / step, lo, hi)
-    return out
-
-
-def build_rho_table(u_max: float = DEFAULT_U_MAX, step: float = DEFAULT_STEP) -> DickmanTable:
-    """Tabulate rho on [0, u_max] with the given grid spacing."""
+def build_rho_table(u_max: float = DEFAULT_U_MAX) -> DickmanTable:
+    """Tabulate rho on [0, u_max]."""
     if not (math.isfinite(u_max) and u_max >= 1):
         raise ParameterError(f"u_max must be finite and >= 1, got {u_max}")
-    if not (0 < step <= 0.01):
-        raise ParameterError(f"step must lie in (0, 0.01], got {step}")
+    n_nodes = math.ceil(u_max * NODES_PER_UNIT) + 1
+    check_memory(60.0 * n_nodes, f"a rho table of {n_nodes:.3g} nodes")  # measured peak 56
 
-    span = u_max / step  # may be inf for a subnormal step
-    check_memory(8 * span, f"a rho table of {span:.3g} nodes")
-    n_nodes = int(math.ceil(span - 1e-9)) + 1
-    vals = np.ones(n_nodes)
-    j1 = int(math.floor(1.0 / step + 1e-9))  # last node at u <= 1 (up to rounding)
-    if j1 >= n_nodes - 1:
-        return DickmanTable(u_max=u_max, step=step, values=vals)
+    rows = np.array(_piece_series(math.ceil(u_max))).reshape(-1, _FLOAT_TERMS)
+    # piece k at u = k + m*h, m = 1 .. NODES_PER_UNIT, by Horner in eta
+    eta = 1.0 - np.arange(1, NODES_PER_UNIT + 1) / NODES_PER_UNIT
+    grid = np.zeros((len(rows), NODES_PER_UNIT))
+    for i in range(_FLOAT_TERMS - 1, -1, -1):
+        grid *= eta
+        grid += rows[:, i, None]
+    cells = np.zeros((4, n_nodes))
+    a, b, c, d = cells  # filled in place: the build peaks near the table's size
+    a[:NODES_PER_UNIT + 1] = 1.0
+    known = min(grid.size, n_nodes - NODES_PER_UNIT - 1)
+    a[NODES_PER_UNIT + 1: NODES_PER_UNIT + 1 + known] = grid.ravel()[:known]
+    del grid
 
-    # crossing step: integrand is exactly 1/t above t = 1 and zero below
-    vals[j1 + 1] = 1.0 - math.log((j1 + 1) * step)
-
-    chunk = max(int(math.floor(1.0 / step)) - 4, 16)
-    j = j1 + 1
-    while j < n_nodes - 1:
-        jb = min(j + chunk, n_nodes - 1)
-        left = np.arange(j, jb) * step
-        right = np.arange(j + 1, jb + 1) * step
-        mid = left + 0.5 * step
-        # Simpson increments of rho(t-1)/t; delayed values lie >= 1 unit back,
-        # hence entirely within vals[0..j]
-        g_l = _interp_rho(vals, step, left - 1.0) / left
-        g_m = _interp_rho(vals, step, mid - 1.0) / mid
-        g_r = _interp_rho(vals, step, right - 1.0) / right
-        inc = (step / 6.0) * (g_l + 4.0 * g_m + g_r)
-        vals[j + 1: jb + 1] = vals[j] - np.cumsum(inc)
-        # below ~1e-14 the fixed-step integration is roundoff-limited; keep the
-        # table monotone and strictly positive as the true rho is
-        vals[j + 1: jb + 1] = np.maximum(vals[j + 1: jb + 1], _VALUE_FLOOR)
-        np.minimum.accumulate(vals[j: jb + 1], out=vals[j: jb + 1])
-        j = jb
-    return DickmanTable(u_max=u_max, step=step, values=vals)
+    # slopes in cell units: h*rho'(j*h) = -rho(j*h - 1)/j, the right-hand
+    # slope at u = 1; the cells on [0, 1] stay constant
+    b[NODES_PER_UNIT:] = a[:n_nodes - NODES_PER_UNIT]
+    b[NODES_PER_UNIT:] /= -np.arange(NODES_PER_UNIT, n_nodes, dtype=float)
+    delta = np.diff(a)
+    c[:-1] = 3.0 * delta - 2.0 * b[:-1] - b[1:]
+    d[:-1] = b[:-1] + b[1:] - 2.0 * delta
+    cells[2:, :NODES_PER_UNIT] = 0.0
+    cells[:, a == 0.0] = 0.0  # past the float64 range
+    return DickmanTable(u_max=u_max, cells=cells)
 
 
 def rho(table: DickmanTable, u):
-    """rho(u) from the table: exact 1 on [0, 1], cubic interpolation above.
+    """rho(u) from the table: exact 1 on [0, 1], the cell's cubic above.
 
     Accepts a scalar or an ndarray.  Arguments beyond u_max by no more than a
     few ulps are clamped; anything else is a domain error.
@@ -150,8 +141,11 @@ def rho(table: DickmanTable, u):
     arr = np.asarray(u, dtype=np.float64)
     if not (np.all(arr >= 0) and np.all(arr <= table.u_max + eps)):  # NaN fails too
         raise DomainError(f"u outside [0, {table.u_max}]")
-    arr = np.minimum(arr, table.u_max)
-    out = _interp_rho(table.values, table.step, arr)
+    x = np.minimum(arr, table.u_max) * NODES_PER_UNIT
+    j = x.astype(np.intp)
+    t = x - j
+    a, b, c, d = (row.take(j) for row in table.cells)
+    out = a + t * (b + t * (c + t * d))
     if np.isscalar(u) or arr.ndim == 0:
         return float(out)
     return out

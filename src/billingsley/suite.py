@@ -2,7 +2,7 @@
 finite-n convergence ladders, with every tolerance pinned as a constant.
 
 Each check returns a JSON-ready dict with a boolean "passed"; the dicts are
-deterministic for a fixed seed (no timestamps, no thread-count dependence),
+deterministic for a fixed seed (no timestamps, no thread pool),
 so a bundle report can be compared byte-for-byte across runs.
 """
 from __future__ import annotations
@@ -73,7 +73,6 @@ class SuiteContext:
     """Shared heavyweight state for a bundle run."""
 
     seed: int = DEFAULT_SEED
-    threads: int = 1
     sieve_limit: int = SIEVE_LIMIT
     _sieve: PrimeSieve | None = field(default=None, repr=False)
     _table: DickmanTable | None = field(default=None, repr=False)
@@ -92,7 +91,7 @@ class SuiteContext:
 
 
 def check_dickman_analytic(ctx: SuiteContext) -> dict:
-    """rho = 1 - log u on [1, 2], sampled on a 1e-3 grid, table step 1e-4."""
+    """rho = 1 - log u on [1, 2], sampled on a 1e-3 grid."""
     us = 1.0 + np.arange(1001) * 1e-3
     err = float(np.max(np.abs(rho(ctx.table, us) - (1.0 - np.log(us)))))
     return {"criterion": 1, "name": "dickman_analytic_identity",
@@ -283,8 +282,7 @@ def check_proposition1_harness(ctx: SuiteContext) -> dict:
     for box, ladder in HARNESS_BOXES:
         crit = BoxCriterion(epsilon=HARNESS_EPSILON, k=box.k)
         report = run_criterion(ctx.sieve, ctx.table, ladder, box, crit,
-                               seed=ctx.seed, exact_threshold=10**7,
-                               threads=ctx.threads)
+                               exact_threshold=10**7)
         verdicts_ok &= report.all_pass()
         boxes.append(report.to_dict())
     return {"criterion": 10, "name": "proposition1_harness",
@@ -311,15 +309,14 @@ CHECKS = (
 BUNDLES = ("identities", "convergence", "all")
 
 
-def run_suite(name: str, seed: int = DEFAULT_SEED, threads: int = 1) -> tuple[dict, bool]:
+def run_suite(name: str, seed: int = DEFAULT_SEED) -> tuple[dict, bool]:
     """Run a bundle and return (report dict, all passed).
 
-    The report depends only on (name, seed); thread count is a scheduling
-    hint and deliberately excluded.
+    The report depends only on (name, seed).
     """
     if name not in BUNDLES:
         raise ParameterError(f"unknown bundle {name!r}; choose from {BUNDLES}")
-    ctx = SuiteContext(seed=seed, threads=threads)
+    ctx = SuiteContext(seed=seed)
     results = [fn(ctx) for bundle, fn in CHECKS if name in ("all", bundle)]
     passed = all(r["passed"] for r in results)
     report = {

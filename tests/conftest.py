@@ -20,6 +20,31 @@ RHO_ORACLE = {
     4.0: 0.0049109256476703375,
 }
 
+# rho(k + 1/2), from tests/rho_pins.py: power series about the midpoint of
+# each unit piece in 140-digit decimal arithmetic, rounded to float.
+RHO_PINS = {
+    1.5: 0.5945348918918356,
+    2.5: 0.13031956183225074,
+    3.5: 0.01622959324323599,
+    4.5: 0.0013701177411281074,
+    5.5: 8.601861112051155e-05,
+    6.5: 4.250355517171388e-06,
+    7.5: 1.7178674920339857e-07,
+    8.5: 5.840569562936228e-09,
+    9.5: 1.7063527386353393e-10,
+    10.5: 4.355952609051919e-12,
+    11.5: 9.847642104485198e-14,
+    12.5: 1.993463333032118e-15,
+    13.5: 3.6468386517366024e-17,
+    14.5: 6.076509609510111e-19,
+    15.5: 9.284061405897605e-21,
+    16.5: 1.3082753695556928e-22,
+    17.5: 1.709048929686716e-24,
+    18.5: 2.0790325730634907e-26,
+    19.5: 2.3646133398126924e-28,
+    39.5: 1.0058969943472898e-71,
+}
+
 # H_i: one-dimensional analytic reductions of the nested integrals, evaluated
 # by adaptive quadrature --- H_2(u) = int_2^u log(t-1)/t dt, and H_3 by
 # integrating the budget-constrained two-variable region over the outer
@@ -34,7 +59,7 @@ H_ORACLE = {
 
 @pytest.fixture(scope="session")
 def table():
-    return build_rho_table()  # default u_max 20, step 1e-4
+    return build_rho_table()  # default u_max 20
 
 
 @pytest.fixture(scope="session")

@@ -118,7 +118,7 @@ def test_inf_density_is_certified_lower_bound(table):
 
 def test_inf_density_table_domain_error_propagates():
     from billingsley import build_rho_table
-    small = build_rho_table(u_max=2.0, step=1e-3)
+    small = build_rho_table(u_max=2.0)
     box = BoxSpec((0.3,), (0.05,))  # largest rho argument 0.7/0.3 = 2.33
     with pytest.raises(DomainError):
         inf_density_on_box(small, box)

@@ -7,7 +7,13 @@ import pytest
 from billingsley import (DomainError, NumericalError, ParameterError,
                          QuadratureConfig, ResourceError, build_rho_table, h_function,
                          recursion_residual, rho, rho_via_alternating_sum)
-from conftest import H_ORACLE, RHO_ORACLE
+from billingsley.dickman import NODES_PER_UNIT
+from conftest import H_ORACLE, RHO_ORACLE, RHO_PINS
+
+import rho_pins
+
+#: relative error allowed against the independent series of rho_pins.py
+PIN_REL_TOL = 1e-13
 
 
 def test_rho_is_one_on_initial_interval(table):
@@ -25,6 +31,46 @@ def test_rho_analytic_on_1_2(table):
 @pytest.mark.parametrize("u", sorted(RHO_ORACLE))
 def test_rho_against_oracle(table, u):
     assert rho(table, u) == pytest.approx(RHO_ORACLE[u], abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def table40():
+    return build_rho_table(u_max=40.0)
+
+
+@pytest.fixture(scope="module")
+def midpoint_series():
+    return rho_pins.midpoint_series()
+
+
+@pytest.mark.parametrize("u", sorted(RHO_PINS))
+def test_rho_against_pins(table, table40, u):
+    tab = table if u <= table.u_max else table40
+    assert rho(tab, u) == pytest.approx(RHO_PINS[u], rel=PIN_REL_TOL, abs=0)
+
+
+def test_rho_pins_regenerate():
+    assert rho_pins.pins() == RHO_PINS
+
+
+def test_rho_known_values(table):
+    assert rho(table, 3.0) == pytest.approx(0.048608388291131567, rel=PIN_REL_TOL, abs=0)
+    assert rho(table, 10.0) == pytest.approx(2.7701718377259590e-11, rel=PIN_REL_TOL, abs=0)
+
+
+@pytest.mark.parametrize("u_max", [20.0, 40.0])
+def test_rho_relative_error_everywhere(table, table40, midpoint_series, u_max):
+    # random points, every node at a quarter unit, both ends, and the cells
+    # on either side of the integers
+    tab = table if u_max == table.u_max else table40
+    rnd = np.random.default_rng(int(u_max))
+    ints = np.arange(1.0, u_max)
+    us = np.concatenate([rnd.uniform(0.0, u_max, 400), np.arange(0.0, u_max, 0.25),
+                         ints - 1e-5, ints + 1e-5, [u_max * (1 - 1e-16)]])
+    got = rho(tab, us)
+    want = np.array([float(rho_pins.rho_reference(u, midpoint_series)) for u in us.tolist()])
+    rel = np.abs(got - want) / want
+    assert rel.max() <= PIN_REL_TOL, (us[np.argmax(rel)], rel.max())
 
 
 def test_rho_vectorized_matches_scalar(table):
@@ -46,12 +92,9 @@ def test_rho_domain_errors(table):
 
 
 def test_build_parameter_errors():
-    with pytest.raises(ParameterError):
-        build_rho_table(u_max=0.5)
-    with pytest.raises(ParameterError):
-        build_rho_table(step=0.02)
-    with pytest.raises(ParameterError):
-        build_rho_table(step=0.0)
+    for bad in (0.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            build_rho_table(u_max=bad)
 
 
 def test_oversized_table_is_refused_before_allocation():
@@ -60,12 +103,25 @@ def test_oversized_table_is_refused_before_allocation():
 
 
 def test_table_invariants(table):
-    vals = table.values
+    vals = table.cells[0]
+    assert vals.size == 20 * NODES_PER_UNIT + 1
     assert np.all(vals > 0)
     assert np.all(vals <= 1.0)
-    j1 = int(math.floor(1.0 / table.step + 1e-9))
-    assert np.all(vals[: j1 + 1] == 1.0)
-    assert np.all(np.diff(vals) <= 0)
+    assert np.all(vals[: NODES_PER_UNIT + 1] == 1.0)
+    assert np.all(table.cells[1:, :NODES_PER_UNIT] == 0.0)  # constant on [0, 1]
+    assert np.all(np.diff(vals[NODES_PER_UNIT:]) < 0)
+    # each cell's cubic meets the next node's value
+    assert np.allclose(table.cells[:, :-1].sum(axis=0), vals[1:], rtol=1e-15, atol=0)
+
+
+def test_table_reads_zero_past_the_float_range(table):
+    wide = build_rho_table(u_max=150.0)
+    us = np.linspace(0.0, table.u_max, 2001)
+    assert rho(wide, us) == pytest.approx(rho(table, us), rel=1e-14, abs=0)
+    assert 0.0 < rho(wide, 120.0) < 1e-280
+    assert rho(wide, 129.0) == rho(wide, 150.0) == 0.0
+    vals = wide.cells[0]
+    assert np.all(np.diff(vals) <= 0) and np.all(vals >= 0)
 
 
 def test_rho_monotone_nonincreasing(table):
@@ -148,13 +204,10 @@ def test_quadrature_config_validation():
 
 
 def test_small_table_matches_default(table):
-    small = build_rho_table(u_max=3.0, step=1e-4)
-    for u in (1.3, 2.2, 2.9):
-        assert rho(small, u) == pytest.approx(rho(table, u), abs=1e-12)
-
-
-def test_coarse_step_still_reasonable():
-    coarse = build_rho_table(u_max=4.0, step=0.01)
-    for u, want in RHO_ORACLE.items():
-        if u <= 4.0:
-            assert rho(coarse, u) == pytest.approx(want, abs=1e-6)
+    small = build_rho_table(u_max=3.0)
+    for u in (1.3, 2.2, 2.9, 3.0):
+        assert rho(small, u) == pytest.approx(rho(table, u), rel=1e-15, abs=0)
+    # a u_max between nodes ends on the first node past it
+    odd = build_rho_table(u_max=2.3)
+    assert odd.cells.shape[1] == math.ceil(2.3 * NODES_PER_UNIT) + 1
+    assert rho(odd, 2.3) == pytest.approx(rho(table, 2.3), rel=1e-15, abs=0)

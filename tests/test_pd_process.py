@@ -10,6 +10,8 @@ from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
                          pd_density, pd_sample, pd_sample_batch, rho, rng)
 from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _validate
 
+import rho_pins
+
 
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
     # reference sampler: every row from one uniforms call, row-major, no
@@ -172,6 +174,14 @@ def test_density_examples(table):
     assert pd_density(table, [0.2, 0.3]) == 0.0  # ordering violated
 
 
+def test_density_where_the_rho_argument_passes_13(table):
+    point = [0.25, 0.05]
+    u = (1.0 - sum(point)) / point[-1]  # 14 up to rounding
+    assert u > 13
+    want = float(rho_pins.rho_reference(u, rho_pins.midpoint_series(u_top=15))) / (0.25 * 0.05)
+    assert pd_density(table, point) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_density_zero_off_support(table):
     rnd = random.Random(10)
     for _ in range(100):  # ordering constraint broken
@@ -188,7 +198,7 @@ def test_density_zero_off_support(table):
 
 
 def test_density_u_argument_out_of_table():
-    small = build_rho_table(u_max=2.0, step=1e-3)
+    small = build_rho_table(u_max=2.0)
     with pytest.raises(DomainError):
         pd_density(small, [0.7, 0.05])  # (1 - 0.75)/0.05 = 5 > u_max
     with pytest.raises(DomainError):
@@ -198,7 +208,7 @@ def test_density_u_argument_out_of_table():
 def test_box_probability_needs_one_more_unit_of_table():
     # the closed inner integral reads rho at (1 - s)/t_k, one unit past the
     # density's own argument (1 - s - t_k)/t_k
-    small = build_rho_table(u_max=2.0, step=1e-3)
+    small = build_rho_table(u_max=2.0)
     assert pd_density(small, [0.55, 0.22]) > 0  # (1 - 0.77)/0.22 < 2
     with pytest.raises(DomainError, match=r"u = 2\.5\b"):
         pd_box_probability(small, BoxSpec((0.5, 0.2), (0.1, 0.05)), grid=16)

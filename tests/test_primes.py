@@ -82,7 +82,7 @@ def test_tiny_sieves_are_prefixes(sieve5, limit):
 
 
 def test_sieve_tables_are_read_only(sieve5, table):
-    for arr in (sieve5.largest_prime_factor, sieve5.prime_array, table.values):
+    for arr in (sieve5.largest_prime_factor, sieve5.prime_array, table.cells):
         with pytest.raises(ValueError):
             arr[1] = 0
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,8 @@ from billingsley import (DomainError, ParameterError, ResourceError,
                          rho)
 from billingsley.smoothcount import LEAF_LIMIT, X_SUM_LIMIT, PsiEngine, psi_sum
 from conftest import RHO_ORACLE
+
+import rho_pins
 
 
 def test_bruteforce_examples(sieve5):
@@ -162,10 +165,18 @@ def test_dickman_estimate(table):
     assert psi_dickman(table, 10**7, 10 ** (7 / 3)) == pytest.approx(want3, rel=1e-8)
 
 
+def test_dickman_estimate_past_u_13(table):
+    # u = log x / log y = 14 up to rounding, where rho is about 4.8e-18
+    x, y = 1e28, 100.0
+    u = math.log(x) / math.log(y)
+    want = x * float(rho_pins.rho_reference(u, rho_pins.midpoint_series(u_top=15)))
+    assert psi_dickman(table, x, y) == pytest.approx(want, rel=1e-13, abs=0)
+
+
 def test_dickman_domain_errors(table):
     with pytest.raises(ParameterError):
         psi_dickman(table, 10.0, 100.0)  # x < y
-    small = build_rho_table(u_max=2.0, step=1e-3)
+    small = build_rho_table(u_max=2.0)
     with pytest.raises(DomainError):
         psi_dickman(small, 10**9, 10)  # u = 9 beyond u_max
 
