@@ -7,17 +7,15 @@ __version__ = "0.1.0"
 
 from .convergence import (BoxCriterion, ConvergenceReport, box_admissible,
                           distance_to_complement, inf_density_on_box, run_criterion)
-from .dickman import (DickmanTable, QuadratureConfig, build_rho_table, h_function,
-                      recursion_residual, rho, rho_via_alternating_sum)
+from .dickman import (DickmanTable, build_rho_table, h_function, rho,
+                      rho_via_alternating_sum)
 from .errors import (BillingsleyError, DomainError, NumericalError, ParameterError,
                      ResourceError)
 from .factor_stats import (BoxSpec, EmpiricalEstimate, ExactProbability, FactorVector,
-                           box_probability_exact, box_probability_via_psi,
-                           factor_vector, marginal_L1_cdf, prime_bounds,
+                           box_probability_exact, box_probability_via_psi, prime_bounds,
                            ranked_factors, sample_box_probability,
                            sample_factor_vectors)
-from .pd_process import (PDSample, pd_box_probability, pd_box_probability_refined,
-                         pd_density, pd_sample, pd_sample_batch)
+from .pd_process import pd_box_probability_refined, pd_density, pd_sample_batch
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate, mertens_sum,
                      power_ceil, power_floor)
 from .rng import DEFAULT_SEED
@@ -26,16 +24,13 @@ from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 __all__ = [
     "BillingsleyError", "BoxCriterion", "BoxSpec", "ConvergenceReport",
     "DEFAULT_SEED", "DickmanTable", "DomainError", "EmpiricalEstimate",
-    "ExactProbability", "FactorVector", "NumericalError", "PDSample",
-    "ParameterError", "PrimeSieve", "QuadratureConfig", "ResourceError",
-    "box_admissible", "box_probability_exact", "box_probability_via_psi",
-    "build_rho_table", "build_sieve", "distance_to_complement", "factor_vector",
-    "h_function",
-    "inf_density_on_box", "marginal_L1_cdf", "mertens_constant_estimate",
-    "mertens_sum", "pd_box_probability",
-    "pd_box_probability_refined", "pd_density", "pd_sample", "pd_sample_batch",
-    "power_ceil", "power_floor", "prime_bounds", "psi_bruteforce", "psi_dickman",
-    "psi_exact", "ranked_factors", "recursion_residual", "rho",
+    "ExactProbability", "FactorVector", "NumericalError", "ParameterError",
+    "PrimeSieve", "ResourceError", "box_admissible", "box_probability_exact",
+    "box_probability_via_psi", "build_rho_table", "build_sieve",
+    "distance_to_complement", "h_function", "inf_density_on_box",
+    "mertens_constant_estimate", "mertens_sum", "pd_box_probability_refined",
+    "pd_density", "pd_sample_batch", "power_ceil", "power_floor", "prime_bounds",
+    "psi_bruteforce", "psi_dickman", "psi_exact", "ranked_factors", "rho",
     "rho_via_alternating_sum", "run_criterion", "sample_box_probability",
     "sample_factor_vectors",
 ]

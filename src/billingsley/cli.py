@@ -237,9 +237,28 @@ def _positive_count(value: str) -> int:
     return n
 
 
+def _digits(value: str) -> int:
+    """A _count of at least 0: decimal places of a formatted number."""
+    n = _count(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return n
+
+
+def _positive_float(value: str) -> float:
+    """A finite float literal above 0."""
+    try:
+        v = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {value!r}") from None
+    if not (math.isfinite(v) and v > 0):
+        raise argparse.ArgumentTypeError("must be finite and > 0")
+    return v
+
+
 def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=False):
     if digits:
-        sub.add_argument("--digits", type=int, default=6,
+        sub.add_argument("--digits", type=_digits, default=6,
                          help="decimal places for human-readable numbers")
     if out:
         sub.add_argument("--out", default=None,
@@ -286,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_psi)
 
     s = subs.add_parser("psi-ladder", help="Psi(n, n^{1/t})/n versus rho(t) by decades")
-    s.add_argument("--t", type=float, default=2.0)
+    s.add_argument("--t", type=_positive_float, default=2.0)
     s.add_argument("--nmin", type=_count, default=10**4)
     s.add_argument("--nmax", type=_count, required=True)
     _add_common(s, digits=False, table=True)
@@ -303,14 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("sample-factors", help="draw integers and rank their factors")
     s.add_argument("--n", type=_count, required=True)
     s.add_argument("--count", type=_positive_count, required=True)
-    s.add_argument("--k", type=int, default=3)
+    s.add_argument("--k", type=_positive_count, default=3)
     _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_sample_factors)
 
     s = subs.add_parser("pd-sample", help="ranked stick-breaking samples as CSV")
     s.add_argument("--count", type=_positive_count, required=True)
     s.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
-    s.add_argument("--k", type=int, default=5)
+    s.add_argument("--k", type=_positive_count, default=5)
     _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_pd_sample)
 

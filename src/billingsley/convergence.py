@@ -28,6 +28,9 @@ from .rng import DEFAULT_SEED
 #: Monte Carlo verdicts get this many standard errors of slack
 STAT_MARGIN_SIGMAS = 4.0
 
+#: inf_density_on_box bounds the density on each of INF_REFINE^k sub-boxes
+INF_REFINE = 4
+
 
 @dataclass(frozen=True)
 class BoxCriterion:
@@ -109,19 +112,17 @@ def box_admissible(box: BoxSpec, crit: BoxCriterion) -> bool:
     return crit.R * box.diameter() < distance_to_complement(box)
 
 
-def inf_density_on_box(table: DickmanTable, box: BoxSpec, refine: int = 4) -> float:
+def inf_density_on_box(table: DickmanTable, box: BoxSpec) -> float:
     """A certified lower bound on inf_B f.
 
-    Per cell of a refine^k subdivision, bound 1/prod t_i by the right
+    Per cell of an INF_REFINE^k subdivision, bound 1/prod t_i by the right
     endpoints and rho by its value at the largest argument (all left
     endpoints; the argument decreases in every coordinate), then take the
     minimum cell bound.  Every point of B lies in some cell, so the result
     never exceeds f anywhere on B.
     """
     box.require_inside_u()
-    if refine < 1:
-        raise ParameterError("refine must be >= 1")
-    edges = [t + np.arange(refine + 1) * (d / refine)
+    edges = [t + np.arange(INF_REFINE + 1) * (d / INF_REFINE)
              for t, d in zip(box.t, box.dt)]
     lows = [m.ravel() for m in np.meshgrid(*[e[:-1] for e in edges], indexing="ij")]
     highs = [m.ravel() for m in np.meshgrid(*[e[1:] for e in edges], indexing="ij")]

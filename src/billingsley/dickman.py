@@ -41,17 +41,10 @@ NODES_PER_UNIT = 4096
 _FLOAT_TERMS = 56
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-10
-    max_depth: int = 48
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ParameterError("quadrature tolerances must be positive")
-        if self.max_depth < 1:
-            raise ParameterError("max_depth must be at least 1")
+#: absolute tolerance and recursion depth of the adaptive Simpson rule behind
+#: the H_i integrals
+QUAD_TOL = 1e-10
+QUAD_MAX_DEPTH = 48
 
 
 @dataclass(eq=False)
@@ -151,24 +144,6 @@ def rho(table: DickmanTable, u):
     return out
 
 
-def recursion_residual(table: DickmanTable, u: float, v: float,
-                       cfg: QuadratureConfig | None = None) -> float:
-    """rho(u) - rho(v) + int_v^u rho(t-1) dt/t, which should vanish.
-
-    Valid for 0 <= u-1 <= v <= u.  For t < 1 the integrand carries no mass
-    (rho has none below 0), so the integration starts at max(v, 1).
-    """
-    cfg = cfg or QuadratureConfig()
-    if not (0 <= u - 1 <= v <= u):
-        raise ParameterError("need 0 <= u-1 <= v <= u")
-    a = max(v, 1.0)
-    integral = 0.0
-    if u > a:
-        integral = _adaptive_simpson(
-            lambda t: rho(table, t - 1.0) / t, a, u, cfg.abs_tol, cfg.max_depth)
-    return rho(table, u) - rho(table, v) + integral
-
-
 # ---------------------------------------------------------------------------
 # adaptive Simpson quadrature
 
@@ -192,27 +167,30 @@ def _asr(f, a, fa, b, fb, eps, whole, m, fm, depth, state):
             + _asr(f, m, fm, b, fb, eps / 2.0, right, rm, frm, depth - 1, state))
 
 
-def _adaptive_simpson(f, a, b, abs_tol, max_depth):
+def _adaptive_simpson(f, a, b, abs_tol):
+    """Integral of f over [a, b] to abs_tol, refining at most QUAD_MAX_DEPTH
+    levels deep."""
     if b <= a:
         return 0.0
+    depth = QUAD_MAX_DEPTH
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
     state = {"converged": True}
-    total = _asr(f, a, fa, b, fb, abs_tol, whole, m, fm, max_depth, state)
+    total = _asr(f, a, fa, b, fb, abs_tol, whole, m, fm, depth, state)
     if not state["converged"]:
         raise NumericalError(
             f"adaptive quadrature failed to converge on [{a}, {b}] "
-            f"within depth {max_depth}", partial=total)
+            f"within depth {depth}", partial=total)
     return total
 
 
 # ---------------------------------------------------------------------------
 # Billingsley's H_i functions
 
-def _nested_log_integral(level: int, upper: float, budget: float,
-                         cfg: QuadratureConfig, tol: float) -> float:
+def _nested_log_integral(level: int, upper: float, budget: float, tol: float) -> float:
     """Integral of prod dt_j/t_j over 1 < t_1 < ... < t_level < upper with
-    sum 1/t_j < budget."""
+    sum 1/t_j < budget, to about tol; each inner level gets half the tolerance
+    of the one outside it."""
     if level == 0:
         return 1.0
     if budget <= 0.0:
@@ -224,17 +202,18 @@ def _nested_log_integral(level: int, upper: float, budget: float,
         return math.log(upper) - math.log(lo)
 
     def integrand(t):
-        return _nested_log_integral(level - 1, t, budget - 1.0 / t, cfg, tol * 0.5) / t
+        return _nested_log_integral(level - 1, t, budget - 1.0 / t, tol * 0.5) / t
 
-    return _adaptive_simpson(integrand, lo, upper, tol, cfg.max_depth)
+    return _adaptive_simpson(integrand, lo, upper, tol)
 
 
-def h_function(i: int, u: float, cfg: QuadratureConfig | None = None) -> float:
-    """H_i(u): H_0 = 1, and for i >= 1 the nested integral above.
+def h_function(i: int, u: float) -> float:
+    """H_i(u): H_0 = 1, and for i >= 1 the nested integral above to QUAD_TOL.
 
-    Returns exactly 0 when u <= i, where the region is empty.
+    Returns exactly 0 when u <= i, where the region is empty.  Raises
+    NumericalError, carrying the partial value, if the quadrature does not
+    converge within QUAD_MAX_DEPTH levels.
     """
-    cfg = cfg or QuadratureConfig()
     if i < 0:
         raise ParameterError("index must be non-negative")
     if u <= 0:
@@ -243,20 +222,18 @@ def h_function(i: int, u: float, cfg: QuadratureConfig | None = None) -> float:
         return 1.0
     if u <= i:
         return 0.0
-    tol = max(cfg.abs_tol, cfg.rel_tol * 0.1)
-    return _nested_log_integral(i, u, 1.0, cfg, tol)
+    return _nested_log_integral(i, u, 1.0, QUAD_TOL)
 
 
-def rho_via_alternating_sum(u: float, cfg: QuadratureConfig | None = None) -> float:
+def rho_via_alternating_sum(u: float) -> float:
     """1 + sum_{1 <= i < u} (-1)^i H_i(u); the sum is finite since H_i(u) = 0
     for i >= u."""
-    cfg = cfg or QuadratureConfig()
     if u <= 0:
         raise ParameterError("u must be positive")
     total = 1.0
     i = 1
     while i < u:
-        term = h_function(i, u, cfg)
+        term = h_function(i, u)
         total += term if i % 2 == 0 else -term
         i += 1
     return total

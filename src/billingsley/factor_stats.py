@@ -35,7 +35,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError, check_memory
 from .primes import PrimeSieve, power_ceil, power_floor
-from .smoothcount import default_engine, psi_exact, psi_sum
+from .smoothcount import default_engine, psi_sum
 
 from .rng import DEFAULT_SEED
 
@@ -149,13 +149,12 @@ class EmpiricalEstimate:
     total: int
     p_hat: float
     std_err: float
-    seed: int
 
     @classmethod
-    def from_counts(cls, hits: int, total: int, seed: int) -> "EmpiricalEstimate":
+    def from_counts(cls, hits: int, total: int) -> "EmpiricalEstimate":
         p = hits / total
         return cls(hits=hits, total=total, p_hat=p,
-                   std_err=math.sqrt(p * (1.0 - p) / total), seed=seed)
+                   std_err=math.sqrt(p * (1.0 - p) / total))
 
 
 def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
@@ -171,12 +170,6 @@ def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
             m = m // out[i - 1]
         out[i] = lpf[m]
     return out.T
-
-
-def _single(sieve: PrimeSieve, N: int) -> np.ndarray:
-    if not 1 <= N <= sieve.limit:
-        raise DomainError(f"{N} outside sieve range [1, {sieve.limit}]")
-    return np.array([N], dtype=np.int64)
 
 
 def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[FactorVector]:
@@ -204,11 +197,9 @@ def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[Fa
 def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
     """The k largest prime factors of N with multiplicity, descending,
     padded with 1 beyond Omega(N)."""
-    return tuple(_peel(sieve, _single(sieve, N), k)[0].tolist())
-
-
-def factor_vector(sieve: PrimeSieve, n: int, N: int, k: int) -> FactorVector:
-    return _factor_vectors(sieve, n, _single(sieve, N), k)[0]
+    if not 1 <= N <= sieve.limit:
+        raise DomainError(f"{N} outside sieve range [1, {sieve.limit}]")
+    return tuple(_peel(sieve, np.array([N], dtype=np.int64), k)[0].tolist())
 
 
 def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
@@ -362,17 +353,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     else:
         hits = sum(_mc_shard(sieve, n, bounds, seed, s, counts[s])
                    for s in range(MC_SHARDS))
-    return EmpiricalEstimate.from_counts(hits, samples, seed)
-
-
-def marginal_L1_cdf(n: int, t: float) -> float:
-    """P(L_1(n) <= 1/t) = Psi(n, n^{1/t}) / n, exactly."""
-    if n < 2:
-        raise ParameterError("n must be >= 2")
-    if t < 1:
-        raise ParameterError("t must be >= 1")
-    y = power_floor(n, 1.0 / t)
-    return psi_exact(n, max(y, 1)) / n
+    return EmpiricalEstimate.from_counts(hits, samples)
 
 
 def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,

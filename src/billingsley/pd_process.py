@@ -23,7 +23,6 @@ MAX_OUTER_CELLS outer cells raises ResourceError before any work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from . import rng
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .factor_stats import BoxSpec
-from .rng import DEFAULT_SEED
 
 DEFAULT_TRUNCATION = 60
 
@@ -53,21 +51,6 @@ def _block_rows(truncation: int) -> int:
     """Rows in a full sampler block at this truncation."""
     return max(1, rng.BLOCK_WORDS // truncation,
                min(_MIN_BLOCK_ROWS, _MAX_BLOCK_WORDS // truncation))
-
-
-@dataclass(frozen=True)
-class PDSample:
-    """Ranked stick lengths plus the mass left in the unbroken tail.
-
-    components sum to 1 - tail_mass by construction (telescoping), and
-    tail_mass is the product of the truncation residuals.  Ranks whose value
-    is below tail_mass could in principle be displaced by unseen tail sticks;
-    consumers should only trust components above that level.
-    """
-
-    components: np.ndarray
-    tail_mass: float
-    truncation: int
 
 
 def pd_density(table: DickmanTable, point) -> float:
@@ -135,19 +118,18 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     return sticks, tails
 
 
-def pd_sample(seed: int = DEFAULT_SEED, truncation: int = DEFAULT_TRUNCATION) -> PDSample:
-    """One ranked, truncated Poisson-Dirichlet draw."""
-    if truncation < 1:
-        raise ParameterError("truncation must be >= 1")
-    sticks, tails = _stick_matrix(seed, 1, truncation)
-    return PDSample(components=sticks[0], tail_mass=float(tails[0]),
-                    truncation=truncation)
-
-
 def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
                     start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """`count` draws at once; row i equals the single draw for index start + i,
-    so large budgets can be processed in chunks without changing the stream."""
+    """`count` ranked, truncated Poisson-Dirichlet draws: the sticks as a
+    (count, truncation) array, each row descending, and the tail masses.
+
+    Row i is a pure function of (seed, start + i, truncation), so large
+    budgets can be processed in chunks without changing the stream.  Each
+    row sums to 1 minus its tail mass (telescoping), the product of the
+    truncation residuals.  Ranks whose value is below the tail mass could in
+    principle be displaced by unseen tail sticks; trust only components
+    above that level.
+    """
     if truncation < 1:
         raise ParameterError("truncation must be >= 1")
     if count < 1:
@@ -204,18 +186,13 @@ def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> None:
             f"the cap of {MAX_OUTER_CELLS}")
 
 
-def pd_box_probability(table: DickmanTable, box: BoxSpec, grid: int = 256) -> float:
-    """Integral of the density over the box: closed form in the innermost
-    coordinate, midpoint rule with `grid` nodes on each outer axis."""
-    _validate(table, box, grid)
-    return _density_grid(table, box, grid)
-
-
 def pd_box_probability_refined(table: DickmanTable, box: BoxSpec,
                                grid: int = 256) -> tuple[float, float]:
-    """Value at doubled resolution plus a Richardson error estimate
-    |I(2g) - I(g)| / 3 (midpoint rule halves to a quarter of the error).
-    At k = 1 both passes are exact and the estimate is 0."""
+    """Integral of the density over the box: closed form in the innermost
+    coordinate, midpoint rule with 2 * grid nodes on each outer axis, plus a
+    Richardson error estimate |I(2g) - I(g)| / 3 (halving the midpoint
+    spacing quarters the error).  At k = 1 both passes are exact and the
+    estimate is 0."""
     _validate(table, box, 2 * grid)
     coarse = _density_grid(table, box, grid)
     fine = _density_grid(table, box, 2 * grid)

@@ -41,10 +41,10 @@ def stream_key(seed: int, shard: int) -> int:
     return mix64(mix64(seed & MASK64) ^ mix64((shard + 0x5851F42D4C957F2D) & MASK64))
 
 
-#: words per block of the stream fills (raw64's mixing, uniforms, the PD
-#: stick sampler): a block's four 8-byte buffers (2 MiB) stay in a core's L2
+#: words per block of the stream fills (raw64's mixing, the PD stick
+#: sampler): a block's four 8-byte buffers (2 MiB) stay in a core's L2
 #: cache; a sweep of 2^13..2^19 on a Xeon with 2 MiB of L2 per core found
-#: 2^16 fastest for the sampler and for uniforms
+#: 2^16 fastest for the sampler
 BLOCK_WORDS = 1 << 16
 
 #: bytes per draw of uniform_ints at its peak, where at most five 8-byte
@@ -119,21 +119,6 @@ def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
     """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
     return _mixed(np.arange(start, start + count, dtype=np.uint64),
                   stream_key(seed, shard))
-
-
-def uniforms(seed: int, shard: int, start: int, count: int) -> np.ndarray:
-    """Doubles (k + 0.5) * 2^-53, k the top 53 bits of each word of raw64, in
-    [2^-54, 1]; exactly 1.0 has probability 2^-53."""
-    # the unmixed words of counters 0..BLOCK_WORDS-1, moved on to each block
-    base = _counter_words(np.arange(min(count, BLOCK_WORDS), dtype=np.uint64),
-                          stream_key(seed, shard))
-    x, scratch = np.empty_like(base), np.empty_like(base)
-    out = np.empty(count)
-    for lo in range(0, count, BLOCK_WORDS):
-        u = out[lo:lo + BLOCK_WORDS]
-        m = u.size
-        _uniform_block(_advance(base[:m], start + lo, x[:m]), scratch[:m], u)
-    return out
 
 
 def _mulhi64(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

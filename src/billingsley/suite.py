@@ -73,14 +73,13 @@ class SuiteContext:
     """Shared heavyweight state for a bundle run."""
 
     seed: int = DEFAULT_SEED
-    sieve_limit: int = SIEVE_LIMIT
     _sieve: PrimeSieve | None = field(default=None, repr=False)
     _table: DickmanTable | None = field(default=None, repr=False)
 
     @property
     def sieve(self) -> PrimeSieve:
         if self._sieve is None:
-            self._sieve = build_sieve(self.sieve_limit)
+            self._sieve = build_sieve(SIEVE_LIMIT)
         return self._sieve
 
     @property

@@ -362,6 +362,9 @@ NON_POSITIVE_ARGV = [
     (["sample-factors", "--n", "1e4", "--k", "3", "--count", "-3"], "--count"),
     (["sample-factors", "--n", "1e4", "--count", "0"], "--count"),
     (["pd-sample", "--count", "0"], "--count"),
+    (["pd-sample", "--count", "2", "--k", "-2"], "--k"),
+    (["pd-sample", "--count", "2", "--k", "0"], "--k"),
+    (["sample-factors", "--n", "1e4", "--count", "5", "--k", "0"], "--k"),
     (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "0"],
      "--samples"),
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4", "--samples", "0"], "--samples"),
@@ -380,6 +383,39 @@ def test_non_positive_counts_fail_with_one_error_line(capsys, monkeypatch, argv,
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: must be >= 1")
+
+
+#: values outside an option's range that used to end in a traceback, each
+#: with the message of its one error line
+OUT_OF_RANGE_ARGV = [
+    (["psi-ladder", "--nmax", "1e4", "--t", "0"], "--t", "must be finite and > 0"),
+    (["psi-ladder", "--nmax", "1e4", "--t", "-2"], "--t", "must be finite and > 0"),
+    (["psi-ladder", "--nmax", "1e4", "--t", "inf"], "--t", "must be finite and > 0"),
+    (["psi-ladder", "--nmax", "1e4", "--t", "two"], "--t", "not a number: 'two'"),
+    (["rho", "--u", "2", "--digits", "-1"], "--digits", "must be >= 0"),
+    (["mertens", "--x", "100", "--digits", "-1"], "--digits", "must be >= 0"),
+    (["psi", "--x", "100", "--y", "10", "--method", "dickman", "--digits", "-3"],
+     "--digits", "must be >= 0"),
+    (["pd-density", "--point", "0.5", "--digits", "-1"], "--digits", "must be >= 0"),
+    (["rho", "--u", "2", "--digits", "1.5"], "--digits", "not a finite integer: '1.5'"),
+]
+
+
+@pytest.mark.parametrize("argv, option, message", OUT_OF_RANGE_ARGV,
+                         ids=[" ".join(argv) for argv, _, _ in OUT_OF_RANGE_ARGV])
+def test_out_of_range_values_fail_with_one_error_line(capsys, argv, option, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: {message}")
+
+
+def test_psi_ladder_below_one_counts_every_integer(capsys):
+    # t < 1 puts n^{1/t} above n, so every m <= n is smooth
+    code, out, _ = run(capsys, "psi-ladder", "--t", "0.5", "--nmax", "1e5")
+    assert code == 0
+    assert out.splitlines()[1:] == ["10000,10000,1.0,1.0,0.0", "100000,100000,1.0,1.0,0.0"]
 
 
 def test_count_options_are_exact_integers(capsys):

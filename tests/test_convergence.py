@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from billingsley import (BoxCriterion, BoxSpec, DomainError, ParameterError,
-                         box_admissible, box_probability_exact,
+                         box_admissible, box_probability_exact, convergence,
                          distance_to_complement, inf_density_on_box, pd_density,
                          rho, run_criterion)
 
@@ -93,14 +93,16 @@ def test_admissibility_monotone_under_shrink():
             assert box_admissible(shrunk, crit)
 
 
-def test_inf_density_bounds(table):
+def test_inf_density_bounds(table, monkeypatch):
     got = inf_density_on_box(table, BoxSpec((0.5,), (0.1,)))
     assert got == pytest.approx(1 / 0.6, rel=1e-12)  # rho term is 1 there
-    # plain factorized bound at refine=1 on [0.3, 0.4]
-    crude = inf_density_on_box(table, BoxSpec((0.3,), (0.1,)), refine=1)
+    # plain factorized bound without subdivision on [0.3, 0.4]
+    monkeypatch.setattr(convergence, "INF_REFINE", 1)
+    crude = inf_density_on_box(table, BoxSpec((0.3,), (0.1,)))
     assert crude == pytest.approx(2.5 * rho(table, 0.7 / 0.3), rel=1e-12)
     # refinement only tightens
-    assert inf_density_on_box(table, BoxSpec((0.3,), (0.1,)), refine=8) >= crude
+    monkeypatch.setattr(convergence, "INF_REFINE", 8)
+    assert inf_density_on_box(table, BoxSpec((0.3,), (0.1,))) >= crude
 
 
 def test_inf_density_is_certified_lower_bound(table):

@@ -4,9 +4,9 @@ import random
 import numpy as np
 import pytest
 
-from billingsley import (DomainError, NumericalError, ParameterError,
-                         QuadratureConfig, ResourceError, build_rho_table, h_function,
-                         recursion_residual, rho, rho_via_alternating_sum)
+from billingsley import (DomainError, NumericalError, ParameterError, ResourceError,
+                         build_rho_table, dickman, h_function, rho,
+                         rho_via_alternating_sum)
 from billingsley.dickman import NODES_PER_UNIT
 from conftest import H_ORACLE, RHO_ORACLE, RHO_PINS
 
@@ -132,21 +132,6 @@ def test_rho_monotone_nonincreasing(table):
         assert rho(table, u1) >= rho(table, u2) - 1e-12
 
 
-def test_recursion_residual_on_random_pairs(table):
-    rnd = random.Random(2)
-    worst = 0.0
-    for _ in range(100):
-        u = rnd.uniform(1.0, table.u_max)
-        v = rnd.uniform(u - 1.0, u)
-        worst = max(worst, abs(recursion_residual(table, u, v)))
-    assert worst <= 1e-8
-
-
-def test_recursion_residual_validates_window(table):
-    with pytest.raises(ParameterError):
-        recursion_residual(table, 3.0, 1.5)  # v < u - 1
-
-
 def test_h0_is_one():
     assert h_function(0, 5.0) == 1.0
     assert h_function(0, 0.3) == 1.0
@@ -176,10 +161,10 @@ def test_h_parameter_errors():
         h_function(1, 0.0)
 
 
-def test_h_nonconvergence_carries_partial():
-    cfg = QuadratureConfig(rel_tol=1e-14, abs_tol=1e-15, max_depth=1)
-    with pytest.raises(NumericalError) as err:
-        h_function(2, 3.5, cfg)
+def test_h_nonconvergence_carries_partial(monkeypatch):
+    monkeypatch.setattr(dickman, "QUAD_MAX_DEPTH", 1)
+    with pytest.raises(NumericalError, match="within depth 1") as err:
+        h_function(2, 3.5)
     assert err.value.partial == pytest.approx(H_ORACLE[(2, 3.5)], rel=1e-2)
 
 
@@ -194,13 +179,6 @@ def test_alternating_sum_single_term():
 @pytest.mark.parametrize("u", [0.5, 1.5, 2.5, 3.5])
 def test_alternating_sum_matches_rho(table, u):
     assert abs(rho(table, u) - rho_via_alternating_sum(u)) < 1e-6
-
-
-def test_quadrature_config_validation():
-    with pytest.raises(ParameterError):
-        QuadratureConfig(rel_tol=0.0)
-    with pytest.raises(ParameterError):
-        QuadratureConfig(max_depth=0)
 
 
 def test_small_table_matches_default(table):

@@ -11,11 +11,11 @@ import numpy as np
 
 from billingsley import (BoxSpec, DomainError, FactorVector, ParameterError, PrimeSieve,
                          ResourceError, box_probability_exact, box_probability_via_psi,
-                         build_sieve, factor_vector, marginal_L1_cdf, prime_bounds,
-                         psi_bruteforce, ranked_factors, sample_box_probability,
+                         build_sieve, power_floor, prime_bounds, psi_bruteforce,
+                         psi_exact, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import rng
-from billingsley.factor_stats import _count_in_box, _peel, _scan_bounds
+from billingsley.factor_stats import _count_in_box, _factor_vectors, _peel, _scan_bounds
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
 
 
@@ -60,12 +60,17 @@ def test_ranked_factors_errors(sieve5):
         ranked_factors(sieve5, 10, 0)
 
 
+def _factor_vector(sieve, n, N, k):
+    return _factor_vectors(sieve, n, np.array([N], dtype=np.int64), k)[0]
+
+
 def test_factor_vector_invariants(sieve5):
     rnd = random.Random(8)
     for _ in range(200):
         n = rnd.randint(10, 10**5)
         N = rnd.randint(1, n)
-        fv = factor_vector(sieve5, n, N, 4)
+        fv = _factor_vector(sieve5, n, N, 4)
+        assert fv.p == ranked_factors(sieve5, N, 4)
         assert all(a >= b for a, b in zip(fv.p, fv.p[1:]))
         prefix = math.prod(q for q in fv.p if q > 1)
         assert N % prefix == 0
@@ -75,7 +80,7 @@ def test_factor_vector_invariants(sieve5):
 
 
 def test_factor_vector_is_an_immutable_named_tuple(sieve5):
-    fv = factor_vector(sieve5, 10**5, 360, 3)
+    fv = _factor_vector(sieve5, 10**5, 360, 3)
     assert fv == (10**5, 360, (5, 3, 3), fv.L)
     assert fv._fields == ("n", "N", "p", "L")
     with pytest.raises(AttributeError):
@@ -234,7 +239,6 @@ def test_mc_coverage_over_seeds(sieve5):
 def test_k1_box_reduces_to_psi_difference(sieve5):
     # the k=1 chain is a pure smooth-count statement: counting P_1(m) in
     # [lo, hi] is counting hi-smooth numbers that are not (lo-1)-smooth
-    from billingsley import psi_exact
     for n, box in [(10**4, BoxSpec((0.5,), (0.1,))),
                    (10**5, BoxSpec((0.3,), (0.25,)))]:
         lo, hi = prime_bounds(n, box)[0]
@@ -247,28 +251,20 @@ def test_mc_empty_box(sieve5):
     assert est.hits == 0 and est.p_hat == 0.0
 
 
-def test_marginal_cdf_is_smooth_ratio():
-    from billingsley import psi_exact
-    assert marginal_L1_cdf(10**6, 2.0) == psi_exact(10**6, 10**3) / 10**6
-
-
 def test_marginal_cdf(sieve5):
-    assert marginal_L1_cdf(10**4, 1.0) == 1.0
+    # P(L_1(n) <= 1/t) = Psi(n, n^{1/t}) / n, as psi-ladder computes it
+    def cdf(n, t):
+        return psi_exact(n, max(power_floor(n, 1.0 / t), 1)) / n
+
+    assert cdf(10**4, 1.0) == 1.0
     # direct scan oracle at t = 4
     y = int((10**4) ** 0.25)
     want = sum(1 for m in range(1, 10**4 + 1)
                if largest_factor_trial_division(m) <= y) / 10**4
-    assert marginal_L1_cdf(10**4, 4.0) == want
+    assert cdf(10**4, 4.0) == want
     ts = [1.0, 1.5, 2.0, 3.0, 4.0, 6.0]
-    vals = [marginal_L1_cdf(10**4, t) for t in ts]
+    vals = [cdf(10**4, t) for t in ts]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
-
-
-def test_marginal_cdf_validation():
-    with pytest.raises(ParameterError):
-        marginal_L1_cdf(1, 2.0)
-    with pytest.raises(ParameterError):
-        marginal_L1_cdf(100, 0.5)
 
 
 def test_exact_chunking_invariance(sieve5):
@@ -335,8 +331,6 @@ def test_factor_rows_leave_the_collector_as_found(sieve5, enabled):
     (gc.enable if enabled else gc.disable)()
     try:
         sample_factor_vectors(sieve5, 10**5, 1000, 3, seed=1)
-        assert gc.isenabled() is enabled
-        factor_vector(sieve5, 10**5, 360, 3)
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()

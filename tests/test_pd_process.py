@@ -6,18 +6,19 @@ import numpy as np
 import pytest
 
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
-                         build_rho_table, pd_box_probability, pd_box_probability_refined,
-                         pd_density, pd_sample, pd_sample_batch, rho, rng)
-from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _validate
+                         build_rho_table, pd_box_probability_refined, pd_density,
+                         pd_sample_batch, rho, rng)
+from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _density_grid, _validate
 
 import rho_pins
 
 
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
-    # reference sampler: every row from one uniforms call, row-major, no
-    # blocks
-    u = rng.uniforms(seed, 0, start * truncation,
-                     count * truncation).reshape(count, truncation)
+    # reference sampler: every row from one raw64 call, row-major, no
+    # blocks; each uniform is (k + 0.5) * 2^-53 for k the top 53 bits of a word
+    words = rng.raw64(seed, 0, start * truncation, count * truncation)
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    u = u.reshape(count, truncation)
     prefix = np.cumprod(u, axis=1)
     sticks = np.empty_like(u)
     sticks[:, 0] = 1.0 - u[:, 0]
@@ -59,19 +60,19 @@ def _midpoint_oracle_refined(table, box, grid):
 
 def test_sample_construction_identity():
     for seed in (0, 1, 7, 123456):
-        s = pd_sample(seed=seed)
-        comps = s.components
+        sticks, tails = pd_sample_batch(seed, 1)
+        comps, tail = sticks[0], float(tails[0])
         assert np.all(comps > 0)
         assert np.all(np.diff(comps) <= 0)
-        assert s.tail_mass >= 0
-        assert comps.sum() + s.tail_mass == pytest.approx(1.0, abs=1e-12)
+        assert tail >= 0
+        assert comps.sum() + tail == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sample_matches_batch_rows():
     sticks, tails = pd_sample_batch(9, 5)
-    one = pd_sample(seed=9)
-    assert np.array_equal(one.components, sticks[0])
-    assert one.tail_mass == tails[0]
+    one, one_tail = pd_sample_batch(9, 1)
+    assert np.array_equal(one[0], sticks[0])
+    assert one_tail[0] == tails[0]
     # chunked generation reproduces the same rows
     part, ptails = pd_sample_batch(9, 2, start=3)
     assert np.array_equal(part, sticks[3:5])
@@ -130,16 +131,11 @@ def test_oversized_draws_are_refused_before_allocation():
         pd_sample_batch(1, 10**16)
     with pytest.raises(ResourceError):
         pd_sample_batch(1, 1, truncation=10**12)
-    with pytest.raises(ResourceError):
-        pd_sample(seed=1, truncation=10**12)
 
 
 def test_rows_across_a_block_boundary_are_single_draws():
     rows = _block_rows(60)
     sticks, tails = pd_sample_batch(5, rows + 3)
-    one = pd_sample(seed=5)
-    assert one.components.tobytes() == sticks[0].tobytes()
-    assert one.tail_mass == tails[0]
     for i in range(rows - 2, rows + 3):
         row, tail = pd_sample_batch(5, 1, start=i)
         assert row[0].tobytes() == sticks[i].tobytes()
@@ -147,9 +143,9 @@ def test_rows_across_a_block_boundary_are_single_draws():
 
 
 def test_sample_validation():
-    with pytest.raises(ParameterError):
-        pd_sample(seed=1, truncation=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="truncation"):
+        pd_sample_batch(1, 1, truncation=0)
+    with pytest.raises(ParameterError, match="count"):
         pd_sample_batch(1, 0)
 
 
@@ -202,7 +198,7 @@ def test_density_u_argument_out_of_table():
     with pytest.raises(DomainError):
         pd_density(small, [0.7, 0.05])  # (1 - 0.75)/0.05 = 5 > u_max
     with pytest.raises(DomainError):
-        pd_box_probability(small, BoxSpec((0.3,), (0.05,)), grid=16)
+        pd_box_probability_refined(small, BoxSpec((0.3,), (0.05,)), grid=8)
 
 
 def test_box_probability_needs_one_more_unit_of_table():
@@ -211,10 +207,10 @@ def test_box_probability_needs_one_more_unit_of_table():
     small = build_rho_table(u_max=2.0)
     assert pd_density(small, [0.55, 0.22]) > 0  # (1 - 0.77)/0.22 < 2
     with pytest.raises(DomainError, match=r"u = 2\.5\b"):
-        pd_box_probability(small, BoxSpec((0.5, 0.2), (0.1, 0.05)), grid=16)
+        pd_box_probability_refined(small, BoxSpec((0.5, 0.2), (0.1, 0.05)), grid=8)
     with pytest.raises(DomainError, match=r"u = 2\.5\b"):
         pd_box_probability_refined(small, BoxSpec((0.4,), (0.1,)))
-    val = pd_box_probability(small, BoxSpec((0.5,), (0.1,)))  # needs u = 2
+    val, _ = pd_box_probability_refined(small, BoxSpec((0.5,), (0.1,)))  # needs u = 2
     assert val == pytest.approx(math.log(1.2), abs=1e-12)
 
 
@@ -223,10 +219,10 @@ def test_k5_at_default_grid_is_refused_before_any_work(table):
     with pytest.raises(ResourceError, match="outer cells"):
         pd_box_probability_refined(table, box)
     with pytest.raises(ResourceError):
-        pd_box_probability(table, box, grid=256)
+        _validate(table, box, 256)
     with pytest.raises(ResourceError):
-        pd_box_probability(table, BoxSpec((0.5, 0.2), (0.1, 0.05)),
-                           grid=MAX_OUTER_CELLS + 1)
+        pd_box_probability_refined(table, BoxSpec((0.5, 0.2), (0.1, 0.05)),
+                                   grid=MAX_OUTER_CELLS // 2 + 1)
 
 
 def test_k4_at_default_grid_is_within_the_cap(table):
@@ -289,15 +285,15 @@ def test_refined_quadrature_hits_independent_references(table, text, grid, ref):
 
 
 def test_box_probability_narrow_box_is_small(table):
-    val = pd_box_probability(table, BoxSpec((0.5,), (1e-12,)), grid=8)
+    val, _ = pd_box_probability_refined(table, BoxSpec((0.5,), (1e-12,)), grid=4)
     assert val == pytest.approx(0.0, abs=1e-10)
 
 
 def test_box_probability_requires_u(table):
     with pytest.raises(DomainError):
-        pd_box_probability(table, BoxSpec((0.5, 0.45), (0.1, 0.04)))
+        pd_box_probability_refined(table, BoxSpec((0.5, 0.45), (0.1, 0.04)))
     with pytest.raises(ParameterError):
-        pd_box_probability(table, BoxSpec((0.5,), (0.1,)), grid=0)
+        pd_box_probability_refined(table, BoxSpec((0.5,), (0.1,)), grid=0)
 
 
 def test_box_probability_k3_sane(table):
@@ -343,7 +339,7 @@ def test_sampler_agrees_with_quadrature(table):
                 ok &= (sticks[:, i] >= box.t[i]) & (sticks[:, i] <= box.t[i] + box.dt[i])
             hits[j] += int(np.count_nonzero(ok))
     for box, h in zip(boxes, hits):
-        want = pd_box_probability(table, box, grid=256)
+        want = _density_grid(table, box, 256)
         freq = h / total
         sd = math.sqrt(max(want * (1 - want), 1e-12) / total)
         assert abs(freq - want) < 4 * sd, (box, freq, want)
