@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pd-sample", help="ranked stick-breaking samples as CSV")
     s.add_argument("--count", type=_positive_count, required=True)
-    s.add_argument("--trunc", type=int, default=DEFAULT_TRUNCATION)
+    s.add_argument("--trunc", type=_positive_count, default=DEFAULT_TRUNCATION)
     s.add_argument("--k", type=_positive_count, default=5)
     _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_pd_sample)
@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pd-box", help="integral of the PD density over a box")
     s.add_argument("--box", required=True)
-    s.add_argument("--grid", type=int, default=256)
+    s.add_argument("--grid", type=_positive_count, default=256)
     _add_common(s, digits=False, table=True)
     s.set_defaults(fn=_cmd_pd_box)
 

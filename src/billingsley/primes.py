@@ -4,6 +4,15 @@ The sieve stores the largest prime factor of every m <= limit and the
 ascending primes.  Dividing m by its largest prime factor again and again
 lists its prime factors in descending order, which is all that the ranked
 factor statistics, the exact box scan and psi_bruteforce read.
+
+It is built in one pass over the table, segment by segment.  Slices write
+the primes p <= sqrt(limit) into a segment in ascending order, which leaves
+the largest of them dividing m, or 1 where none does: such an m is prime,
+since a composite m <= limit has a prime factor p <= sqrt(limit).  A
+finalize pass then walks the segment's entries above sqrt(limit) in order,
+using lpf(m) = max(p, lpf(m / p)) for a prime p dividing m: 2 for an even
+m, the slice prime for an odd one.  The quotient m / p <= m / 2 lies below
+the block being finalized, so its entry is already final.
 """
 from __future__ import annotations
 
@@ -19,8 +28,10 @@ from .errors import DEFAULT_MEMORY_BUDGET, DomainError, ParameterError, check_me
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
 
-#: build_sieve writes the other primes up to sqrt(limit) this many table
-#: entries (1 MiB) at a time
+#: build_sieve writes the other primes up to sqrt(limit), then finalizes the
+#: entries, this many table entries (1 MiB) at a time, so that a segment is
+#: still in cache when it is finalized; its quotient buffer holds the odd
+#: entries of one segment
 SIEVE_SEGMENT = 1 << 18
 
 
@@ -51,12 +62,16 @@ class PrimeSieve:
 
 
 def _build_bytes(limit: int) -> int:
-    """Peak bytes of build_sieve: the int32 table, a one-byte mask over it,
-    and at most 24 bytes per prime (pi(limit) < 1.26 limit / ln limit) for
-    the primes above sqrt(limit) as int64 and int32, and all the primes.
-    About 7 bytes per integer, so the default memory budget admits limits
-    up to about 6.6e8."""
-    return 5 * (limit + 1) + 24 * int(1.26 * limit / math.log(limit))
+    """Upper bound on the peak bytes of build_sieve: the int32 table; 16
+    bytes per prime (pi(limit) < 1.26 limit / ln limit), the int64 primes
+    collected and then concatenated; the finalize quotients and their
+    temporaries, 24 bytes per odd entry of one segment; the wheel pattern
+    with up to one period of table padding; and 64 KiB of Python objects.
+    That is 5.1 bytes per integer at 10^8 and 5.0 at 10^9, so the default
+    memory budget admits limits up to about 8.6e8."""
+    odd = min(SIEVE_SEGMENT, limit + 1) // 2 + 1
+    return (4 * (limit + 1) + 16 * int(1.26 * limit / math.log(limit))
+            + 24 * odd + 8 * math.prod(SIEVE_WHEEL) + (1 << 16))
 
 
 def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeSieve:
@@ -65,15 +80,23 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
     Primes p <= sqrt(limit) are written in ascending order, so the largest
     of them dividing m is left in place: the wheel primes 2..13 by tiling
     their periodic pattern, the others one slice per prime inside segments
-    of SIEVE_SEGMENT entries, which stay in cache.  Every m has at most one
-    prime factor above sqrt(limit); those primes are the entries no slice
-    reached, and they are written last, one vectorized write per cofactor r
-    into the view of the multiples of r.
+    of SIEVE_SEGMENT entries.  Each segment is then finalized above
+    sqrt(limit) in blocks [s, min(2s, segment end)), so that every entry
+    the block reads is below s and already final:
+
+    * an even m takes lpf[m / 2], which is at least 2;
+    * an odd m that no slice reached (entry 1) is a prime above sqrt(limit);
+    * any other odd m takes max(P, lpf[m / P]), P being its entry.
+
+    The writes move forward through the table, and for a fixed P so do the
+    reads.
     """
     if limit < 2 or limit > 2**31 - 1:
         raise ParameterError(f"sieve limit must be in [2, 2^31 - 1], got {limit}")
     check_memory(_build_bytes(limit), f"sieve to {limit}", memory_budget)
-    root = math.isqrt(limit)
+    # at least 2, so that 2 is a slice prime and the finalize pass meets
+    # only odd primes
+    root = max(math.isqrt(limit), 2)
     wheel = [p for p in SIEVE_WHEEL if p <= root]
     pattern = np.ones(math.prod(wheel), dtype=np.int32)
     for p in wheel:
@@ -87,19 +110,31 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
         if head[p] == 1:  # no smaller prime divides p
             others.append(p)
             head[p * p::p] = p
+    primes = [np.array(wheel + others, dtype=np.int64)]
+    quotient = np.empty(min(SIEVE_SEGMENT, limit + 1) // 2 + 1, dtype=np.intp)
     for start in range(0, limit + 1, SIEVE_SEGMENT):
-        seg = lpf[start: start + SIEVE_SEGMENT]
+        end = min(start + SIEVE_SEGMENT, limit + 1)
+        seg = lpf[start:end]
         for p in others:
             seg[-start % p::p] = p
+        s = max(start, root + 1)
+        while s < end:
+            e = min(2 * s, end)
+            lpf[s + s % 2:e:2] = lpf[(s + 1) // 2:(e + 1) // 2]  # m / 2 >= 2
+            odd = lpf[s | 1:e:2]
+            q = quotient[: odd.size]
+            new = np.flatnonzero(odd == 1) * 2 + (s | 1)
+            # P divides m (a prime m has P = 1), so the float64 quotient is
+            # an exact integer; a prime reads its own entry, still 1
+            np.divide(np.arange(s | 1, e, 2, dtype=np.float64), odd, out=q,
+                      casting="unsafe")
+            np.maximum(odd, lpf.take(q), out=odd)
+            lpf[new] = new
+            primes.append(new)
+            s = e
     lpf[0] = 1
-    small = wheel + others
-    big = np.flatnonzero(lpf[root + 1:] == 1) + (root + 1)
-    values = big.astype(np.int32)  # spares a cast in every write
-    for r in range(1, limit // int(big[0]) + 1):  # Bertrand: big is not empty
-        j = np.searchsorted(big, limit // r, side="right")
-        lpf[::r][big[:j]] = values[:j]
-    primes = np.concatenate((np.array(small, dtype=np.int64), big))
-    return PrimeSieve(limit=limit, largest_prime_factor=lpf, prime_array=primes)
+    return PrimeSieve(limit=limit, largest_prime_factor=lpf,
+                      prime_array=np.concatenate(primes))
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,8 @@ NON_POSITIVE_ARGV = [
     (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "0"],
      "--samples"),
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4", "--samples", "0"], "--samples"),
+    (["pd-box", "--box", "0.5,0.1", "--grid", "0"], "--grid"),
+    (["pd-sample", "--count", "2", "--trunc", "0"], "--trunc"),
 ]
 
 

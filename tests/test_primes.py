@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from billingsley import (DomainError, ParameterError, ResourceError, build_sieve,
                          mertens_constant_estimate, mertens_sum, power_ceil,
                          power_floor)
+from billingsley.primes import _build_bytes
 from billingsley.smoothcount import PsiEngine
 
 
@@ -61,12 +63,18 @@ def test_lpf_against_trial_division(sieve5):
                                               if want[m] == m], limit
 
 
+#: limits where a finalize block [s, 2s) meets a segment edge, and on either
+#: side of the square of a prime, where sqrt(limit) becomes a slice prime;
+#: too large for the trial-division oracle
+EDGE_LIMITS = [2**19 - 1, 2**19 + 1, 3 * 2**18 + 1, 1009**2 - 1, 1009**2, 2**20]
+
+
 def test_lpf_against_psi_engine_leaf_table(sieve7):
     # two separately written builders of the same table
     sieve = build_sieve(1 << 20)
     assert np.array_equal(sieve.largest_prime_factor[1:], PsiEngine().leaf_labels[1:])
     engine = PsiEngine(leaf_limit=10**7)
-    for sieve in [build_sieve(limit) for limit in SIEVE_LIMITS] + [sieve7]:
+    for sieve in [build_sieve(limit) for limit in SIEVE_LIMITS + EDGE_LIMITS] + [sieve7]:
         assert np.array_equal(sieve.largest_prime_factor[1:],
                               engine.leaf_labels[1: sieve.limit + 1]), sieve.limit
         assert np.array_equal(sieve.prime_array,
@@ -85,6 +93,19 @@ def test_sieve_tables_are_read_only(sieve5, table):
     for arr in (sieve5.largest_prime_factor, sieve5.prime_array, table.cells):
         with pytest.raises(ValueError):
             arr[1] = 0
+
+
+@pytest.mark.parametrize("limit", [10**4, 10**5, 10**6])
+def test_build_bytes_bounds_the_traced_peak(limit):
+    # the memory check refuses a build by this estimate, so it must not
+    # undercount what the build allocates
+    tracemalloc.start()
+    try:
+        build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _build_bytes(limit)
 
 
 def test_sieve_parameter_and_resource_errors():
