@@ -28,10 +28,9 @@ from .errors import DEFAULT_MEMORY_BUDGET, DomainError, ParameterError, check_me
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
 
-#: build_sieve writes the other primes up to sqrt(limit), then finalizes the
-#: entries, this many table entries (1 MiB) at a time, so that a segment is
-#: still in cache when it is finalized; its quotient buffer holds the odd
-#: entries of one segment
+#: build_sieve writes the other primes up to sqrt(limit) into this many table
+#: entries (1 MiB) at a time and finalizes them while they are still in
+#: cache; its quotient buffer holds the odd entries of one segment
 SIEVE_SEGMENT = 1 << 18
 
 
@@ -123,14 +122,14 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
             lpf[s + s % 2:e:2] = lpf[(s + 1) // 2:(e + 1) // 2]  # m / 2 >= 2
             odd = lpf[s | 1:e:2]
             q = quotient[: odd.size]
-            new = np.flatnonzero(odd == 1) * 2 + (s | 1)
+            big = np.flatnonzero(odd == 1) * 2 + (s | 1)  # primes above root
             # P divides m (a prime m has P = 1), so the float64 quotient is
             # an exact integer; a prime reads its own entry, still 1
             np.divide(np.arange(s | 1, e, 2, dtype=np.float64), odd, out=q,
                       casting="unsafe")
             np.maximum(odd, lpf.take(q), out=odd)
-            lpf[new] = new
-            primes.append(new)
+            lpf[big] = big
+            primes.append(big)
             s = e
     lpf[0] = 1
     return PrimeSieve(limit=limit, largest_prime_factor=lpf,
