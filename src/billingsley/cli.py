@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 domain/numerical/resource error, 2 usage error.
 When --out (or --report) is given, the output goes to that file alone, and
 the file holds the bytes the same command prints without it.  All
 randomized subcommands take an explicit --seed (default 42) and are bitwise
-reproducible, independent of --threads.
+reproducible, however many CPUs the process may use.
 """
 from __future__ import annotations
 
@@ -125,8 +125,7 @@ def _cmd_box(args) -> int:
         est = box_probability_via_psi(sieve, args.n, box)
         payload = {"count": est.count, "total": est.total, "p_hat": est.value}
     else:
-        est = sample_box_probability(sieve, args.n, box, args.samples,
-                                     seed=args.seed, threads=args.threads)
+        est = sample_box_probability(sieve, args.n, box, args.samples, seed=args.seed)
         payload = {"count": est.hits, "total": est.total, "p_hat": est.p_hat,
                    "std_err": est.std_err}
     _emit(_json_text(payload), args.out)
@@ -184,8 +183,7 @@ def _cmd_verify(args) -> int:
     table = build_rho_table(args.umax)
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
     report = run_criterion(sieve, table, ladder, box, crit, budget=args.samples,
-                           seed=args.seed, exact_threshold=args.exact_threshold,
-                           threads=args.threads)
+                           seed=args.seed, exact_threshold=args.exact_threshold)
     payload = _report_envelope(
         "verify",
         {"epsilon": args.epsilon, "ladder": ladder, "samples": args.samples,
@@ -256,7 +254,7 @@ def _positive_float(value: str) -> float:
     return v
 
 
-def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=False):
+def _add_common(sub, *, digits=True, out=True, table=False, seed=False):
     if digits:
         sub.add_argument("--digits", type=_digits, default=6,
                          help="decimal places for human-readable numbers")
@@ -267,8 +265,6 @@ def _add_common(sub, *, digits=True, out=True, table=False, seed=False, threads=
         sub.add_argument("--umax", type=float, default=DEFAULT_U_MAX)
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    if threads:
-        sub.add_argument("--threads", type=_positive_count, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -316,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--box", required=True, help="'t1,dt1;t2,dt2;...'")
     s.add_argument("--method", choices=("exact", "psi", "mc"), default="exact")
     s.add_argument("--samples", type=_positive_count, default=10**5)
-    _add_common(s, digits=False, seed=True, threads=True)
+    _add_common(s, digits=False, seed=True)
     s.set_defaults(fn=_cmd_box)
 
     s = subs.add_parser("sample-factors", help="draw integers and rank their factors")
@@ -351,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--samples", type=_positive_count, default=10**5)
     s.add_argument("--exact-threshold", type=_count, default=10**6)
     s.add_argument("--report", default=None)
-    _add_common(s, digits=False, out=False, table=True, seed=True, threads=True)
+    _add_common(s, digits=False, out=False, table=True, seed=True)
     s.set_defaults(fn=_cmd_verify)
 
     s = subs.add_parser("suite", help="run a named verification bundle")

@@ -141,7 +141,7 @@ def inf_density_on_box(table: DickmanTable, box: BoxSpec) -> float:
 
 def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
                   crit: BoxCriterion, budget: int = 10**5, seed: int = DEFAULT_SEED,
-                  exact_threshold: int = 10**6, threads: int = 1) -> ConvergenceReport:
+                  exact_threshold: int = 10**6) -> ConvergenceReport:
     """Evaluate P(X_n in B) along the ladder and compare against
     (1 - eps) * vol(B) * inf_B f.
 
@@ -169,8 +169,7 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
             entries.append(LadderEntry(n=n, method="exact", estimate=est.value,
                                        std_err=None, verdict=est.value >= lower))
         else:
-            est = sample_box_probability(sieve, n, box, budget, seed=seed,
-                                         threads=threads)
+            est = sample_box_probability(sieve, n, box, budget, seed=seed)
             margin = STAT_MARGIN_SIGMAS * est.std_err
             entries.append(LadderEntry(n=n, method="mc", estimate=est.p_hat,
                                        std_err=est.std_err,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import gc
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -33,15 +32,24 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ParameterError, check_memory
+from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .primes import PrimeSieve, power_ceil, power_floor
 from .smoothcount import default_engine, psi_sum
 
 from .rng import DEFAULT_SEED
 
 #: Monte Carlo work is split into this many fixed logical shards; results are
-#: a function of (seed, shard) only, so thread count never changes them.
+#: a function of (seed, shard) only, so the scheduling never changes them.
 MC_SHARDS = 64
+
+#: most draws one Monte Carlo estimate may make, about five minutes on one
+#: CPU at n = 10^7: the draws stream through fixed buffers, so no memory
+#: bound refuses a larger budget (whole shards of 40 bytes a draw used to
+#: stop near 6.9e9)
+MAX_MC_SAMPLES = 1 << 33
+
+#: integers per task of the exact scan
+SCAN_CHUNK = 1 << 18
 
 #: prime tuples handed to the Psi engine per call in box_probability_via_psi
 PSI_TUPLE_CHUNK = 1 << 20
@@ -209,26 +217,38 @@ def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
 
 
 def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec,
-                          chunk: int = 1 << 21) -> ExactProbability:
+                          chunk: int = SCAN_CHUNK) -> ExactProbability:
     """Exact count of m <= n whose ranked factors fall in the box's prime
     intervals, scanned in chunks off the sieve: rank 1 is a slice of the
-    table, and only the m whose rank 1 is inside go on to be peeled."""
+    table, and only the m whose rank 1 is inside go on to be peeled.  The
+    chunks are run_tasks tasks, full-size when at least rng.BLOCK_WORDS
+    long."""
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
     lpf = sieve.largest_prime_factor
-    count = 0
-    for start in range(1, n + 1, chunk):
-        stop = min(n + 1, start + chunk)
-        count += _count_survivors(lpf, lpf[start:stop], bounds,
-                                  lambda rows: rows.astype(lpf.dtype) + start)
-    return ExactProbability(count=count, total=n)
+
+    def chunk_count(start, masks):
+        return _count_survivors(lpf, lpf[start:min(n + 1, start + chunk)], bounds,
+                                lambda rows: rows.astype(lpf.dtype) + start, masks)
+
+    full = n // chunk if chunk >= rng.BLOCK_WORDS else 0
+    counts = rng.run_tasks(chunk_count, range(1, n + 1, chunk), full,
+                           lambda: _masks(min(chunk, n)))
+    return ExactProbability(count=sum(counts), total=n)
 
 
-def _count_in_box(sieve: PrimeSieve, m: np.ndarray, bounds) -> int:
-    """How many m have their ranked factors inside the prime intervals."""
-    lpf = sieve.largest_prime_factor
-    return _count_survivors(lpf, lpf[m], bounds, lambda rows: m[rows])
+def _masks(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two boolean buffers _count_survivors compares rank 1 into."""
+    return np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+
+
+def _count_in_box(lpf: np.ndarray, m: np.ndarray, bounds, p: np.ndarray, masks) -> int:
+    """How many m have their ranked factors inside the prime intervals; p
+    (of lpf's dtype) takes their rank 1, and masks are _masks of m's size.
+    Every m must lie in [1, limit]."""
+    np.take(lpf, m, out=p, mode="clip")
+    return _count_survivors(lpf, p, bounds, lambda rows: m[rows], masks)
 
 
 def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
@@ -238,20 +258,26 @@ def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
     return None if any(lo > hi for lo, hi in bounds) else bounds
 
 
-def _count_survivors(lpf: np.ndarray, p: np.ndarray, bounds, m_at) -> int:
+def _count_survivors(lpf: np.ndarray, p: np.ndarray, bounds, m_at, masks) -> int:
     """How many integers have ranks 1..k inside the _scan_bounds intervals,
     given rank 1 of each as p and the integers at chosen positions as
     m_at(rows).
 
+    Rank 1 is compared into the boolean buffers masks, at least p's size.
     Rank i + 1 is divided out and read only for the integers whose ranks
     1..i are inside; padding 1 peels 1 to itself, as in _peel.
     """
     if bounds is None:
         return 0
     (lo, hi), rest = bounds[0], bounds[1:]
-    rows = np.flatnonzero((p >= lo) & (p <= hi))
-    if not rest or not rows.size:
-        return rows.size
+    inside, upto = (mask[:p.size] for mask in masks)
+    np.greater_equal(p, lo, out=inside)
+    inside &= np.less_equal(p, hi, out=upto)
+    if not rest:
+        return int(np.count_nonzero(inside))
+    rows = np.flatnonzero(inside)
+    if not rows.size:
+        return 0
     m, p = m_at(rows), p[rows]
     for lo, hi in rest:
         m = m // p
@@ -324,35 +350,41 @@ def _prime_tuples(N: np.ndarray, ranges: list):
     yield from extend(N, None, 0)
 
 
-def _mc_shard(sieve: PrimeSieve, n: int, bounds, seed: int, shard: int,
-              count: int) -> int:
-    if count == 0:
-        return 0
-    return _count_in_box(sieve, rng.uniform_ints(seed, shard, count, n), bounds)
-
-
 def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int,
-                           seed: int = DEFAULT_SEED, threads: int = 1) -> EmpiricalEstimate:
+                           seed: int = DEFAULT_SEED) -> EmpiricalEstimate:
     """Monte Carlo estimate of the box probability.
 
     The budget is split over MC_SHARDS fixed shards with independent
-    counter-based streams, so the estimate depends only on (seed, samples),
-    not on the thread count.
+    counter-based streams, so the estimate depends only on (seed, samples).
+    The shards are run_tasks tasks, full-size when they hold at least one
+    block of rng.BLOCK_WORDS draws.  A shard draws and counts a block at a
+    time through its worker's buffers.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if samples > MAX_MC_SAMPLES:
+        raise ResourceError(f"{samples} Monte Carlo draws are more than the cap "
+                            f"of {MAX_MC_SAMPLES}")
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
+    lpf = sieve.largest_prime_factor
     counts = rng.partition(samples, MC_SHARDS)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            hits = sum(pool.map(
-                lambda s: _mc_shard(sieve, n, bounds, seed, s, counts[s]),
-                range(MC_SHARDS)))
-    else:
-        hits = sum(_mc_shard(sieve, n, bounds, seed, s, counts[s])
-                   for s in range(MC_SHARDS))
+    block = min(counts[0], rng.BLOCK_WORDS)
+
+    def shard_hits(shard, buffers):
+        ints, p, masks = buffers
+        key = rng.stream_key(seed, shard)
+        hits = 0
+        for lo in range(0, counts[shard], block):
+            size = min(block, counts[shard] - lo)
+            m = rng._int_block(key, lo, n, ints, ints[1][:size].view(np.int64))
+            hits += _count_in_box(lpf, m, bounds, p[:size], masks)
+        return hits
+
+    full = sum(c >= rng.BLOCK_WORDS for c in counts)
+    hits = sum(rng.run_tasks(shard_hits, range(MC_SHARDS), full, lambda: (
+        rng._int_buffers(block), np.empty(block, dtype=lpf.dtype), _masks(block))))
     return EmpiricalEstimate.from_counts(hits, samples)
 
 

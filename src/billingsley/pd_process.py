@@ -82,23 +82,26 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     uniforms, the prefix products take truncation - 1 row multiplies and the
     stick lengths one subtract.  One transpose copy turns the lengths into
     draws, which are sorted and copied out reversed.  The blocks change no
-    bits.  Refuses, before allocating, output and buffers over the memory
-    budget: 8 * (truncation + 1) bytes per row plus four block buffers.
+    bits.  They are rng.run_tasks tasks, full-size when they hold the whole
+    block of rows; a worker has its own three block buffers and writes
+    disjoint rows of the output.  Refuses, before allocating, output and
+    buffers over the memory budget: 8 * (truncation + 1) bytes per row, the
+    shared block of words and three block buffers per CPU.
     """
     t = truncation
     rows = min(count, _block_rows(t))
-    check_memory(8 * ((t + 1) * count + 4 * t * rows),
+    check_memory(8 * ((t + 1) * count + (1 + 3 * rng.cpu_count()) * t * rows),
                  f"{count} PD draws at truncation {t}")
     # base[j, i] is the unmixed word of counter i * t + j; moving it on by
     # (start + lo) * t counters gives draw j of row start + lo + i
     offsets = np.add.outer(np.arange(t, dtype=np.uint64),
                            np.arange(rows, dtype=np.uint64) * np.uint64(t))
     base = rng._counter_words(offsets, rng.stream_key(seed, 0))
-    words, scratch = np.empty_like(base), np.empty_like(base)
-    prefix = np.empty(base.shape)
     sticks = np.empty((count, t))
     tails = np.empty(count)
-    for lo in range(0, count, rows):
+
+    def fill(lo, buffers):
+        words, scratch, prefix = buffers
         n = min(rows, count - lo)
         x = rng._advance(base[:, :n], (start + lo) * t, words[:, :n])
         p = rng._uniform_block(x, scratch[:, :n], prefix[:, :n])
@@ -115,6 +118,9 @@ def _stick_matrix(seed: int, count: int, truncation: int,
         np.copyto(draws, lengths.T)
         draws.sort(axis=1)
         sticks[lo:lo + n] = draws[:, ::-1]
+
+    rng.run_tasks(fill, range(0, count, rows), count // rows,
+                  lambda: (np.empty_like(base), np.empty_like(base), np.empty(base.shape)))
     return sticks, tails
 
 

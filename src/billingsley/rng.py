@@ -9,8 +9,16 @@ Bounded integers use the multiply-high reduction with the usual rejection of
 the short leading band, which removes modulo bias exactly.  A rejected draw
 retries at the same (shard, index) with an incremented attempt counter, so a
 retry never disturbs neighbouring draws; the retry probability is n / 2^64.
+
+run_tasks spreads such independent pieces (Monte Carlo shards, scan chunks,
+sampler blocks) over the CPUs the process may use and returns their results
+in task order, so the scheduling never shows in a result.
 """
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -47,10 +55,13 @@ def stream_key(seed: int, shard: int) -> int:
 #: 2^16 fastest for the sampler
 BLOCK_WORDS = 1 << 16
 
-#: bytes per draw of uniform_ints at its peak, where at most five 8-byte
-#: arrays of one entry per draw are alive (the words, the multiply-high's
-#: halves and partial products, the result)
-_INT_DRAW_BYTES = 40
+#: bytes per draw of uniform_ints: its int64 output, filled a block at a time
+_INT_DRAW_BYTES = 8
+
+#: bytes per word of a block of integer draws at its peak: the four 8-byte
+#: buffers of _int_buffers, for n >= 2^32 three more temporaries of the
+#: multiply-high, and one word of room for the arrays' own overhead
+_INT_BLOCK_BYTES = 64
 
 _S10, _S27, _S30, _S31 = (np.uint64(s) for s in (10, 27, 30, 31))
 
@@ -104,10 +115,10 @@ def _uniform_block(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.nd
     return _unit_doubles(_mix64_array(x, scratch), out)
 
 
-def _mixed(counters: np.ndarray, key: int) -> np.ndarray:
-    """The stream's words at a 1-d uint64 counter array, computed in place
-    and mixed in blocks of BLOCK_WORDS."""
-    words = _counter_words(counters, key)
+def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
+    """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
+    words = _counter_words(np.arange(start, start + count, dtype=np.uint64),
+                           stream_key(seed, shard))
     scratch = np.empty(min(words.size, BLOCK_WORDS), dtype=np.uint64)
     for lo in range(0, words.size, BLOCK_WORDS):
         x = words[lo:lo + BLOCK_WORDS]
@@ -115,67 +126,95 @@ def _mixed(counters: np.ndarray, key: int) -> np.ndarray:
     return words
 
 
-def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
-    """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
-    return _mixed(np.arange(start, start + count, dtype=np.uint64),
-                  stream_key(seed, shard))
+def _mulhi64(x: np.ndarray, n: int, low: np.ndarray,
+             scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit halves of x * n for uint64 array x, scalar n < 2^64:
+    the high half is written over x and the low half, the wrapping product,
+    into low; scratch is a third uint64 array of x's shape.
 
-
-def _mulhi64(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) 64-bit halves of x * n for uint64 array x, scalar n < 2^64.
-
-    The low half is the wrapping product.  The high half sums 32x32-bit
-    partial products; for n < 2^32 only the two with n's low word remain,
-    and x1*n0 + (x0*n0 >> 32) < 2^64 needs no carry.
+    The high half sums 32x32-bit partial products; for n < 2^32 only the two
+    with n's low word remain, and x1*n0 + (x0*n0 >> 32) < 2^64 needs no
+    carry.  Otherwise three more arrays of x's shape are allocated.
     """
     m32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     n0, n1 = np.uint64(n & 0xFFFFFFFF), np.uint64(n >> 32)
-    with np.errstate(over="ignore"):
-        low = x * np.uint64(n)
-        ll = x & m32
+    np.multiply(x, np.uint64(n), out=low)
+    ll = np.bitwise_and(x, m32, out=scratch)
+    if not n1:
         ll *= n0
         ll >>= s32
-        hl = x >> s32
-        hl *= n0
-        if not n1:
-            hl += ll
-            hl >>= s32
-            return hl, low
-        lh = (x & m32) * n1
-        hh = (x >> s32) * n1
-        carry = ll + (lh & m32) + (hl & m32)
-        high = hh + (lh >> s32) + (hl >> s32) + (carry >> s32)
-    return high, low
+        x >>= s32
+        x *= n0
+        x += ll
+        x >>= s32
+        return x, low
+    lh = ll * n1
+    ll *= n0
+    x >>= s32
+    hl = x * n0
+    x *= n1
+    # ll becomes the carry (ll >> 32) + (lh & m32) + (hl & m32)
+    ll >>= s32
+    ll += lh & m32
+    ll += hl & m32
+    for part in (lh, hl, ll):
+        part >>= s32
+        x += part
+    return x, low
+
+
+def _int_buffers(size: int) -> tuple[np.ndarray, ...]:
+    """Buffers for _int_block of up to `size` draws: the key-free unmixed
+    words of draws 0..size-1, read only, and three uint64 work arrays."""
+    base = np.arange(size, dtype=np.uint64)
+    base <<= np.uint64(ATTEMPT_BITS)
+    return (_counter_words(base, 0), np.empty(size, dtype=np.uint64),
+            np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64))
+
+
+def _int_block(key: int, start: int, n: int, buffers, out: np.ndarray) -> np.ndarray:
+    """Draws start..start+out.size-1 of the stream with this key, uniform
+    integers in [1, n], written into the int64 array out (which may be a
+    view of the second buffer): the one path from counters to integers.
+
+    Draw i uses counters i*2^ATTEMPT_BITS + attempt, attempt increasing only
+    on the (astronomically rare) Lemire rejection, so each draw is
+    independent of the others' retry history.
+    """
+    base, words, scratch, low = (b[:out.size] for b in buffers)
+    np.add(base, np.uint64(((start << ATTEMPT_BITS) * GOLDEN + key) & MASK64), out=words)
+    high, low = _mulhi64(_mix64_array(words, scratch), n, low, scratch)
+    np.add(high.view(np.int64), 1, out=out)
+    threshold = ((1 << 64) - n) % n
+    if threshold and low.min() < np.uint64(threshold):
+        for idx in np.flatnonzero(low < np.uint64(threshold)):
+            attempt = 1
+            while True:
+                c = ((start + int(idx)) << ATTEMPT_BITS) + attempt
+                prod = mix64((c * GOLDEN + key) & MASK64) * n
+                if (prod & MASK64) >= threshold:
+                    out[idx] = (prod >> 64) + 1
+                    break
+                attempt += 1
+    return out
 
 
 def uniform_ints(seed: int, shard: int, count: int, n: int) -> np.ndarray:
     """`count` independent uniform integers in [1, n] from the (seed, shard) stream.
 
-    Draw i uses counters i*2^ATTEMPT_BITS + attempt, attempt increasing only on
-    the (astronomically rare) Lemire rejection, so each draw is independent of
-    the others' retry history.
+    The output is filled BLOCK_WORDS draws at a time by _int_block, so the
+    memory needed is 8 bytes per draw plus the fixed buffers of one block.
     """
     if n < 1 or n > (1 << 63) - 1:
         raise ValueError("n must be in [1, 2^63 - 1] so results fit an int64 array")
-    check_memory(_INT_DRAW_BYTES * count, f"{count} uniform integers")
-    base = np.arange(count, dtype=np.uint64)
-    base <<= np.uint64(ATTEMPT_BITS)
+    block = min(count, BLOCK_WORDS)
+    check_memory(_INT_DRAW_BYTES * count + _INT_BLOCK_BYTES * block,
+                 f"{count} uniform integers")
     key = stream_key(seed, shard)
-    z = _mixed(base, key)
-    high, low = _mulhi64(z, n)
-    threshold = ((1 << 64) - n) % n
-    out = high.astype(np.int64) + 1
-    bad = np.flatnonzero(low < np.uint64(threshold))
-    for idx in bad:
-        attempt = 1
-        while True:
-            c = (int(idx) << ATTEMPT_BITS) + attempt
-            w = mix64((c * GOLDEN + key) & MASK64)
-            prod = w * n
-            if (prod & MASK64) >= threshold:
-                out[idx] = (prod >> 64) + 1
-                break
-            attempt += 1
+    out = np.empty(count, dtype=np.int64)
+    buffers = _int_buffers(block)
+    for lo in range(0, count, BLOCK_WORDS):
+        _int_block(key, lo, n, buffers, out[lo:lo + BLOCK_WORDS])
     return out
 
 
@@ -183,3 +222,50 @@ def partition(total: int, shards: int) -> list[int]:
     """Split a sample budget into fixed per-shard counts (first shards get the remainder)."""
     q, r = divmod(total, shards)
     return [q + (1 if i < r else 0) for i in range(shards)]
+
+
+def cpu_count() -> int:
+    """The number of CPUs this process may run on: its affinity set where
+    the platform has one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_tasks(fn, tasks, full: int, new_buffers) -> list:
+    """[fn(task, buffers) for task in tasks]: the results in task order.
+
+    The tasks must be independent.  They run on up to cpu_count() workers,
+    the calling thread and a pool of threads, each taking the next task in
+    turn and handing every task it takes the same buffers, which
+    new_buffers() makes for each worker in the calling thread (so that no
+    pool thread allocates them in a heap of its own).  numpy releases the
+    interpreter lock inside its loops, so the workers overlap.  With one
+    CPU, or fewer than two full-size tasks (full counts them), the tasks run
+    inline with one set of buffers, where a pool would cost more than it
+    saves.  To use fewer CPUs, restrict the process's affinity (taskset).
+    """
+    workers = min(cpu_count(), full)
+    if workers < 2:
+        buffers = new_buffers()
+        return [fn(task, buffers) for task in tasks]
+    sets = [new_buffers() for _ in range(workers)]
+    results = [None] * len(tasks)
+    todo = iter(enumerate(tasks))
+    lock = threading.Lock()
+
+    def work(buffers):
+        while True:
+            with lock:
+                item = next(todo, None)
+            if item is None:
+                return
+            results[item[0]] = fn(item[1], buffers)
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        futures = [pool.submit(work, buffers) for buffers in sets[1:]]
+        work(sets[0])
+        for future in futures:
+            future.result()
+    return results

@@ -2,8 +2,9 @@
 finite-n convergence ladders, with every tolerance pinned as a constant.
 
 Each check returns a JSON-ready dict with a boolean "passed"; the dicts are
-deterministic for a fixed seed (no timestamps, no thread pool),
-so a bundle report can be compared byte-for-byte across runs.
+deterministic for a fixed seed (no timestamps, and the scans and samplers
+that run on several CPUs return the same bits on one), so a bundle report
+can be compared byte-for-byte across runs.
 """
 from __future__ import annotations
 

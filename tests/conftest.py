@@ -1,6 +1,8 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
-from billingsley import build_rho_table, build_sieve
+from billingsley import build_rho_table, build_sieve, rng
 
 # Oracle values computed independently of the library, before it was built,
 # and frozen here.
@@ -75,3 +77,28 @@ def sieve6():
 @pytest.fixture(scope="session")
 def sieve7():
     return build_sieve(10**7)
+
+
+#: worker counts the determinism tests run every route on
+WORKER_COUNTS = (1, 2, 4)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """cpus(w) makes rng.run_tasks see w CPUs from then on, so that its pool
+    runs even on a one-CPU machine, and returns the list that records the
+    thread count of every pool it starts (w - 1 at most: the calling thread
+    is a worker too)."""
+    def set_cpus(workers):
+        pools = []
+
+        class Recorded(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(rng, "cpu_count", lambda: workers)
+        monkeypatch.setattr(rng, "ThreadPoolExecutor", Recorded)
+        return pools
+
+    return set_cpus

@@ -152,6 +152,16 @@ def test_step_option_is_gone(capsys):
         assert "unrecognized arguments: --step" in err
 
 
+def test_threads_option_is_gone(capsys):
+    # the scans and samplers use every CPU in the process's affinity; taskset
+    # limits them
+    for argv in (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc"],
+                 ["verify", "--box", "0.5,0.02", "--ladder", "1e4"]):
+        code, out, err = run(capsys, *argv, "--threads", "2")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --threads" in err
+
+
 def test_psi_ladder_csv(capsys):
     code, out, _ = run(capsys, "psi-ladder", "--t", "2", "--nmin", "1e3",
                        "--nmax", "1e5", "--umax", "3")

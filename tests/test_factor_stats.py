@@ -15,8 +15,10 @@ from billingsley import (BoxSpec, DomainError, FactorVector, ParameterError, Pri
                          psi_exact, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import rng
-from billingsley.factor_stats import _count_in_box, _factor_vectors, _peel, _scan_bounds
+from billingsley.factor_stats import (MAX_MC_SAMPLES, MC_SHARDS, SCAN_CHUNK, _count_in_box,
+                                      _factor_vectors, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
+from conftest import WORKER_COUNTS
 
 
 def largest_factor_trial_division(m):
@@ -201,17 +203,36 @@ def test_partition_additivity(sieve5):
     assert parts_count == whole_count
 
 
-def test_mc_determinism_and_thread_independence(sieve6):
+def test_mc_determinism_across_worker_counts(sieve6, cpus):
     box = BoxSpec((0.5,), (0.1,))
-    a = sample_box_probability(sieve6, 10**6, box, 20000, seed=11, threads=1)
-    b = sample_box_probability(sieve6, 10**6, box, 20000, seed=11, threads=4)
-    c = sample_box_probability(sieve6, 10**6, box, 20000, seed=11, threads=1)
-    assert a == b == c
+    # every shard holds one full block of draws, and some a partial second
+    samples = MC_SHARDS * rng.BLOCK_WORDS + 5
+    runs = []
+    for workers in WORKER_COUNTS:
+        pools = cpus(workers)
+        runs.append(sample_box_probability(sieve6, 10**6, box, samples, seed=11))
+        assert pools == ([] if workers == 1 else [workers - 1])
+    a = runs[0]
+    assert all(r == a for r in runs)
     assert a.p_hat == a.hits / a.total
     assert a.std_err == pytest.approx(
         math.sqrt(a.p_hat * (1 - a.p_hat) / a.total))
-    d = sample_box_probability(sieve6, 10**6, box, 20000, seed=12)
-    assert d != a
+    assert sample_box_probability(sieve6, 10**6, box, samples, seed=12) != a
+
+
+def test_exact_counts_across_worker_counts(sieve6, cpus):
+    # three full chunks and a partial one; the Psi identity is the
+    # independent oracle
+    n = 10**6 - 3
+    full = n // SCAN_CHUNK
+    assert full == 3
+    boxes = [BoxSpec((0.5,), (0.1,)), BoxSpec((0.45, 0.15), (0.1, 0.1)),
+             BoxSpec((0.4, 0.25, 0.1), (0.05, 0.05, 0.05))]
+    want = [box_probability_via_psi(sieve6, n, box).count for box in boxes]
+    for workers in WORKER_COUNTS:
+        pools = cpus(workers)
+        assert [box_probability_exact(sieve6, n, box).count for box in boxes] == want
+        assert pools == ([] if workers == 1 else [min(workers, full) - 1] * len(boxes))
 
 
 def test_mc_against_psi_identity(sieve6):
@@ -244,6 +265,15 @@ def test_k1_box_reduces_to_psi_difference(sieve5):
         lo, hi = prime_bounds(n, box)[0]
         count = box_probability_exact(sieve5, n, box).count
         assert count == psi_exact(n, hi) - psi_exact(n, lo - 1)
+
+
+def test_mc_budget_over_the_cap_is_refused_before_any_draw(sieve5, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(rng, "_int_block", no_draw)
+    with pytest.raises(ResourceError, match="Monte Carlo draws"):
+        sample_box_probability(sieve5, 10**4, BoxSpec((0.5,), (0.1,)), MAX_MC_SAMPLES + 1)
 
 
 def test_mc_empty_box(sieve5):
@@ -454,7 +484,10 @@ def test_mc_count_matches_full_peel(sieve5):
                  dtype=np.int64)
     for box in scan_boxes():
         want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
-        assert _count_in_box(sieve5, m, _scan_bounds(sieve5, N_SCAN, box)) == want, box
+        lpf = sieve5.largest_prime_factor
+        got = _count_in_box(lpf, m, _scan_bounds(sieve5, N_SCAN, box),
+                            np.empty(m.size, dtype=lpf.dtype), _masks(m.size))
+        assert got == want, box
 
 
 #: sample_box_probability hits at n = 10^6 with 2 * 10^5 draws, recorded
@@ -471,6 +504,19 @@ def test_mc_hits_pinned(sieve6):
         for seed, want in hits.items():
             est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
             assert est.hits == want, (box, seed)
+
+
+def test_mc_hits_pinned_across_worker_counts(sieve6, cpus, monkeypatch):
+    # blocks of 2^10 draws make the 3125-draw shards full-size, so the pool
+    # runs, and each shard ends on a partial block
+    monkeypatch.setattr(rng, "BLOCK_WORDS", 1 << 10)
+    for workers in WORKER_COUNTS:
+        pools = cpus(workers)
+        for box, hits in MC_PINNED_HITS:
+            for seed, want in hits.items():
+                est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
+                assert est.hits == want, (workers, box, seed)
+        assert pools == ([] if workers == 1 else [workers - 1] * 6)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
 from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _density_grid, _validate
 
 import rho_pins
+from conftest import WORKER_COUNTS
 
 
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
@@ -120,10 +121,24 @@ PINNED_SAMPLES = [
 
 @pytest.mark.parametrize("seed, count, truncation, start, digest", PINNED_SAMPLES)
 def test_samples_match_pinned_digests(seed, count, truncation, start, digest):
+    assert _sample_digest(seed, count, truncation, start) == digest
+
+
+def _sample_digest(seed, count, truncation, start):
     sticks, tails = pd_sample_batch(seed, count, truncation, start=start)
     h = hashlib.sha256(sticks.astype("<f8").tobytes())
     h.update(tails.astype("<f8").tobytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()
+
+
+def test_samples_match_pinned_digests_across_worker_counts(cpus):
+    for workers in WORKER_COUNTS:
+        pools = cpus(workers)
+        for seed, count, truncation, start, digest in PINNED_SAMPLES:
+            assert _sample_digest(seed, count, truncation, start) == digest, workers
+        # the 300000-row sample and the T = 2000 and T = 10^4 ones span
+        # 274, 3 and 2 full blocks; the calling thread is one of the workers
+        assert pools == ([] if workers == 1 else [workers - 1, min(workers, 3) - 1, 1])
 
 
 def test_oversized_draws_are_refused_before_allocation():

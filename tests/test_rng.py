@@ -1,4 +1,7 @@
 import hashlib
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,7 +83,7 @@ def test_uniform_ints_validation():
 def test_mulhi_against_python_ints():
     x = rng.raw64(3, 0, 0, 200)
     for n in (3, 10**6, 2**63 - 1, 0xFFFFFFFFFFFFFFF):
-        hi, lo = rng._mulhi64(x, n)
+        hi, lo = rng._mulhi64(x.copy(), n, np.empty_like(x), np.empty_like(x))
         for i in range(0, 200, 17):
             prod = int(x[i]) * n
             assert int(hi[i]) == prod >> 64
@@ -110,7 +113,7 @@ def _mulhi64_four_products(x, n):
 def test_mulhi_matches_four_product_oracle(n):
     words = np.concatenate((rng.raw64(17, 4, 0, 50_000),
                             np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)))
-    hi, lo = rng._mulhi64(words, n)
+    hi, lo = rng._mulhi64(words.copy(), n, np.empty_like(words), np.empty_like(words))
     want_hi, want_lo = _mulhi64_four_products(words, n)
     assert np.array_equal(hi, want_hi) and np.array_equal(lo, want_lo)
 
@@ -159,6 +162,96 @@ def test_vector_path_matches_reference_small_n():
     v = rng.uniform_ints(8, 1, 100, 10**7)
     for i in range(0, 100, 7):
         assert int(v[i]) == _reference_uniform_int(8, 1, i, 10**7)
+
+
+@pytest.mark.parametrize("n, count", [
+    *((n, count) for n in (10**7, 3 << 40) for count in (10**4, 10**5, 10**6)),
+    ((1 << 62) + 3, 10**4)])
+def test_uniform_ints_peak_is_within_the_memory_estimate(monkeypatch, n, count):
+    # the estimate passed to check_memory must bound what the fill really
+    # holds: n = 3 * 2^40 takes the four-product multiply-high, and at
+    # n = 2^62 + 3 about a quarter of the draws retry
+    estimates = []
+    monkeypatch.setattr(rng, "check_memory", lambda need, what: estimates.append(need))
+    tracemalloc.start()
+    try:
+        rng.uniform_ints(3, 1, count, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert estimates and peak <= estimates[0]
+    assert estimates[0] <= 8 * count + 64 * rng.BLOCK_WORDS
+
+
+def test_run_tasks_keeps_task_order_and_one_buffer_set_per_worker(monkeypatch):
+    monkeypatch.setattr(rng, "cpu_count", lambda: 3)
+    made = []
+
+    def new_buffers():
+        made.append(threading.get_ident())
+        return object()
+
+    def fn(task, buffers):
+        return task, id(buffers), threading.get_ident()
+
+    out = rng.run_tasks(fn, range(40), 40, new_buffers)
+    assert [task for task, _, _ in out] == list(range(40))
+    assert made == [threading.get_ident()] * 3
+    # a worker, the calling thread among them, hands every task it takes
+    # the same buffers
+    by_thread = {}
+    for _, buffers, thread in out:
+        by_thread.setdefault(thread, set()).add(buffers)
+    assert len(by_thread) <= 3
+    assert all(len(sets) == 1 for sets in by_thread.values())
+
+
+@pytest.mark.parametrize("cpus, full", [(1, 40), (4, 1), (4, 0)])
+def test_run_tasks_runs_inline_without_two_cpus_and_two_full_tasks(monkeypatch, cpus, full):
+    monkeypatch.setattr(rng, "cpu_count", lambda: cpus)
+    out = rng.run_tasks(lambda task, buffers: (task, threading.get_ident()),
+                        range(5), full, lambda: None)
+    assert out == [(task, threading.get_ident()) for task in range(5)]
+
+
+def test_run_tasks_raises_a_task_error(monkeypatch):
+    monkeypatch.setattr(rng, "cpu_count", lambda: 2)
+
+    def fn(task, buffers):
+        if task == 7:
+            raise ValueError("task 7")
+        return task
+
+    with pytest.raises(ValueError, match="task 7"):
+        rng.run_tasks(fn, range(10), 10, lambda: None)
+
+
+def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
+    # more workers than cores and a short switch interval: a task lost or run
+    # twice by a race on the shared task iterator would show in the counts
+    monkeypatch.setattr(rng, "cpu_count", lambda: 8)
+    runs = [0] * 3000
+    lock = threading.Lock()
+
+    def fn(task, buffers):
+        with lock:
+            runs[task] += 1
+        return task * task
+
+    out = []
+    runner = threading.Thread(
+        target=lambda: out.extend(rng.run_tasks(fn, range(3000), 3000, lambda: None)),
+        daemon=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    assert out == [task * task for task in range(3000)]
+    assert runs == [1] * 3000
 
 
 def test_partition():
