@@ -46,11 +46,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _report_envelope(command: str, config: dict, results) -> dict:
-    return {"version": __version__, "command": command, "config": config,
-            "results": results}
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -67,8 +62,6 @@ def _cmd_rho_table(args) -> int:
 
 
 def _cmd_mertens(args) -> int:
-    if (args.x is None) == (args.range is None):
-        raise UsageError("give exactly one of --x or --range A B")
     if args.x is not None:
         sieve = build_sieve(max(args.x, 2))
         value = mertens_constant_estimate(sieve, args.x)
@@ -174,21 +167,18 @@ def _cmd_pd_box(args) -> int:
 def _cmd_verify(args) -> int:
     box = BoxSpec.from_string(args.box)
     ladder = args.ladder
-    # the scan and Monte Carlo need the sieve to reach n; entries past
-    # SIEVE_LIMIT are counted through the prime-tuple identity instead, which
-    # needs primes only up to the top coordinate's bound
+    # every entry is counted exactly: by the scan where the sieve reaches n,
+    # and past SIEVE_LIMIT through the prime-tuple identity, which needs
+    # primes only up to the top coordinate's bound
     box.require_inside_u()
     top = prime_bounds(max(ladder), box)[0][1]
     sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
     table = build_rho_table(args.umax)
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
-    report = run_criterion(sieve, table, ladder, box, crit, budget=args.samples,
-                           seed=args.seed, exact_threshold=args.exact_threshold)
-    payload = _report_envelope(
-        "verify",
-        {"epsilon": args.epsilon, "ladder": ladder, "samples": args.samples,
-         "seed": args.seed},
-        report.to_dict())
+    report = run_criterion(sieve, table, ladder, box, crit, exact_threshold=sieve.limit)
+    payload = {"version": __version__, "command": "verify",
+               "config": {"epsilon": args.epsilon, "ladder": ladder},
+               "results": report.to_dict()}
     _emit(_json_text(payload), args.report)
     return 0 if report.all_pass() else 1
 
@@ -200,10 +190,6 @@ def _cmd_suite(args) -> int:
         first = next(r["name"] for r in report["results"] if not r["passed"])
         print(f"FAILED: {first}", file=sys.stderr)
     return 0 if passed else 1
-
-
-class UsageError(Exception):
-    pass
 
 
 def _count(value: str) -> int:
@@ -286,10 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_rho_table)
 
     s = subs.add_parser("mertens", help="prime-reciprocal sums")
-    s.add_argument("--x", type=_count, default=None,
-                   help="print sum_{p<=x} 1/p - log log x")
-    s.add_argument("--range", type=_count, nargs=2, metavar=("A", "B"), default=None,
-                   help="print sum of 1/p over primes in [A, B]")
+    which = s.add_mutually_exclusive_group(required=True)
+    which.add_argument("--x", type=_count, default=None,
+                       help="print sum_{p<=x} 1/p - log log x")
+    which.add_argument("--range", type=_count, nargs=2, metavar=("A", "B"), default=None,
+                       help="print sum of 1/p over primes in [A, B]")
     _add_common(s)
     s.set_defaults(fn=_cmd_mertens)
 
@@ -344,10 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--box", required=True)
     s.add_argument("--epsilon", type=float, default=0.25)
     s.add_argument("--ladder", type=_ladder, required=True, help="'1e4,1e5,1e6'")
-    s.add_argument("--samples", type=_positive_count, default=10**5)
-    s.add_argument("--exact-threshold", type=_count, default=10**6)
     s.add_argument("--report", default=None)
-    _add_common(s, digits=False, out=False, table=True, seed=True)
+    _add_common(s, digits=False, out=False, table=True)
     s.set_defaults(fn=_cmd_verify)
 
     s = subs.add_parser("suite", help="run a named verification bundle")
@@ -367,9 +352,6 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BillingsleyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -97,12 +97,7 @@ class ConvergenceReport:
 def distance_to_complement(box: BoxSpec) -> float:
     """Exact d(B, U^c): minimum facet distance over the box's vertices."""
     box.require_inside_u()
-    t, up, k = box.t, box.upper(), box.k
-    dists = [t[-1]]  # facet t_k = 0, unit normal
-    for i in range(k - 1):
-        dists.append((t[i] - up[i + 1]) / math.sqrt(2.0))  # facet t_i = t_{i+1}
-    dists.append((1.0 - sum(up)) / math.sqrt(k))  # facet sum t_i = 1
-    return min(dists)
+    return min(box._facets())
 
 
 def box_admissible(box: BoxSpec, crit: BoxCriterion) -> bool:
@@ -150,14 +145,10 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     must reach their top prime bound); the n in between fall back to Monte
     Carlo with a 4-sigma margin on the verdict.
     """
-    if crit.k != box.k:
-        raise ParameterError(f"criterion is for k={crit.k}, box has k={box.k}")
-    box.require_inside_u()
-    d = distance_to_complement(box)
-    if not crit.R * box.diameter() < d:
+    if not box_admissible(box, crit):
         raise DomainError(
             f"box not admissible: R*diam(B) = {crit.R * box.diameter():.6g} "
-            f"is not < d(B, U^c) = {d:.6g}")
+            f"is not < d(B, U^c) = {distance_to_complement(box):.6g}")
     vol = box.volume()
     inf_f = inf_density_on_box(table, box)
     lower = (1.0 - crit.epsilon) * vol * inf_f

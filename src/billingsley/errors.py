@@ -25,12 +25,12 @@ class ResourceError(BillingsleyError, RuntimeError):
 DEFAULT_MEMORY_BUDGET = 4 << 30
 
 
-def check_memory(need: float, what: str, budget: int = DEFAULT_MEMORY_BUDGET) -> None:
+def check_memory(need: float, what: str) -> None:
     """Raise ResourceError, before anything is allocated, when `what` needs
-    more than `budget` bytes."""
-    if need > budget:
+    more than DEFAULT_MEMORY_BUDGET bytes."""
+    if need > DEFAULT_MEMORY_BUDGET:
         raise ResourceError(f"{what} needs ~{need / 2**30:.3g} GiB, "
-                            f"budget is {budget / 2**30:.3g} GiB")
+                            f"budget is {DEFAULT_MEMORY_BUDGET / 2**30:.3g} GiB")
 
 
 class NumericalError(BillingsleyError, RuntimeError):

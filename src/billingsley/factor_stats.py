@@ -25,7 +25,6 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple
 
@@ -89,26 +88,30 @@ class BoxSpec:
     def inside_u(self) -> bool:
         return self._violation() is None
 
+    def _facets(self) -> list[float]:
+        """Distances from the box's nearest vertex to U's k+1 facet
+        hyperplanes: t_k = 0, then t_i = t_{i+1} for i = 1..k-1, then
+        sum t_i = 1.  Each is positive iff the box is on U's side of it."""
+        t, up, k = self.t, self.upper(), self.k
+        return ([t[-1]] + [(t[i] - up[i + 1]) / math.sqrt(2.0) for i in range(k - 1)]
+                + [(1.0 - sum(up)) / math.sqrt(k)])
+
     def _violation(self) -> str | None:
+        """Why the box is not inside U, for the first facet it reaches."""
         up = self.upper()
-        if self.t[-1] <= 0:
+        i = next((i for i, d in enumerate(self._facets()) if d <= 0), None)
+        if i is None:
+            return None
+        if i == 0:
             return f"t_{self.k} = {self.t[-1]} is not > 0"
-        for i in range(self.k - 1):
-            if up[i + 1] >= self.t[i]:
-                return (f"t_{i + 2} + dt_{i + 2} = {up[i + 1]} is not < "
-                        f"t_{i + 1} = {self.t[i]}")
-        if sum(up) >= 1:
-            return f"sum of right endpoints = {sum(up)} is not < 1"
-        return None
+        if i < self.k:
+            return f"t_{i + 1} + dt_{i + 1} = {up[i]} is not < t_{i} = {self.t[i - 1]}"
+        return f"sum of right endpoints = {sum(up)} is not < 1"
 
     def require_inside_u(self) -> None:
         reason = self._violation()
         if reason is not None:
             raise DomainError(f"box not inside U: {reason}")
-
-    def alpha(self) -> float:
-        """1 - sum of right endpoints (positive iff the simplex constraint holds)."""
-        return 1.0 - sum(self.upper())
 
     def u0(self) -> float:
         """(1 - sum t_i) / t_k, the largest rho argument over the box."""
@@ -131,7 +134,6 @@ class FactorVector(NamedTuple):
     """A sampled integer N <= n with its k largest prime factors (descending,
     padded with 1) and their logs scaled by log n."""
 
-    n: int
     N: int
     p: tuple
     L: tuple
@@ -145,10 +147,6 @@ class ExactProbability:
     @property
     def value(self) -> float:
         return self.count / self.total
-
-    @property
-    def fraction(self) -> Fraction:
-        return Fraction(self.count, self.total)
 
 
 @dataclass(frozen=True)
@@ -196,7 +194,7 @@ def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[Fa
     gc.disable()
     try:
         return list(map(tuple.__new__, repeat(FactorVector),
-                        zip(repeat(n), N.tolist(), zip(*p.T.tolist()), zip(*L.T.tolist()))))
+                        zip(N.tolist(), zip(*p.T.tolist()), zip(*L.T.tolist()))))
     finally:
         if enabled:
             gc.enable()
@@ -216,25 +214,24 @@ def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
             for t, d in zip(box.t, box.dt)]
 
 
-def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec,
-                          chunk: int = SCAN_CHUNK) -> ExactProbability:
+def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:
     """Exact count of m <= n whose ranked factors fall in the box's prime
-    intervals, scanned in chunks off the sieve: rank 1 is a slice of the
-    table, and only the m whose rank 1 is inside go on to be peeled.  The
-    chunks are run_tasks tasks, full-size when at least rng.BLOCK_WORDS
-    long."""
+    intervals, scanned in chunks of SCAN_CHUNK integers off the sieve: rank
+    1 is a slice of the table, and only the m whose rank 1 is inside go on
+    to be peeled.  The chunks are run_tasks tasks, full-size when at least
+    rng.BLOCK_WORDS long."""
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
     lpf = sieve.largest_prime_factor
 
     def chunk_count(start, masks):
-        return _count_survivors(lpf, lpf[start:min(n + 1, start + chunk)], bounds,
+        return _count_survivors(lpf, lpf[start:min(n + 1, start + SCAN_CHUNK)], bounds,
                                 lambda rows: rows.astype(lpf.dtype) + start, masks)
 
-    full = n // chunk if chunk >= rng.BLOCK_WORDS else 0
-    counts = rng.run_tasks(chunk_count, range(1, n + 1, chunk), full,
-                           lambda: _masks(min(chunk, n)))
+    full = n // SCAN_CHUNK if SCAN_CHUNK >= rng.BLOCK_WORDS else 0
+    counts = rng.run_tasks(chunk_count, range(1, n + 1, SCAN_CHUNK), full,
+                           lambda: _masks(min(SCAN_CHUNK, n)))
     return ExactProbability(count=sum(counts), total=n)
 
 

@@ -69,16 +69,23 @@ def pd_density(table: DickmanTable, point) -> float:
     return rho(table, u) / math.prod(t)
 
 
-def _stick_matrix(seed: int, count: int, truncation: int,
-                  start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ranked stick lengths and the tail-mass vector.
+def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
+                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """`count` ranked, truncated Poisson-Dirichlet draws: the sticks as a
+    (count, truncation) array, each row descending, and the tail masses.
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
-    row consumes counter (start + i) * truncation + j of shard 0.  Rows are
-    filled in blocks of _block_rows(truncation) rows (capped at the count),
-    held column-major as (truncation, rows) so that each step is a pass
-    over contiguous rows of the block: the unmixed words are
-    one add to a precomputed block, rng._uniform_block mixes them into
+    row consumes counter (start + i) * truncation + j of shard 0, so large
+    budgets can be processed in chunks without changing the stream.  Each
+    row sums to 1 minus its tail mass (telescoping), the product of the
+    truncation residuals.  Ranks whose value is below the tail mass could in
+    principle be displaced by unseen tail sticks; trust only components
+    above that level.
+
+    Rows are filled in blocks of _block_rows(truncation) rows (capped at
+    the count), held column-major as (truncation, rows) so that each step
+    is a pass over contiguous rows of the block: the unmixed words are one
+    add to a precomputed block, rng._uniform_block mixes them into
     uniforms, the prefix products take truncation - 1 row multiplies and the
     stick lengths one subtract.  One transpose copy turns the lengths into
     draws, which are sorted and copied out reversed.  The blocks change no
@@ -88,6 +95,10 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     buffers over the memory budget: 8 * (truncation + 1) bytes per row, the
     shared block of words and three block buffers per CPU.
     """
+    if truncation < 1:
+        raise ParameterError("truncation must be >= 1")
+    if count < 1:
+        raise ParameterError("count must be >= 1")
     t = truncation
     rows = min(count, _block_rows(t))
     check_memory(8 * ((t + 1) * count + (1 + 3 * rng.cpu_count()) * t * rows),
@@ -122,25 +133,6 @@ def _stick_matrix(seed: int, count: int, truncation: int,
     rng.run_tasks(fill, range(0, count, rows), count // rows,
                   lambda: (np.empty_like(base), np.empty_like(base), np.empty(base.shape)))
     return sticks, tails
-
-
-def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
-                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """`count` ranked, truncated Poisson-Dirichlet draws: the sticks as a
-    (count, truncation) array, each row descending, and the tail masses.
-
-    Row i is a pure function of (seed, start + i, truncation), so large
-    budgets can be processed in chunks without changing the stream.  Each
-    row sums to 1 minus its tail mass (telescoping), the product of the
-    truncation residuals.  Ranks whose value is below the tail mass could in
-    principle be displaced by unseen tail sticks; trust only components
-    above that level.
-    """
-    if truncation < 1:
-        raise ParameterError("truncation must be >= 1")
-    if count < 1:
-        raise ParameterError("count must be >= 1")
-    return _stick_matrix(seed, count, truncation, start)
 
 
 def _density_grid(table: DickmanTable, box: BoxSpec, grid: int) -> float:

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DEFAULT_MEMORY_BUDGET, DomainError, ParameterError, check_memory
+from .errors import DomainError, ParameterError, check_memory
 
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
@@ -73,7 +73,7 @@ def _build_bytes(limit: int) -> int:
             + 24 * odd + 8 * math.prod(SIEVE_WHEEL) + (1 << 16))
 
 
-def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> PrimeSieve:
+def build_sieve(limit: int) -> PrimeSieve:
     """Sieve the largest prime factor of every integer in [2, limit].
 
     Primes p <= sqrt(limit) are written in ascending order, so the largest
@@ -92,7 +92,7 @@ def build_sieve(limit: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Prime
     """
     if limit < 2 or limit > 2**31 - 1:
         raise ParameterError(f"sieve limit must be in [2, 2^31 - 1], got {limit}")
-    check_memory(_build_bytes(limit), f"sieve to {limit}", memory_budget)
+    check_memory(_build_bytes(limit), f"sieve to {limit}")
     # at least 2, so that 2 is a slice prime and the finalize pass meets
     # only odd primes
     root = max(math.isqrt(limit), 2)
@@ -172,24 +172,26 @@ def _float_power(n: int, t: float) -> float:
 
 def power_floor(n: int, t: float) -> int:
     """floor(n^t) with deterministic resolution of near-integer boundaries."""
-    if n < 1 or t < 0:
-        raise ParameterError("power_floor needs n >= 1 and t >= 0")
-    c = _float_power(n, t)
-    m0 = round(c)
-    if abs(c - m0) > max(_BAND_ABS, c * _BAND_REL) or m0 < 1:
-        return math.floor(c)
-    return m0 if _compare_power(m0, n, t) <= 0 else m0 - 1
+    return _power_round(n, t, math.floor, -1)
 
 
 def power_ceil(n: int, t: float) -> int:
     """ceil(n^t), resolved the same way as power_floor."""
+    return _power_round(n, t, math.ceil, 1)
+
+
+def _power_round(n: int, t: float, rounding, step: int) -> int:
+    """n^t rounded by math.floor (step -1) or math.ceil (step +1).  A float
+    n^t within the band around an integer m0 is placed exactly by
+    _compare_power: the result is m0 unless n^t lies on the step's side of
+    m0, and then m0 + step."""
     if n < 1 or t < 0:
-        raise ParameterError("power_ceil needs n >= 1 and t >= 0")
+        raise ParameterError(f"power_{rounding.__name__} needs n >= 1 and t >= 0")
     c = _float_power(n, t)
     m0 = round(c)
     if abs(c - m0) > max(_BAND_ABS, c * _BAND_REL) or m0 < 1:
-        return math.ceil(c)
-    return m0 if _compare_power(m0, n, t) >= 0 else m0 + 1
+        return rounding(c)
+    return m0 if _compare_power(m0, n, t) * step >= 0 else m0 + step
 
 
 # ---------------------------------------------------------------------------

@@ -103,11 +103,8 @@ class PsiEngine:
     table.  Results never depend on call history; the caches only grow.
     """
 
-    def __init__(self, leaf_limit: int = LEAF_LIMIT):
-        if not 16 <= leaf_limit <= PRIME_CAP:
-            raise ParameterError(f"leaf limit must be in [16, {PRIME_CAP}]")
-        self.leaf_limit = leaf_limit
-        self.prime_limit = leaf_limit
+    def __init__(self):
+        self.leaf_limit = self.prime_limit = leaf_limit = LEAF_LIMIT
         self.primes = _eratosthenes(self.prime_limit)
         # leaf table: largest prime factor of every m <= T, multiplied out
         # from the engine's own primes (lab[1] = 1; index 0 never matches).

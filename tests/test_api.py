@@ -1,3 +1,4 @@
+import inspect
 import re
 from pathlib import Path
 
@@ -18,6 +19,50 @@ PUBLIC_NAMES = [
     "sample_factor_vectors",
 ]
 
+#: parameter names of every public callable but the exceptions that take the
+#: builtin Exception arguments (a dataclass's or NamedTuple's are its
+#: fields); a parameter that only tests set should not come back unnoticed
+PUBLIC_PARAMETERS = {
+    "BoxCriterion": ("epsilon", "k", "R"),
+    "BoxSpec": ("t", "dt"),
+    "ConvergenceReport": ("box", "epsilon", "R", "admissible", "volume", "inf_density",
+                          "lower_bound", "entries", "trend"),
+    "DickmanTable": ("u_max", "cells"),
+    "EmpiricalEstimate": ("hits", "total", "p_hat", "std_err"),
+    "ExactProbability": ("count", "total"),
+    "FactorVector": ("N", "p", "L"),
+    "NumericalError": ("message", "partial"),
+    "PrimeSieve": ("limit", "largest_prime_factor", "prime_array"),
+    "box_admissible": ("box", "crit"),
+    "box_probability_exact": ("sieve", "n", "box"),
+    "box_probability_via_psi": ("sieve", "n", "box"),
+    "build_rho_table": ("u_max",),
+    "build_sieve": ("limit",),
+    "distance_to_complement": ("box",),
+    "h_function": ("i", "u"),
+    "inf_density_on_box": ("table", "box"),
+    "mertens_constant_estimate": ("sieve", "x"),
+    "mertens_sum": ("sieve", "a", "b"),
+    "pd_box_probability_refined": ("table", "box", "grid"),
+    "pd_density": ("table", "point"),
+    "pd_sample_batch": ("seed", "count", "truncation", "start"),
+    "power_ceil": ("n", "t"),
+    "power_floor": ("n", "t"),
+    "prime_bounds": ("n", "box"),
+    "psi_bruteforce": ("sieve", "x", "y"),
+    "psi_dickman": ("table", "x", "y"),
+    "psi_exact": ("x", "y"),
+    "ranked_factors": ("sieve", "N", "k"),
+    "rho": ("table", "u"),
+    "rho_via_alternating_sum": ("u",),
+    "run_criterion": ("sieve", "table", "ladder", "box", "crit", "budget", "seed",
+                      "exact_threshold"),
+    "sample_box_probability": ("sieve", "n", "box", "samples", "seed"),
+    "sample_factor_vectors": ("sieve", "n", "count", "k", "seed"),
+}
+
+EXCEPTION_ARGS = {"BillingsleyError", "DomainError", "ParameterError", "ResourceError"}
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -25,6 +70,15 @@ def test_public_api_is_pinned():
     assert sorted(billingsley.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(billingsley, name) is not None
+
+
+def test_public_parameters_are_pinned():
+    got = {}
+    for name in PUBLIC_NAMES:
+        obj = getattr(billingsley, name)
+        if callable(obj) and name not in EXCEPTION_ARGS:
+            got[name] = tuple(inspect.signature(obj).parameters)
+    assert got == PUBLIC_PARAMETERS
 
 
 def test_readme_library_sketch_runs():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from billingsley import build_rho_table, psi_exact
+from billingsley import (BoxSpec, box_probability_via_psi, build_rho_table, build_sieve,
+                         prime_bounds, psi_exact)
 from billingsley import cli
 from billingsley.cli import dispatch
 
@@ -76,10 +77,13 @@ def test_psi_dickman(capsys):
 
 
 def test_mertens_requires_exactly_one_mode(capsys):
-    code, _, err = run(capsys, "mertens")
-    assert code == 2
-    code, _, _ = run(capsys, "mertens", "--x", "100", "--range", "2", "10")
-    assert code == 2
+    for argv, message in ((["mertens"], "one of the arguments --x --range is required"),
+                          (["mertens", "--x", "100", "--range", "2", "10"],
+                           "argument --range: not allowed with argument --x")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].endswith(f"error: {message}")
 
 
 def test_mertens_range(capsys):
@@ -162,6 +166,16 @@ def test_threads_option_is_gone(capsys):
         assert "unrecognized arguments: --threads" in err
 
 
+def test_verify_mc_options_are_gone(capsys):
+    # every rung is counted exactly, so verify draws nothing
+    for option, value in (("--samples", "1e5"), ("--exact-threshold", "1e6"),
+                          ("--seed", "42")):
+        code, out, err = run(capsys, "verify", "--box", "0.5,0.02", "--ladder", "1e4",
+                             option, value)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {option}" in err
+
+
 def test_psi_ladder_csv(capsys):
     code, out, _ = run(capsys, "psi-ladder", "--t", "2", "--nmin", "1e3",
                        "--nmax", "1e5", "--umax", "3")
@@ -235,15 +249,21 @@ def test_verify_roundtrip(tmp_path, capsys):
     assert payload["results"]["admissible"] is True
 
 
-def test_verify_mc_entries(tmp_path, capsys):
-    code, out, _ = run(capsys, "verify", "--box", "0.5,0.1", "--epsilon", "0.25",
-                       "--ladder", "1e4", "--exact-threshold", "1e3",
-                       "--samples", "20000", "--seed", "9", "--umax", "3")
+def test_verify_counts_the_1e7_rung_exactly(capsys):
+    # the sieve reaches 10^7, so the scan counts that rung; the Psi identity
+    # is the oracle
+    code, out, _ = run(capsys, "verify", "--box", "0.5,0.1",
+                       "--ladder", "1e4,1e5,1e6,1e7")
     assert code == 0
-    entry = json.loads(out)["results"]["entries"][0]
-    assert entry["method"] == "mc"
-    assert entry["std_err"] > 0
-    assert entry["verdict"] is True
+    payload = json.loads(out)
+    assert payload["config"] == {"epsilon": 0.25, "ladder": [10**4, 10**5, 10**6, 10**7]}
+    entries = payload["results"]["entries"]
+    assert [e["method"] for e in entries] == ["exact"] * 4
+    assert all("std_err" not in e for e in entries)
+    n, box = 10**7, BoxSpec((0.5,), (0.1,))
+    sieve = build_sieve(prime_bounds(n, box)[0][1])
+    assert box_probability_via_psi(sieve, n, box).count == 1823427
+    assert entries[-1] == {"n": n, "method": "exact", "p": 0.1823427, "verdict": True}
 
 
 def test_verify_counts_past_the_sieve_exactly(capsys):
@@ -302,8 +322,8 @@ NON_FINITE_OPTIONS = [
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--epsilon", "{}"),
     (["verify", "--box", "0.5,0.02"], "--ladder", "{}"),
     (["verify", "--box", "0.5,0.02"], "--ladder", "1e4,{}"),
-    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--samples", "{}"),
-    (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--exact-threshold", "{}"),
+    (["verify", "--ladder", "1e4"], "--box", "{},0.02"),
+    (["verify", "--ladder", "1e4"], "--box", "0.5,{}"),
     (["verify", "--box", "0.5,0.02", "--ladder", "1e4"], "--umax", "{}"),
     (["mertens"], "--x", "{}"),
     (["psi", "--y", "10"], "--x", "{}"),
@@ -377,7 +397,6 @@ NON_POSITIVE_ARGV = [
     (["sample-factors", "--n", "1e4", "--count", "5", "--k", "0"], "--k"),
     (["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "0"],
      "--samples"),
-    (["verify", "--box", "0.5,0.02", "--ladder", "1e4", "--samples", "0"], "--samples"),
     (["pd-box", "--box", "0.5,0.1", "--grid", "0"], "--grid"),
     (["pd-sample", "--count", "2", "--trunc", "0"], "--trunc"),
 ]

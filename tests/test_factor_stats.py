@@ -3,7 +3,6 @@ import hashlib
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import pytest
 
@@ -14,7 +13,7 @@ from billingsley import (BoxSpec, DomainError, FactorVector, ParameterError, Pri
                          build_sieve, power_floor, prime_bounds, psi_bruteforce,
                          psi_exact, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
-from billingsley import rng
+from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, MC_SHARDS, SCAN_CHUNK, _count_in_box,
                                       _factor_vectors, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
@@ -83,8 +82,8 @@ def test_factor_vector_invariants(sieve5):
 
 def test_factor_vector_is_an_immutable_named_tuple(sieve5):
     fv = _factor_vector(sieve5, 10**5, 360, 3)
-    assert fv == (10**5, 360, (5, 3, 3), fv.L)
-    assert fv._fields == ("n", "N", "p", "L")
+    assert fv == (360, (5, 3, 3), fv.L)
+    assert fv._fields == ("N", "p", "L")
     with pytest.raises(AttributeError):
         fv.N = 12
 
@@ -107,9 +106,8 @@ def test_box_spec_u_membership():
     assert not BoxSpec((1.2,), (0.1,)).inside_u()          # sum >= 1
     assert not BoxSpec((0.5, 0.45), (0.1, 0.04)).inside_u()  # ordering broken
     assert not BoxSpec((0.5, -0.1), (0.1, 0.05)).inside_u()  # positivity broken
-    # alpha and u0 accessors on a box inside U
+    # the u0 accessor on a box inside U
     box = BoxSpec((0.5, 0.2), (0.05, 0.05))
-    assert box.alpha() == pytest.approx(1 - 0.55 - 0.25)
     assert box.u0() == pytest.approx((1 - 0.7) / 0.2)
 
 
@@ -121,7 +119,6 @@ def test_box_exact_k1_against_trial_division(sieve5):
                if 10 <= largest_factor_trial_division(m) <= 63)
     assert got.count == want
     assert got.total == 100
-    assert got.fraction == Fraction(want, 100)
 
 
 def test_box_above_one_is_empty(sieve5):
@@ -297,13 +294,13 @@ def test_marginal_cdf(sieve5):
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_exact_chunking_invariance(sieve5):
+def test_exact_chunking_invariance(sieve5, monkeypatch):
     box = BoxSpec((0.45, 0.15), (0.1, 0.1))
     n = 10**4 + 7
     want = box_probability_exact(sieve5, n, box).count
-    assert box_probability_exact(sieve5, n, box, chunk=1000).count == want
-    assert box_probability_exact(sieve5, n, box, chunk=n).count == want
-    assert box_probability_exact(sieve5, n, box, chunk=10**7).count == want
+    for chunk in (1000, n, 10**7):
+        monkeypatch.setattr(factor_stats, "SCAN_CHUNK", chunk)
+        assert box_probability_exact(sieve5, n, box).count == want, chunk
 
 
 def test_sample_factor_vectors_deterministic(sieve5):
@@ -351,7 +348,6 @@ def test_factor_rows_are_pinned(sieve5):
     # platform's libm
     logn = math.log(n)
     for fv in rows:
-        assert fv.n == n
         assert fv.L == tuple(math.log(q) / logn if q > 1 else 0.0 for q in fv.p)
 
 
@@ -441,25 +437,27 @@ def test_prime_box_helper_hits_its_ranges(sieve5):
     assert _scan_bounds(sieve5, N_SCAN, NO_INTEGER_BOX) is None
 
 
-def test_exact_scan_matches_full_peel(sieve5):
+def test_exact_scan_matches_full_peel(sieve5, monkeypatch):
     m = np.arange(1, N_SCAN + 1, dtype=np.int64)
     for box in scan_boxes():
         want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
         for chunk in (1000, N_SCAN):
-            got = box_probability_exact(sieve5, N_SCAN, box, chunk=chunk).count
+            monkeypatch.setattr(factor_stats, "SCAN_CHUNK", chunk)
+            got = box_probability_exact(sieve5, N_SCAN, box).count
             assert got == want, (box, chunk)
 
 
-def test_exact_scan_chunk_one_matches_full_peel(sieve5):
+def test_exact_scan_chunk_one_matches_full_peel(sieve5, monkeypatch):
     # one chunk per integer: every slice boundary and the survivor loop on
     # single rows (about a second per box, so one box per k)
     m = np.arange(1, N_SCAN + 1, dtype=np.int64)
     rnd = random.Random(7)
     boxes = [random_box(rnd, 1), prime_box(N_SCAN, SPECIAL_RANGES[1][1]),
              prime_box(N_SCAN, SPECIAL_RANGES[2][1]), random_box(rnd, 4)]
+    monkeypatch.setattr(factor_stats, "SCAN_CHUNK", 1)
     for box in boxes:
         want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
-        assert box_probability_exact(sieve5, N_SCAN, box, chunk=1).count == want
+        assert box_probability_exact(sieve5, N_SCAN, box).count == want
 
 
 def test_exact_scan_special_ranges_are_counted(sieve5):

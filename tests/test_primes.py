@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from billingsley import errors, smoothcount
 from billingsley import (DomainError, ParameterError, ResourceError, build_sieve,
                          mertens_constant_estimate, mertens_sum, power_ceil,
                          power_floor)
@@ -69,11 +70,12 @@ def test_lpf_against_trial_division(sieve5):
 EDGE_LIMITS = [2**19 - 1, 2**19 + 1, 3 * 2**18 + 1, 1009**2 - 1, 1009**2, 2**20]
 
 
-def test_lpf_against_psi_engine_leaf_table(sieve7):
+def test_lpf_against_psi_engine_leaf_table(sieve7, monkeypatch):
     # two separately written builders of the same table
     sieve = build_sieve(1 << 20)
     assert np.array_equal(sieve.largest_prime_factor[1:], PsiEngine().leaf_labels[1:])
-    engine = PsiEngine(leaf_limit=10**7)
+    monkeypatch.setattr(smoothcount, "LEAF_LIMIT", 10**7)
+    engine = PsiEngine()
     for sieve in [build_sieve(limit) for limit in SIEVE_LIMITS + EDGE_LIMITS] + [sieve7]:
         assert np.array_equal(sieve.largest_prime_factor[1:],
                               engine.leaf_labels[1: sieve.limit + 1]), sieve.limit
@@ -108,13 +110,14 @@ def test_build_bytes_bounds_the_traced_peak(limit):
     assert peak <= _build_bytes(limit)
 
 
-def test_sieve_parameter_and_resource_errors():
+def test_sieve_parameter_and_resource_errors(monkeypatch):
     with pytest.raises(ParameterError):
         build_sieve(1)
     with pytest.raises(ResourceError):
-        build_sieve(10**9, memory_budget=1 << 20)
-    with pytest.raises(ResourceError):
         build_sieve(2**31 - 1)  # past the default budget, before any allocation
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+    with pytest.raises(ResourceError, match="budget is 0.000977 GiB"):
+        build_sieve(10**6)
 
 
 def test_largest_prime_factor_table(sieve5):

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from billingsley import smoothcount
 from billingsley import (DomainError, ParameterError, ResourceError,
                          build_rho_table, psi_bruteforce, psi_dickman, psi_exact,
                          rho)
@@ -121,13 +122,14 @@ def test_random_against_bruteforce(sieve7):
         assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y), (x, y)
 
 
-def test_sweep_paths_against_bruteforce(sieve5):
+def test_sweep_paths_against_bruteforce(sieve5, monkeypatch):
     # a tiny leaf table sends small x through every stage of the sweep; at
     # 4096 the few leaf-range quotients of a stage are passed on across
     # many stages before they pay for a refilter of the leaf set
     rnd = random.Random(12)
     for leaf_limit in (64, 4096):
-        engine = PsiEngine(leaf_limit=leaf_limit)
+        monkeypatch.setattr(smoothcount, "LEAF_LIMIT", leaf_limit)
+        engine = PsiEngine()
         for _ in range(300):
             x = rnd.randint(1, 10**5)
             near_root = max(2, int(x**0.5) + rnd.randint(-2, 2))
