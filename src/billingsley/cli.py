@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .convergence import BoxCriterion, run_criterion
 from .dickman import DEFAULT_U_MAX, NODES_PER_UNIT, DickmanTable, build_rho_table, rho
-from .errors import BillingsleyError
+from .errors import BillingsleyError, ParameterError, check_memory
 from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
                            prime_bounds, sample_box_probability, sample_factor_vectors)
 from .pd_process import (DEFAULT_TRUNCATION, pd_box_probability_refined, pd_density,
@@ -36,10 +36,24 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _table_csv(table: DickmanTable) -> str:
+    """One row per node up to u_max, zeros past the nodes the table stores."""
+    rows = table.u_max * NODES_PER_UNIT + 1  # a float, so it cannot overflow
+    check_memory(160.0 * rows, f"a rho table CSV to u = {table.u_max:g}")  # measured 145 a row
+    values = table.cells[0].tolist()
+    values += [0.0] * (math.ceil(table.u_max * NODES_PER_UNIT) + 1 - len(values))
     lines = [f"# u_max={table.u_max!r} spacing={1 / NODES_PER_UNIT!r}", "u,rho"]
-    for j, v in enumerate(table.cells[0].tolist()):
+    for j, v in enumerate(values):
         lines.append(f"{j / NODES_PER_UNIT!r},{v!r}")
     return "\n".join(lines) + "\n"
+
+
+def _rho_table_reaching(reach: float) -> DickmanTable:
+    """A table past `reach`, the largest rho argument a command reads, by a
+    unit that absorbs rounding against the library's own checks; the
+    default table for a reach that is not finite, which rho then refuses."""
+    if not math.isfinite(reach):
+        return build_rho_table()
+    return build_rho_table(max(DEFAULT_U_MAX, reach + 1.0))
 
 
 def _json_text(payload: dict) -> str:
@@ -50,7 +64,7 @@ def _json_text(payload: dict) -> str:
 # subcommand handlers
 
 def _cmd_rho(args) -> int:
-    table = build_rho_table(args.umax)
+    table = _rho_table_reaching(args.u)
     _emit(f"{rho(table, args.u):.{args.digits}f}\n", args.out)
     return 0
 
@@ -82,7 +96,9 @@ def _cmd_psi(args) -> int:
         value = psi_exact(args.x, args.y)
         text = f"{value}\n"
     else:
-        table = build_rho_table(args.umax)
+        # log x / log y, or 0 where psi_dickman refuses (x, y) unread
+        ok = args.x >= args.y >= 2
+        table = _rho_table_reaching(math.log(args.x) / math.log(args.y) if ok else 0.0)
         value = psi_dickman(table, args.x, args.y)
         text = f"{value:.{args.digits}f}\n"
     _emit(text, args.out)
@@ -90,7 +106,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_psi_ladder(args) -> int:
-    table = build_rho_table(args.umax)
+    table = _rho_table_reaching(args.t)
     rho_t = rho(table, args.t)
     lines = ["n,psi,psi_over_n,rho,abs_err"]
     n = args.nmin
@@ -150,15 +166,23 @@ def _cmd_pd_sample(args) -> int:
 
 
 def _cmd_pd_density(args) -> int:
-    table = build_rho_table(args.umax)
-    point = [float(v) for v in args.point.split(",")]
+    try:
+        point = [float(v) for v in args.point.split(",")]
+    except ValueError:
+        raise ParameterError(f"bad point {args.point!r}, want 't1,t2,...'") from None
+    # the density reads rho at (1 - sum t)/t_k, and only inside U
+    inside = (point[-1] > 0 and sum(point) < 1
+              and all(a > b for a, b in zip(point, point[1:])))
+    table = _rho_table_reaching((1.0 - sum(point)) / point[-1] if inside else 0.0)
     _emit(f"{pd_density(table, point):.{args.digits}f}\n", args.out)
     return 0
 
 
 def _cmd_pd_box(args) -> int:
-    table = build_rho_table(args.umax)
     box = BoxSpec.from_string(args.box)
+    box.require_inside_u()
+    # the closed form reads rho one unit past the density's own argument
+    table = _rho_table_reaching(box.u0() + 1.0)
     value, err = pd_box_probability_refined(table, box, grid=args.grid)
     _emit(_json_text({"value": value, "error_estimate": err}), args.out)
     return 0
@@ -173,7 +197,7 @@ def _cmd_verify(args) -> int:
     box.require_inside_u()
     top = prime_bounds(max(ladder), box)[0][1]
     sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
-    table = build_rho_table(args.umax)
+    table = _rho_table_reaching(box.u0())
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
     report = run_criterion(sieve, table, ladder, box, crit, exact_threshold=sieve.limit)
     payload = {"version": __version__, "command": "verify",
@@ -222,10 +246,13 @@ def _positive_count(value: str) -> int:
 
 
 def _digits(value: str) -> int:
-    """A _count of at least 0: decimal places of a formatted number."""
+    """A _count in [0, 1074]: decimal places of a formatted number; a
+    float64's exact decimal expansion ends within 1074 places."""
     n = _count(value)
     if n < 0:
         raise argparse.ArgumentTypeError("must be >= 0")
+    if n > 1074:
+        raise argparse.ArgumentTypeError("must be <= 1074")
     return n
 
 
@@ -240,15 +267,13 @@ def _positive_float(value: str) -> float:
     return v
 
 
-def _add_common(sub, *, digits=True, out=True, table=False, seed=False):
+def _add_common(sub, *, digits=True, out=True, seed=False):
     if digits:
         sub.add_argument("--digits", type=_digits, default=6,
                          help="decimal places for human-readable numbers")
     if out:
         sub.add_argument("--out", default=None,
                          help="write the output to this file instead of stdout")
-    if table:
-        sub.add_argument("--umax", type=float, default=DEFAULT_U_MAX)
     if seed:
         sub.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -264,11 +289,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("rho", help="evaluate the Dickman function")
     s.add_argument("--u", type=float, required=True)
-    _add_common(s, table=True)
+    _add_common(s)
     s.set_defaults(fn=_cmd_rho)
 
     s = subs.add_parser("rho-table", help="write the rho grid as CSV")
-    _add_common(s, digits=False, table=True)
+    s.add_argument("--umax", type=float, default=DEFAULT_U_MAX,
+                   help="last u of the grid")
+    _add_common(s, digits=False)
     s.set_defaults(fn=_cmd_rho_table)
 
     s = subs.add_parser("mertens", help="prime-reciprocal sums")
@@ -284,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x", type=_count, required=True)
     s.add_argument("--y", type=_count, required=True)
     s.add_argument("--method", choices=("brute", "exact", "dickman"), default="exact")
-    _add_common(s, table=True)
+    _add_common(s)
     s.set_defaults(fn=_cmd_psi)
 
     s = subs.add_parser("psi-ladder", help="Psi(n, n^{1/t})/n versus rho(t) by decades")
     s.add_argument("--t", type=_positive_float, default=2.0)
     s.add_argument("--nmin", type=_count, default=10**4)
     s.add_argument("--nmax", type=_count, required=True)
-    _add_common(s, digits=False, table=True)
+    _add_common(s, digits=False)
     s.set_defaults(fn=_cmd_psi_ladder)
 
     s = subs.add_parser("box", help="probability that ranked factors fall in a box")
@@ -318,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pd-density", help="Poisson-Dirichlet density at a point")
     s.add_argument("--point", required=True, help="'t1,t2,...'")
-    _add_common(s, table=True)
+    _add_common(s)
     s.set_defaults(fn=_cmd_pd_density)
 
     s = subs.add_parser("pd-box", help="integral of the PD density over a box")
     s.add_argument("--box", required=True)
     s.add_argument("--grid", type=_positive_count, default=256)
-    _add_common(s, digits=False, table=True)
+    _add_common(s, digits=False)
     s.set_defaults(fn=_cmd_pd_box)
 
     s = subs.add_parser("verify", help="box-criterion harness along an n-ladder")
@@ -332,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--epsilon", type=float, default=0.25)
     s.add_argument("--ladder", type=_ladder, required=True, help="'1e4,1e5,1e6'")
     s.add_argument("--report", default=None)
-    _add_common(s, digits=False, out=False, table=True)
+    _add_common(s, digits=False, out=False)
     s.set_defaults(fn=_cmd_verify)
 
     s = subs.add_parser("suite", help="run a named verification bundle")

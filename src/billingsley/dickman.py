@@ -10,7 +10,9 @@ digits, so they are computed in stdlib decimal at 20 digits beyond
 log10(1/rho(u_max)) and then rounded to float64.  The table holds rho at the
 nodes of the grid h = 2^-12 and, per cell, the cubic Hermite polynomial with
 the exact slopes rho'(u) = -rho(u-1)/u.  Pieces where rho drops below the
-float64 range (from u ~ 128) are not computed and read 0.
+float64 range (from u ~ 128) are neither computed nor stored: the table ends
+on one zero node, which rho reads for every u past it, so a table costs at
+most about 16 MiB however large u_max is.
 
 The H_i family integrates prod dt_j/t_j over 1 < t_1 < ... < t_i < u subject
 to sum 1/t_j < 1, by recursive one-dimensional adaptive quadrature; the
@@ -54,9 +56,10 @@ class DickmanTable:
     cells has four rows a, b, c, d, one column per node j, and
     rho(j*h + t*h) = a + t*(b + t*(c + t*d)) for t in [0, 1].  Row a holds
     rho at the nodes: exactly 1 while j*h <= 1, then positive and
-    non-increasing until rho leaves the float64 range, and 0 from there on.
-    The last node is the first at or past u_max; its cell is read at t = 0
-    only.  cells is read-only, so a table can be shared freely across threads.
+    non-increasing until rho leaves the float64 range, then one node of 0.
+    The last node is the first at or past u_max, or that zero node if it
+    comes first; its cell is read at t = 0 only.  cells is read-only, so a
+    table can be shared freely across threads.
     """
 
     u_max: float
@@ -95,10 +98,13 @@ def build_rho_table(u_max: float = DEFAULT_U_MAX) -> DickmanTable:
     """Tabulate rho on [0, u_max]."""
     if not (math.isfinite(u_max) and u_max >= 1):
         raise ParameterError(f"u_max must be finite and >= 1, got {u_max}")
-    n_nodes = math.ceil(u_max * NODES_PER_UNIT) + 1
+    rows = np.array(_piece_series(math.ceil(u_max))).reshape(-1, _FLOAT_TERMS)
+    # nodes up to the first zero node past the last piece; u_max is capped
+    # first so that u_max * NODES_PER_UNIT cannot overflow
+    last = (len(rows) + 1) * NODES_PER_UNIT + 1
+    n_nodes = min(math.ceil(min(u_max, len(rows) + 2) * NODES_PER_UNIT), last) + 1
     check_memory(60.0 * n_nodes, f"a rho table of {n_nodes:.3g} nodes")  # measured peak 56
 
-    rows = np.array(_piece_series(math.ceil(u_max))).reshape(-1, _FLOAT_TERMS)
     # piece k at u = k + m*h, m = 1 .. NODES_PER_UNIT, by Horner in eta
     eta = 1.0 - np.arange(1, NODES_PER_UNIT + 1) / NODES_PER_UNIT
     grid = np.zeros((len(rows), NODES_PER_UNIT))
@@ -134,7 +140,9 @@ def rho(table: DickmanTable, u):
     arr = np.asarray(u, dtype=np.float64)
     if not (np.all(arr >= 0) and np.all(arr <= table.u_max + eps)):  # NaN fails too
         raise DomainError(f"u outside [0, {table.u_max}]")
-    x = np.minimum(arr, table.u_max) * NODES_PER_UNIT
+    # past the stored nodes rho reads the last one, which is 0
+    top = min(table.u_max, (table.cells.shape[1] - 1) / NODES_PER_UNIT)
+    x = np.minimum(arr, top) * NODES_PER_UNIT
     j = x.astype(np.intp)
     t = x - j
     a, b, c, d = (row.take(j) for row in table.cells)

@@ -85,9 +85,6 @@ class BoxSpec:
     def upper(self) -> tuple:
         return tuple(a + b for a, b in zip(self.t, self.dt))
 
-    def inside_u(self) -> bool:
-        return self._violation() is None
-
     def _facets(self) -> list[float]:
         """Distances from the box's nearest vertex to U's k+1 facet
         hyperplanes: t_k = 0, then t_i = t_{i+1} for i = 1..k-1, then
@@ -122,11 +119,12 @@ class BoxSpec:
         """Parse 't1,dt1;t2,dt2;...'."""
         ts, dts = [], []
         for part in text.split(";"):
-            fields = part.split(",")
-            if len(fields) != 2:
-                raise ParameterError(f"bad box component {part!r}, want 't,dt'")
-            ts.append(float(fields[0]))
-            dts.append(float(fields[1]))
+            try:  # a field that is not a number, or not two fields
+                t, dt = (float(v) for v in part.split(","))
+            except ValueError:
+                raise ParameterError(f"bad box component {part!r}, want 't,dt'") from None
+            ts.append(t)
+            dts.append(dt)
         return cls(t=tuple(ts), dt=tuple(dts))
 
 

@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from billingsley import build_rho_table, build_sieve, rng
+from billingsley import DomainError, build_rho_table, build_sieve, rng
 
 # Oracle values computed independently of the library, before it was built,
 # and frozen here.
@@ -77,6 +77,15 @@ def sieve6():
 @pytest.fixture(scope="session")
 def sieve7():
     return build_sieve(10**7)
+
+
+def inside_u(box):
+    """True iff box.require_inside_u() passes."""
+    try:
+        box.require_inside_u()
+    except DomainError:
+        return False
+    return True
 
 
 #: worker counts the determinism tests run every route on

@@ -18,19 +18,19 @@ def run(capsys, *argv):
 
 
 def test_rho_value(capsys):
-    code, out, _ = run(capsys, "rho", "--u", "2.0", "--umax", "3")
+    code, out, _ = run(capsys, "rho", "--u", "2.0")
     assert code == 0
     assert out.strip() == "0.306853"
 
 
 def test_rho_digits(capsys):
-    code, out, _ = run(capsys, "rho", "--u", "1.5", "--umax", "3", "--digits", "9")
+    code, out, _ = run(capsys, "rho", "--u", "1.5", "--digits", "9")
     assert code == 0
     assert out.strip() == f"{1 - math.log(1.5):.9f}"
 
 
 def test_rho_domain_error_exit_code(capsys):
-    code, _, err = run(capsys, "rho", "--u", "5.0", "--umax", "3")
+    code, _, err = run(capsys, "rho", "--u", "-1")
     assert code == 1
     assert "error" in err
 
@@ -71,7 +71,7 @@ def test_psi_exact_default(capsys):
 
 def test_psi_dickman(capsys):
     code, out, _ = run(capsys, "psi", "--x", "1000000", "--y", "1000",
-                       "--method", "dickman", "--umax", "3")
+                       "--method", "dickman")
     assert code == 0
     assert float(out) == pytest.approx(10**6 * (1 - math.log(2)), rel=1e-5)
 
@@ -156,6 +156,30 @@ def test_step_option_is_gone(capsys):
         assert "unrecognized arguments: --step" in err
 
 
+def test_umax_option_is_only_on_rho_table(capsys):
+    # every other command tabulates rho as far as its own input reads it
+    for argv in (["rho", "--u", "2"], ["psi", "--x", "100", "--y", "10"],
+                 ["psi-ladder", "--nmax", "1e5"], ["pd-density", "--point", "0.5"],
+                 ["pd-box", "--box", "0.5,0.1"], ["verify", "--box", "0.5,0.02",
+                                                  "--ladder", "1e4"]):
+        code, out, err = run(capsys, *argv, "--umax", "40")
+        assert code == 2 and out == ""
+        assert "unrecognized arguments: --umax" in err
+    code, out, _ = run(capsys, "rho-table", "--umax", "1")
+    assert code == 0 and out.count("\n") == 4096 + 3
+
+
+def test_inputs_past_the_default_table_reach_their_own_rho(capsys):
+    # the bytes these printed with --umax 40: rho(39.5), and a box whose
+    # closed form reads rho at u = 24
+    code, out, _ = run(capsys, "rho", "--u", "39.5", "--digits", "90")
+    assert code == 0
+    assert out == "0." + "0" * 70 + "10058969943472895530\n"
+    code, out, _ = run(capsys, "pd-box", "--box", "0.04,0.01")
+    assert code == 0
+    assert json.loads(out) == {"value": 2.4617828285983376e-29, "error_estimate": 0.0}
+
+
 def test_threads_option_is_gone(capsys):
     # the scans and samplers use every CPU in the process's affinity; taskset
     # limits them
@@ -178,7 +202,7 @@ def test_verify_mc_options_are_gone(capsys):
 
 def test_psi_ladder_csv(capsys):
     code, out, _ = run(capsys, "psi-ladder", "--t", "2", "--nmin", "1e3",
-                       "--nmax", "1e5", "--umax", "3")
+                       "--nmax", "1e5")
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "n,psi,psi_over_n,rho,abs_err"
@@ -212,14 +236,13 @@ def test_pd_sample_csv(capsys):
 
 
 def test_pd_density_cli(capsys):
-    code, out, _ = run(capsys, "pd-density", "--point", "0.6", "--umax", "3")
+    code, out, _ = run(capsys, "pd-density", "--point", "0.6")
     assert code == 0
     assert float(out) == pytest.approx(1 / 0.6, abs=1e-6)
 
 
 def test_pd_box_cli(capsys):
-    code, out, _ = run(capsys, "pd-box", "--box", "0.5,0.1", "--grid", "128",
-                       "--umax", "3")
+    code, out, _ = run(capsys, "pd-box", "--box", "0.5,0.1", "--grid", "128")
     assert code == 0
     d = json.loads(out)
     assert d["value"] == pytest.approx(math.log(1.2), abs=1e-6)
@@ -234,8 +257,7 @@ def test_pd_box_cli_refuses_k5_at_default_grid(capsys):
 
 
 def test_verify_roundtrip(tmp_path, capsys):
-    argv = ("verify", "--box", "0.5,0.1", "--epsilon", "0.25", "--ladder", "1e3,1e4",
-            "--umax", "3")
+    argv = ("verify", "--box", "0.5,0.1", "--epsilon", "0.25", "--ladder", "1e3,1e4")
     code, printed, _ = run(capsys, *argv)
     assert code == 0
     report = tmp_path / "report.json"
@@ -280,7 +302,7 @@ def test_verify_counts_past_the_sieve_exactly(capsys):
 
 def test_verify_inadmissible_box_fails(capsys):
     code, _, err = run(capsys, "verify", "--box", "0.4,0.1", "--epsilon", "0.01",
-                       "--ladder", "1e3", "--umax", "3")
+                       "--ladder", "1e3")
     assert code == 1
     assert "admissible" in err
 
@@ -291,9 +313,10 @@ def test_suite_bogus_name(capsys):
 
 
 #: every option that takes a float or a count, as (argv, option, value
-#: template); the rest of each argv is valid and cheap.  The --step rows name
-#: an option that no longer exists, which argparse refuses; they stay so that
-#: the other rows keep their ids
+#: template); the rest of each argv is valid and cheap.  The --step rows, and
+#: the --umax rows of every command but rho-table, name an option that no
+#: longer exists, which argparse refuses; they stay so that the other rows
+#: keep their ids
 NON_FINITE_OPTIONS = [
     (["rho"], "--u", "{}"),
     (["rho", "--u", "2"], "--umax", "{}"),
@@ -331,7 +354,7 @@ NON_FINITE_OPTIONS = [
 ]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
 @pytest.mark.parametrize("argv,option,template", NON_FINITE_OPTIONS)
 def test_non_finite_options_fail_with_a_message(capsys, argv, option, template, value):
     # --opt=value, so that "-inf" reaches the option's own parser; any
@@ -367,13 +390,14 @@ def test_count_options_accept_float_literals(capsys, argv, plain):
 
 
 #: finite values too large to serve, each refused before allocating or
-#: overflowing: the sample counts and the rho table by the memory budget,
+#: overflowing: the sample counts and the rho-table CSV by the memory budget,
 #: the box coordinate by float overflow in n^t
 OVERSIZED_ARGV = [
     ["pd-sample", "--count", "1e16"],
     ["sample-factors", "--n", "1e4", "--count", "1e16"],
     ["box", "--n", "1e4", "--box", "0.5,0.1", "--method", "mc", "--samples", "1e16"],
-    ["rho", "--u", "2", "--umax", "1e16"],
+    ["rho-table", "--umax", "1e16"],
+    ["rho-table", "--umax", "1.7e308"],
     ["box", "--n", "1e4", "--box", "1e30,0.1"],
 ]
 
@@ -429,6 +453,9 @@ OUT_OF_RANGE_ARGV = [
      "--digits", "must be >= 0"),
     (["pd-density", "--point", "0.5", "--digits", "-1"], "--digits", "must be >= 0"),
     (["rho", "--u", "2", "--digits", "1.5"], "--digits", "not a finite integer: '1.5'"),
+    (["rho", "--u", "2", "--digits", "3e9"], "--digits", "must be <= 1074"),
+    (["rho", "--u", "2", "--digits", "2e8"], "--digits", "must be <= 1074"),
+    (["mertens", "--x", "100", "--digits", "1075"], "--digits", "must be <= 1074"),
 ]
 
 
@@ -440,6 +467,13 @@ def test_out_of_range_values_fail_with_one_error_line(capsys, argv, option, mess
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: {message}")
+
+
+def test_digits_reach_the_exact_expansion_of_a_float(capsys):
+    # 2^-1074, the least positive float64, needs every one of 1074 places
+    assert f"{2.0 ** -1074:.1074f}"[-1] == "5"
+    code, out, _ = run(capsys, "rho", "--u", "2", "--digits", "1074")
+    assert code == 0 and out.startswith("0.30685281944005") and len(out) == 2 + 1074 + 1
 
 
 def test_psi_ladder_below_one_counts_every_integer(capsys):

@@ -9,6 +9,7 @@ from billingsley import (BoxCriterion, BoxSpec, DomainError, ParameterError,
                          box_admissible, box_probability_exact, convergence,
                          distance_to_complement, inf_density_on_box, pd_density,
                          rho, run_criterion)
+from conftest import inside_u
 
 SQ2 = math.sqrt(2.0)
 
@@ -39,7 +40,7 @@ def test_distance_against_sampled_complement():
         d1 = rnd.uniform(0.01, min(0.08, (1 - t1 - t2) / 4))
         d2 = rnd.uniform(0.01, min(t1 - t2 - 1e-3, 0.08, (1 - t1 - t2) / 4))
         box = BoxSpec((t1, t2), (d1, d2))
-        if not box.inside_u():
+        if not inside_u(box):
             continue
         exact = distance_to_complement(box)
         pts = [np.array([rnd.uniform(t1, t1 + d1), rnd.uniform(t2, t2 + d2)])
@@ -83,7 +84,7 @@ def test_admissibility_monotone_under_shrink():
         t1 = rnd.uniform(t2 + 0.15, 0.6)
         d = rnd.uniform(0.005, 0.03)
         box = BoxSpec((t1, t2), (d, d))
-        if not box.inside_u() or not box_admissible(box, crit):
+        if not inside_u(box) or not box_admissible(box, crit):
             continue
         found += 1
         for lam in (0.75, 0.5, 0.25, 0.0625):

@@ -4,9 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from billingsley import (DomainError, NumericalError, ParameterError, ResourceError,
-                         build_rho_table, dickman, h_function, rho,
-                         rho_via_alternating_sum)
+from billingsley import (DomainError, NumericalError, ParameterError, build_rho_table,
+                         dickman, h_function, rho, rho_via_alternating_sum)
 from billingsley.dickman import NODES_PER_UNIT
 from conftest import H_ORACLE, RHO_ORACLE, RHO_PINS
 
@@ -97,9 +96,16 @@ def test_build_parameter_errors():
             build_rho_table(u_max=bad)
 
 
-def test_oversized_table_is_refused_before_allocation():
-    with pytest.raises(ResourceError, match="rho table"):
-        build_rho_table(u_max=1e16)
+def test_huge_u_max_stores_only_the_float_range():
+    # no node past the first zero one is stored, so u_max sets the domain alone
+    ref = build_rho_table(u_max=130.0)
+    huge = build_rho_table(u_max=1e16)
+    us = np.linspace(0.0, 130.0, 100001)
+    assert np.array_equal(rho(huge, us), rho(ref, us))
+    assert rho(huge, 1e15) == 0.0
+    assert huge.cells.nbytes < 17 * 2**20
+    # u_max * NODES_PER_UNIT would overflow a float here
+    assert np.array_equal(build_rho_table(u_max=1.7e308).cells, ref.cells)
 
 
 def test_table_invariants(table):

@@ -17,7 +17,7 @@ from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, MC_SHARDS, SCAN_CHUNK, _count_in_box,
                                       _factor_vectors, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
-from conftest import WORKER_COUNTS
+from conftest import WORKER_COUNTS, inside_u
 
 
 def largest_factor_trial_division(m):
@@ -93,8 +93,9 @@ def test_box_spec_parsing_and_validation():
     assert box.k == 2 and box.t == (0.5, 0.2)
     assert box.volume() == pytest.approx(0.005)
     assert box.diameter() == pytest.approx(math.hypot(0.1, 0.05))
-    with pytest.raises(ParameterError):
-        BoxSpec.from_string("0.5;0.2")
+    for bad in ("0.5;0.2", "0.5,0.1,0.1", "0.5,abc", "x,0.1"):
+        with pytest.raises(ParameterError, match="bad box component"):
+            BoxSpec.from_string(bad)
     with pytest.raises(ParameterError):
         BoxSpec((0.5,), (0.0,))
     with pytest.raises(ParameterError):
@@ -102,10 +103,10 @@ def test_box_spec_parsing_and_validation():
 
 
 def test_box_spec_u_membership():
-    assert BoxSpec((0.5, 0.2), (0.05, 0.05)).inside_u()
-    assert not BoxSpec((1.2,), (0.1,)).inside_u()          # sum >= 1
-    assert not BoxSpec((0.5, 0.45), (0.1, 0.04)).inside_u()  # ordering broken
-    assert not BoxSpec((0.5, -0.1), (0.1, 0.05)).inside_u()  # positivity broken
+    assert inside_u(BoxSpec((0.5, 0.2), (0.05, 0.05)))
+    assert not inside_u(BoxSpec((1.2,), (0.1,)))          # sum >= 1
+    assert not inside_u(BoxSpec((0.5, 0.45), (0.1, 0.04)))  # ordering broken
+    assert not inside_u(BoxSpec((0.5, -0.1), (0.1, 0.05)))  # positivity broken
     # the u0 accessor on a box inside U
     box = BoxSpec((0.5, 0.2), (0.05, 0.05))
     assert box.u0() == pytest.approx((1 - 0.7) / 0.2)
@@ -158,7 +159,7 @@ def test_cross_method_identity_random_boxes(sieve5):
         ts = tuple(reversed(cuts))
         dts = tuple(rnd.uniform(0.01, 0.12) for _ in range(k))
         box = BoxSpec(ts, dts)
-        if not box.inside_u():
+        if not inside_u(box):
             continue
         checked += 1
         n = rnd.choice((500, 10**3, 5000, 10**4))
@@ -549,7 +550,7 @@ def random_box_inside_u(rnd, k):
     while True:
         ts = tuple(sorted((rnd.uniform(0.02, 0.6) for _ in range(k)), reverse=True))
         box = BoxSpec(ts, tuple(rnd.uniform(0.005, 0.15) for _ in range(k)))
-        if box.inside_u():
+        if inside_u(box):
             return box
 
 
