@@ -350,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("pd-box", help="integral of the PD density over a box")
     s.add_argument("--box", required=True)
-    s.add_argument("--grid", type=_positive_count, default=256)
+    s.add_argument("--grid", type=_positive_count, default=256,
+                   help="lattice resolution: the outer coordinates' sum is stepped by "
+                        "min(2^-10, t_k)/GRID, so by 2^-18 at the default when t_k >= 2^-10")
     _add_common(s, digits=False)
     s.set_defaults(fn=_cmd_pd_box)
 

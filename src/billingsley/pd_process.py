@@ -13,12 +13,14 @@ memory that stays in cache; only the final sort works row by row.
 
 Box probabilities integrate the innermost coordinate in closed form: by the
 delay equation u rho'(u) = -rho(u - 1), for outer coordinates summing to s,
-int_a^b rho((1-s)/t - 1) dt/t = rho((1-s)/b) - rho((1-s)/a).  The outer k-1
-coordinates use the midpoint rule, so a pass evaluates grid^(k-1) outer
-cells (two rho reads each) and k = 1 is exact.  The closed form reads rho at
-(1 - t_1 - ... - t_{k-1})/t_k, one unit past the density's own largest
-argument, so the table must reach that far.  A pass over more than
-MAX_OUTER_CELLS outer cells raises ResourceError before any work.
+int_a^b rho((1-s)/t - 1) dt/t = rho((1-s)/b) - rho((1-s)/a) =: F(s).  Inside
+U the outer k-1 coordinates enter only through s, so the integral is
+int F(s) g(s) ds, g the convolution of their weights dt/t, each spread
+cloud-in-cell from its lower side over a lattice of step
+min(_LATTICE_UNIT, t_k)/grid, as F varies on the scale t_k; k = 1 is exact.
+F reads rho up to (1 - t_1 - ... - t_{k-1})/t_k, one unit past the density's
+own largest argument, so the table must reach that far.  A lattice over the
+memory budget raises ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -28,17 +30,13 @@ import numpy as np
 
 from . import rng
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError, ResourceError, check_memory
+from .errors import DomainError, ParameterError, check_memory
 from .factor_stats import BoxSpec
 
 DEFAULT_TRUNCATION = 60
 
-#: most outer cells one quadrature pass may evaluate: (2*256)^3, so k = 4
-#: runs at the default grid and k >= 5 is refused
-MAX_OUTER_CELLS = 1 << 27
-
-#: outer cells evaluated at once by the quadrature (whole first-axis rows)
-_SLAB_CELLS = 1 << 16
+#: the lattice step at t_k >= _LATTICE_UNIT is _LATTICE_UNIT/grid, 2^-18 at grid 256
+_LATTICE_UNIT = 2.0**-10
 
 #: fewest rows in a sampler block while it stays within _MAX_BLOCK_WORDS
 #: draws: wide truncations would otherwise make blocks so thin that the
@@ -135,63 +133,64 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     return sticks, tails
 
 
-def _density_grid(table: DickmanTable, box: BoxSpec, grid: int) -> float:
-    """Integral of the density over the box: the innermost coordinate in
-    closed form, the outer k-1 by the midpoint rule.
+def _axis_weights(lo: float, width: float, step: float) -> np.ndarray:
+    """dt/t on [lo, lo + width] as cloud-in-cell weights on the nodes
+    lo + j*step, each cell keeping its mass and first moment.  Widths from
+    `width` and masses by log1p keep sides far thinner than a step exact."""
+    j = np.arange(math.ceil(width / step))
+    left = lo + j * step
+    w = np.clip(width - j * step, 0.0, step)
+    mass = np.log1p(w / left)
+    upper = (w - left * mass) / step  # the part of each cell's mass at its right node
+    out = np.append(mass - upper, 0.0)
+    out[1:] += upper
+    return out
 
-    For outer coordinates summing to s, the delay equation gives
-    int_a^b rho((1-s)/t - 1) dt/t = rho((1-s)/b) - rho((1-s)/a).  The outer
-    mesh is streamed along its first axis in slabs of whole rows of about
-    _SLAB_CELLS cells, so the working set stays at max(_SLAB_CELLS,
-    grid^(k-2)) cells.
-    """
+
+def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x * y: direct when one is short, else as a product of real FFTs."""
+    if min(x.size, y.size) <= 64:
+        return np.convolve(x, y)
+    n = x.size + y.size - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]
+
+
+def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
+    """F against the convolved outer weights, at s = sum_{i<k} t_i + m*step."""
     a, b = box.t[-1], box.upper()[-1]
-
-    def inner(s, prod):
-        return (rho(table, (1.0 - s) / b) - rho(table, (1.0 - s) / a)) / prod
-
     if box.k == 1:
-        return float(inner(0.0, 1.0))
-    first, *mids = [t + (np.arange(grid) + 0.5) * (d / grid)
-                    for t, d in zip(box.t[:-1], box.dt[:-1])]
-    rest_sum, rest_prod = np.zeros(1), np.ones(1)
-    for ax in mids:
-        rest_sum = np.add.outer(rest_sum, ax).ravel()
-        rest_prod = np.multiply.outer(rest_prod, ax).ravel()
-    rows = max(1, _SLAB_CELLS // rest_sum.size)
-    total = 0.0
-    for lo in range(0, grid, rows):
-        x0 = first[lo:lo + rows, None]
-        total += float(np.sum(inner(x0 + rest_sum, x0 * rest_prod)))
-    return total / grid ** (box.k - 1) * math.prod(box.dt[:-1])
+        return rho(table, 1.0 / b) - rho(table, 1.0 / a)
+    g = _axis_weights(box.t[0], box.dt[0], step)
+    for t, d in zip(box.t[1:-1], box.dt[1:-1]):
+        g = _convolve(g, _axis_weights(t, d, step))
+    # last nodes pass their sides by < a step, so past s = 1 only if grid < k - 1; F = 0 there
+    rest = np.maximum(1.0 - (sum(box.t[:-1]) + np.arange(g.size) * step), 0.0)
+    return float(np.dot(rho(table, rest / b) - rho(table, rest / a), g))
 
 
-def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> None:
-    """Every precondition of one pass at `grid`, checked before any work."""
+def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> float:
+    """Checks every precondition before any work; returns the lattice step."""
     if grid < 1:
         raise ParameterError("grid must be >= 1")
     box.require_inside_u()
-    # the closed form reads rho at (1 - s)/t_k, one unit past the density's
-    # own argument (1 - s - t_k)/t_k
     need = (1.0 - sum(box.t[:-1])) / box.t[-1]
     if need > table.u_max:
         raise DomainError(f"the box needs rho up to u = {need:.6g}, but the "
                           f"table stops at u_max = {table.u_max:g}")
-    cells = grid ** (box.k - 1)
-    if cells > MAX_OUTER_CELLS:
-        raise ResourceError(
-            f"k = {box.k} at grid {grid} needs {cells} outer cells, more than "
-            f"the cap of {MAX_OUTER_CELLS}")
+    step = min(_LATTICE_UNIT, box.t[-1]) / grid
+    points = sum(box.dt[:-1]) / step + box.k  # <= grid/_LATTICE_UNIT + k at t_k >= _LATTICE_UNIT
+    check_memory(128.0 * points,  # measured peak about 100 bytes a point
+                 f"a quadrature lattice of {points:.3g} points")
+    return step
 
 
 def pd_box_probability_refined(table: DickmanTable, box: BoxSpec,
                                grid: int = 256) -> tuple[float, float]:
-    """Integral of the density over the box: closed form in the innermost
-    coordinate, midpoint rule with 2 * grid nodes on each outer axis, plus a
-    Richardson error estimate |I(2g) - I(g)| / 3 (halving the midpoint
-    spacing quarters the error).  At k = 1 both passes are exact and the
-    estimate is 0."""
-    _validate(table, box, 2 * grid)
-    coarse = _density_grid(table, box, grid)
-    fine = _density_grid(table, box, 2 * grid)
-    return fine, abs(fine - coarse) / 3.0
+    """Integral of the density over the box, on the lattice of step
+    min(_LATTICE_UNIT, t_k) / grid, plus a Richardson error estimate
+    |I(step) - I(2 step)| / 3 (halving the step quarters the error).  At
+    k = 1 both passes are exact and the estimate is 0."""
+    step = _validate(table, box, grid)
+    fine = _lattice_integral(table, box, step)
+    return fine, abs(fine - _lattice_integral(table, box, 2 * step)) / 3.0

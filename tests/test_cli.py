@@ -249,11 +249,13 @@ def test_pd_box_cli(capsys):
     assert d["error_estimate"] < 1e-6
 
 
-def test_pd_box_cli_refuses_k5_at_default_grid(capsys):
-    box = "0.3,0.02;0.2,0.02;0.12,0.02;0.07,0.02;0.04,0.02"
-    code, out, err = run(capsys, "pd-box", "--box", box)
-    assert code == 1
-    assert out == "" and "outer cells" in err
+def test_pd_box_cli_answers_k5_at_default_grid(capsys):
+    box = "0.38,0.1;0.2,0.05;0.1,0.05;0.04,0.03;0.01,0.02"
+    code, out, _ = run(capsys, "pd-box", "--box", box)
+    assert code == 0
+    d = json.loads(out)
+    assert d["value"] == pytest.approx(2.74489686e-5, abs=1e-9)
+    assert 0 < d["error_estimate"] < 1e-11
 
 
 def test_verify_roundtrip(tmp_path, capsys):

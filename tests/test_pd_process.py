@@ -1,14 +1,15 @@
 import hashlib
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
-                         build_rho_table, pd_box_probability_refined, pd_density,
+                         build_rho_table, errors, pd_box_probability_refined, pd_density,
                          pd_sample_batch, rho, rng)
-from billingsley.pd_process import MAX_OUTER_CELLS, _block_rows, _density_grid, _validate
+from billingsley.pd_process import _axis_weights, _block_rows, _convolve, _validate
 
 import rho_pins
 from conftest import WORKER_COUNTS
@@ -229,21 +230,35 @@ def test_box_probability_needs_one_more_unit_of_table():
     assert val == pytest.approx(math.log(1.2), abs=1e-12)
 
 
-def test_k5_at_default_grid_is_refused_before_any_work(table):
-    box = BoxSpec((0.3, 0.2, 0.12, 0.07, 0.04), (0.02,) * 5)
-    with pytest.raises(ResourceError, match="outer cells"):
-        pd_box_probability_refined(table, box)
-    with pytest.raises(ResourceError):
-        _validate(table, box, 256)
-    with pytest.raises(ResourceError):
-        pd_box_probability_refined(table, BoxSpec((0.5, 0.2), (0.1, 0.05)),
-                                   grid=MAX_OUTER_CELLS // 2 + 1)
+def test_lattice_over_the_memory_budget_is_refused_before_allocation(table, monkeypatch):
+    box = BoxSpec((0.45, 0.15), (0.1, 0.1))
+    # the lattice at grid g holds 0.1 * 1024 g + 2 points, 128 bytes each by
+    # the estimate: about 210 KB at g = 16 and 3.4 MB at g = 256
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+    assert pd_box_probability_refined(table, box, grid=16)[0] > 0
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="quadrature lattice"):
+            pd_box_probability_refined(table, box)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 14
 
 
-def test_k4_at_default_grid_is_within_the_cap(table):
-    box = BoxSpec((0.3, 0.2, 0.12, 0.07), (0.02,) * 4)
-    _validate(table, box, 2 * 256)  # the refined pass at the default grid
-    assert (2 * 256) ** 3 == MAX_OUTER_CELLS
+@pytest.mark.parametrize("text", ["0.1,0.7;0.05,0.04", "0.2,0.4;0.12,0.07;0.07,0.04;0.04,0.02"])
+def test_lattice_estimate_bounds_the_traced_peak(table, text):
+    # the memory check refuses a lattice by this estimate, so it must not
+    # undercount what the quadrature allocates
+    box = BoxSpec.from_string(text)
+    step = _validate(table, box, 64)
+    tracemalloc.start()
+    try:
+        pd_box_probability_refined(table, box, 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * (sum(box.dt[:-1]) / step + box.k)
 
 
 def test_density_normalization_k1(table):
@@ -299,6 +314,53 @@ def test_refined_quadrature_hits_independent_references(table, text, grid, ref):
     assert miss <= 4 * err  # the stated estimate bounds the miss
 
 
+@pytest.mark.parametrize("text, ref", [
+    # a 1e-12 outer side, then a 1e-9 one in the middle of three; the
+    # references are the midpoint rule on the outer axes, at grid 256 for the
+    # first and at grid 2048 less its own error estimate for the second
+    ("0.45,1e-12;0.15,0.1", 4.652185283730074e-13),
+    ("0.45,0.1;0.2,1e-9;0.15,0.02", 1.2132633743491968e-10),
+])
+def test_thin_sides_keep_their_relative_precision(table, text, ref):
+    val, _ = pd_box_probability_refined(table, BoxSpec.from_string(text))
+    assert val == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_small_t_k_steps_finer(table):
+    # F varies on the scale t_k in s: with a 2^-18 step this box missed by
+    # 2.5e-7 against an estimate of 4.5e-9; the reference is the midpoint
+    # rule on the outer axis at grid 2048 less its own error estimate
+    val, err = pd_box_probability_refined(table, BoxSpec((0.999998, 5e-7), (1e-6, 4e-7)))
+    miss = abs(val - 4.263519817237036e-07)
+    assert miss <= 4 * err
+    assert err < 1e-6 * val
+
+
+def test_lattice_nodes_past_the_simplex_read_f_as_zero(table):
+    # at grid 1 the last nodes of both outer axes pass s = 1, where rho
+    # would refuse the negative argument
+    box = BoxSpec((0.6, 0.39808, 0.0005), (0.00051, 0.00051, 0.00001))
+    coarse, _ = pd_box_probability_refined(table, box, grid=1)
+    fine, _ = pd_box_probability_refined(table, box)
+    assert abs(coarse - fine) < 0.1 * fine
+
+
+def test_fft_and_direct_convolution_agree():
+    # the outer axes of a k = 5 box at grid 32, all long enough for the FFT
+    # path
+    box = BoxSpec.from_string("0.38,0.1;0.2,0.05;0.1,0.05;0.04,0.03;0.01,0.02")
+    step = _validate(build_rho_table(30), box, 32)
+    axes = [_axis_weights(t, d, step) for t, d in zip(box.t[:-1], box.dt[:-1])]
+    assert min(a.size for a in axes) > 64
+    fft, direct = axes[0], axes[0]
+    for a in axes[1:]:
+        fft, direct = _convolve(fft, a), np.convolve(direct, a)
+    assert np.max(np.abs(fft - direct)) <= 1e-12 * np.max(direct)
+    s = sum(box.t[:-1]) + np.arange(direct.size) * step
+    f = 1.0 / (1.0 - s)  # any smooth F
+    assert float(f @ fft) == pytest.approx(float(f @ direct), rel=1e-12, abs=0)
+
+
 def test_box_probability_narrow_box_is_small(table):
     val, _ = pd_box_probability_refined(table, BoxSpec((0.5,), (1e-12,)), grid=4)
     assert val == pytest.approx(0.0, abs=1e-10)
@@ -335,14 +397,16 @@ def test_rho_near_kink_stays_accurate(table):
         assert rho(table, u) == pytest.approx(1 - math.log(u), abs=1e-11)
 
 
-def test_sampler_agrees_with_quadrature(table):
-    # five fixed boxes, the same 10^6 samples for each, 4-sigma binomial
-    # tolerance
+def test_sampler_agrees_with_quadrature():
+    # six fixed boxes, the same 10^6 samples for each, 4-sigma binomial
+    # tolerance; the k = 4 box reads rho up to u = 22
+    table = build_rho_table(30)
     boxes = [BoxSpec((0.5,), (0.1,)),
              BoxSpec((0.3,), (0.15,)),
              BoxSpec((0.62,), (0.2,)),
              BoxSpec((0.45, 0.15), (0.1, 0.1)),
-             BoxSpec((0.5, 0.2), (0.05, 0.08))]
+             BoxSpec((0.5, 0.2), (0.05, 0.08)),
+             BoxSpec((0.35, 0.15, 0.06, 0.02), (0.2, 0.1, 0.05, 0.03))]
     total = 10**6
     chunk = 10**5
     hits = [0] * len(boxes)
@@ -354,7 +418,23 @@ def test_sampler_agrees_with_quadrature(table):
                 ok &= (sticks[:, i] >= box.t[i]) & (sticks[:, i] <= box.t[i] + box.dt[i])
             hits[j] += int(np.count_nonzero(ok))
     for box, h in zip(boxes, hits):
-        want = _density_grid(table, box, 256)
+        want, _ = pd_box_probability_refined(table, box)
         freq = h / total
         sd = math.sqrt(max(want * (1 - want), 1e-12) / total)
         assert abs(freq - want) < 4 * sd, (box, freq, want)
+
+
+def test_sampler_agrees_with_quadrature_at_k5():
+    # a k = 5 box, P = 2.7449e-5: 4 * 10^6 draws, about 110 hits, at
+    # a 4-sigma binomial tolerance.  Truncation 20 leaves tails near e^-20,
+    # far below the box's smallest side
+    box = BoxSpec.from_string("0.38,0.1;0.2,0.05;0.1,0.05;0.04,0.03;0.01,0.02")
+    want, _ = pd_box_probability_refined(build_rho_table(30), box)
+    total, chunk, hits = 4 * 10**6, 10**6, 0
+    for start in range(0, total, chunk):
+        sticks, _ = pd_sample_batch(5, chunk, truncation=20, start=start)
+        ok = np.ones(chunk, dtype=bool)
+        for i in range(box.k):
+            ok &= (sticks[:, i] >= box.t[i]) & (sticks[:, i] <= box.t[i] + box.dt[i])
+        hits += int(np.count_nonzero(ok))
+    assert abs(hits / total - want) < 4 * math.sqrt(want * (1 - want) / total), hits
