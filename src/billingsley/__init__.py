@@ -11,10 +11,9 @@ from .dickman import (DickmanTable, build_rho_table, h_function, rho,
                       rho_via_alternating_sum)
 from .errors import (BillingsleyError, DomainError, NumericalError, ParameterError,
                      ResourceError)
-from .factor_stats import (BoxSpec, EmpiricalEstimate, ExactProbability, FactorVector,
+from .factor_stats import (BoxSpec, EmpiricalEstimate, ExactProbability,
                            box_probability_exact, box_probability_via_psi, prime_bounds,
-                           ranked_factors, sample_box_probability,
-                           sample_factor_vectors)
+                           ranked_factors, sample_box_probability, sample_factor_vectors)
 from .pd_process import pd_box_probability_refined, pd_density, pd_sample_batch
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate, mertens_sum,
                      power_ceil, power_floor)
@@ -24,7 +23,7 @@ from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 __all__ = [
     "BillingsleyError", "BoxCriterion", "BoxSpec", "ConvergenceReport",
     "DEFAULT_SEED", "DickmanTable", "DomainError", "EmpiricalEstimate",
-    "ExactProbability", "FactorVector", "NumericalError", "ParameterError",
+    "ExactProbability", "NumericalError", "ParameterError",
     "PrimeSieve", "ResourceError", "box_admissible", "box_probability_exact",
     "box_probability_via_psi", "build_rho_table", "build_sieve",
     "distance_to_complement", "h_function", "inf_density_on_box",

@@ -127,16 +127,14 @@ def _cmd_box(args) -> int:
         sieve = build_sieve(max(prime_bounds(args.n, box)[0][1], 2))
     else:
         sieve = build_sieve(args.n)
-    if args.method == "exact":
-        est = box_probability_exact(sieve, args.n, box)
-        payload = {"count": est.count, "total": est.total, "p_hat": est.value}
-    elif args.method == "psi":
-        est = box_probability_via_psi(sieve, args.n, box)
-        payload = {"count": est.count, "total": est.total, "p_hat": est.value}
-    else:
+    if args.method == "mc":
         est = sample_box_probability(sieve, args.n, box, args.samples, seed=args.seed)
         payload = {"count": est.hits, "total": est.total, "p_hat": est.p_hat,
                    "std_err": est.std_err}
+    else:
+        route = box_probability_exact if args.method == "exact" else box_probability_via_psi
+        est = route(sieve, args.n, box)
+        payload = {"count": est.count, "total": est.total, "p_hat": est.value}
     _emit(_json_text(payload), args.out)
     return 0
 
@@ -147,10 +145,8 @@ def _cmd_sample_factors(args) -> int:
     header = ("N," + ",".join(f"p{i+1}" for i in range(args.k))
               + "," + ",".join(f"L{i+1}" for i in range(args.k)))
     lines = [header]
-    for fv in rows:
-        lines.append(f"{fv.N},"
-                     + ",".join(str(p) for p in fv.p) + ","
-                     + ",".join(repr(v) for v in fv.L))
+    for N, p, L in zip(rows.N.tolist(), rows.p.tolist(), rows.L.tolist()):
+        lines.append(f"{N}," + ",".join(map(str, p)) + "," + ",".join(map(repr, L)))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -22,11 +22,8 @@ other through an independently built table.
 """
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,15 +125,6 @@ class BoxSpec:
         return cls(t=tuple(ts), dt=tuple(dts))
 
 
-class FactorVector(NamedTuple):
-    """A sampled integer N <= n with its k largest prime factors (descending,
-    padded with 1) and their logs scaled by log n."""
-
-    N: int
-    p: tuple
-    L: tuple
-
-
 @dataclass(frozen=True)
 class ExactProbability:
     count: int
@@ -151,14 +139,15 @@ class ExactProbability:
 class EmpiricalEstimate:
     hits: int
     total: int
-    p_hat: float
-    std_err: float
 
-    @classmethod
-    def from_counts(cls, hits: int, total: int) -> "EmpiricalEstimate":
-        p = hits / total
-        return cls(hits=hits, total=total, p_hat=p,
-                   std_err=math.sqrt(p * (1.0 - p) / total))
+    @property
+    def p_hat(self) -> float:
+        return self.hits / self.total
+
+    @property
+    def std_err(self) -> float:
+        p = self.p_hat
+        return math.sqrt(p * (1.0 - p) / self.total)
 
 
 def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
@@ -176,26 +165,16 @@ def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
     return out.T
 
 
-def _factor_vectors(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> list[FactorVector]:
+def _factor_rows(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> np.recarray:
     p = _peel(sieve, N, k)
     # math.log, not np.log, which differs from it in the last bit on some primes
     logn = math.log(n)
     q, inv = np.unique(p, return_inverse=True)
     scaled = np.array([math.log(v) / logn if v > 1 else 0.0 for v in q.tolist()])
-    L = scaled[inv.reshape(-1)].reshape(p.shape)
-    # Each row is built by tuple.__new__ straight from zipped columns, not by
-    # the NamedTuple's Python-level __new__.  The rows hold only ints, floats
-    # and tuples, so they form no cycles; pausing the cyclic collector while
-    # they are built saves the passes that the growing list would trigger
-    # (full ones among them) for one young-generation pass once it resumes.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(tuple.__new__, repeat(FactorVector),
-                        zip(N.tolist(), zip(*p.T.tolist()), zip(*L.T.tolist()))))
-    finally:
-        if enabled:
-            gc.enable()
+    rows = np.recarray(N.size, dtype=[("N", np.int64), ("p", p.dtype, (k,)),
+                                      ("L", np.float64, (k,))])
+    rows.N, rows.p, rows.L = N, p, scaled[inv.reshape(p.shape)]
+    return rows
 
 
 def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
@@ -380,17 +359,23 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     full = sum(c >= rng.BLOCK_WORDS for c in counts)
     hits = sum(rng.run_tasks(shard_hits, range(MC_SHARDS), full, lambda: (
         rng._int_buffers(block), np.empty(block, dtype=lpf.dtype), _masks(block))))
-    return EmpiricalEstimate.from_counts(hits, samples)
+    return EmpiricalEstimate(hits, samples)
 
 
 def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
-                          seed: int = DEFAULT_SEED) -> list[FactorVector]:
+                          seed: int = DEFAULT_SEED) -> np.recarray:
     """Draw `count` uniform integers from [1, n] and rank their factors.
 
+    Returns a record array of `count` rows with fields N (int64), p (the
+    sieve's int32, shape (k,): the k largest prime factors, descending and
+    padded with 1) and L (float64, shape (k,): log p / log n, 0 for the
+    padding).  rows.N, rows.p and rows.L are column views; rows[i] and
+    iteration give records with the same fields.
+
     Refuses, before any draw, a count or k below 1 and rows whose peak
-    memory would exceed the budget: about 250 + 77 k bytes each (the
-    FactorVector objects included, as measured with tracemalloc at k = 1, 3
-    and 8), counted as 256 + 80 k.
+    memory would exceed the budget: about 9 + 37 k bytes each, up to 59 at
+    k = 1 where the draw's fixed buffers weigh on 2*10^4 rows (tracemalloc
+    at k = 1 to 16), counted as 32 + 40 k.
     """
     if count < 1:
         raise ParameterError("count must be >= 1")
@@ -398,5 +383,5 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
         raise ParameterError("k must be >= 1")
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    check_memory((256 + 80 * k) * count, f"{count} factor rows of rank {k}")
-    return _factor_vectors(sieve, n, rng.uniform_ints(seed, 0, count, n), k)
+    check_memory((32 + 40 * k) * count, f"{count} factor rows of rank {k}")
+    return _factor_rows(sieve, n, rng.uniform_ints(seed, 0, count, n), k)

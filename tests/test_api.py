@@ -8,7 +8,7 @@ import billingsley
 PUBLIC_NAMES = [
     "BillingsleyError", "BoxCriterion", "BoxSpec", "ConvergenceReport",
     "DEFAULT_SEED", "DickmanTable", "DomainError", "EmpiricalEstimate",
-    "ExactProbability", "FactorVector", "NumericalError", "ParameterError",
+    "ExactProbability", "NumericalError", "ParameterError",
     "PrimeSieve", "ResourceError", "box_admissible", "box_probability_exact",
     "box_probability_via_psi", "build_rho_table", "build_sieve",
     "distance_to_complement", "h_function", "inf_density_on_box",
@@ -20,17 +20,16 @@ PUBLIC_NAMES = [
 ]
 
 #: parameter names of every public callable but the exceptions that take the
-#: builtin Exception arguments (a dataclass's or NamedTuple's are its
-#: fields); a parameter that only tests set should not come back unnoticed
+#: builtin Exception arguments (a dataclass's are its fields); a parameter
+#: that only tests set should not come back unnoticed
 PUBLIC_PARAMETERS = {
     "BoxCriterion": ("epsilon", "k", "R"),
     "BoxSpec": ("t", "dt"),
     "ConvergenceReport": ("box", "epsilon", "R", "admissible", "volume", "inf_density",
                           "lower_bound", "entries", "trend"),
     "DickmanTable": ("u_max", "cells"),
-    "EmpiricalEstimate": ("hits", "total", "p_hat", "std_err"),
+    "EmpiricalEstimate": ("hits", "total"),
     "ExactProbability": ("count", "total"),
-    "FactorVector": ("N", "p", "L"),
     "NumericalError": ("message", "partial"),
     "PrimeSieve": ("limit", "largest_prime_factor", "prime_array"),
     "box_admissible": ("box", "crit"),

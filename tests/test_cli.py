@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from billingsley import (BoxSpec, box_probability_via_psi, build_rho_table, build_sieve,
-                         prime_bounds, psi_exact)
+                         prime_bounds, psi_exact, sample_factor_vectors)
 from billingsley import cli
 from billingsley.cli import dispatch
 
@@ -222,6 +222,17 @@ def test_sample_factors_csv_deterministic(capsys):
     lines = out.splitlines()
     assert lines[0] == "N,p1,p2,p3,L1,L2,L3"
     assert len(lines) == 6
+
+
+def test_sample_factors_csv_rows_are_the_library_columns(capsys):
+    code, out, _ = run(capsys, "sample-factors", "--n", "1e4", "--count", "300", "--k", "3",
+                       "--seed", "9")
+    assert code == 0
+    rows = sample_factor_vectors(build_sieve(10**4), 10**4, 300, 3, seed=9)
+    fields = [line.split(",") for line in out.splitlines()[1:]]
+    assert [[int(v) for v in f[:4]] for f in fields] == \
+        np.column_stack([rows.N, rows.p]).tolist()
+    assert [f[4:] for f in fields] == [[repr(v) for v in L] for L in rows.L.tolist()]
 
 
 def test_pd_sample_csv(capsys):

@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import math
 import random
@@ -8,14 +7,14 @@ import pytest
 
 import numpy as np
 
-from billingsley import (BoxSpec, DomainError, FactorVector, ParameterError, PrimeSieve,
+from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
                          ResourceError, box_probability_exact, box_probability_via_psi,
                          build_sieve, power_floor, prime_bounds, psi_bruteforce,
                          psi_exact, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, MC_SHARDS, SCAN_CHUNK, _count_in_box,
-                                      _factor_vectors, _masks, _peel, _scan_bounds)
+                                      _factor_rows, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
 from conftest import WORKER_COUNTS, inside_u
 
@@ -61,8 +60,10 @@ def test_ranked_factors_errors(sieve5):
         ranked_factors(sieve5, 10, 0)
 
 
-def _factor_vector(sieve, n, N, k):
-    return _factor_vectors(sieve, n, np.array([N], dtype=np.int64), k)[0]
+def _factor_row(sieve, n, N, k):
+    """N's row as (N, p, L), with p and L as tuples."""
+    row = _factor_rows(sieve, n, np.array([N], dtype=np.int64), k)[0]
+    return int(row.N), tuple(row.p.tolist()), tuple(row.L.tolist())
 
 
 def test_factor_vector_invariants(sieve5):
@@ -70,22 +71,34 @@ def test_factor_vector_invariants(sieve5):
     for _ in range(200):
         n = rnd.randint(10, 10**5)
         N = rnd.randint(1, n)
-        fv = _factor_vector(sieve5, n, N, 4)
-        assert fv.p == ranked_factors(sieve5, N, 4)
-        assert all(a >= b for a, b in zip(fv.p, fv.p[1:]))
-        prefix = math.prod(q for q in fv.p if q > 1)
+        row_N, p, L = _factor_row(sieve5, n, N, 4)
+        assert row_N == N
+        assert p == ranked_factors(sieve5, N, 4)
+        assert all(a >= b for a, b in zip(p, p[1:]))
+        prefix = math.prod(q for q in p if q > 1)
         assert N % prefix == 0
-        assert all(0.0 <= v <= 1.0 for v in fv.L)
-        assert all(a >= b for a, b in zip(fv.L, fv.L[1:]))
-        assert fv.p[0] == largest_factor_trial_division(N) or N == 1
+        assert all(0.0 <= v <= 1.0 for v in L)
+        assert all(a >= b for a, b in zip(L, L[1:]))
+        assert p[0] == largest_factor_trial_division(N) or N == 1
 
 
-def test_factor_vector_is_an_immutable_named_tuple(sieve5):
-    fv = _factor_vector(sieve5, 10**5, 360, 3)
-    assert fv == (360, (5, 3, 3), fv.L)
-    assert fv._fields == ("N", "p", "L")
-    with pytest.raises(AttributeError):
-        fv.N = 12
+def test_factor_rows_dtype_and_fields_are_pinned(sieve5):
+    for k in (1, 3):
+        rows = sample_factor_vectors(sieve5, 10**5, 7, k, seed=3)
+        assert isinstance(rows, np.recarray) and rows.shape == (7,)
+        assert rows.dtype == np.dtype([("N", np.int64), ("p", np.int32, (k,)),
+                                       ("L", np.float64, (k,))])
+    assert _factor_row(sieve5, 10**5, 360, 3)[:2] == (360, (5, 3, 3))
+
+
+def test_factor_records_match_the_columns(sieve5):
+    rows = sample_factor_vectors(sieve5, 10**5, 40, 3, seed=4)
+    assert rows.N.shape == (40,) and rows.p.shape == rows.L.shape == (40, 3)
+    for i, fv in enumerate(rows):
+        for rec in (fv, rows[i]):
+            assert rec.N == rows.N[i]
+            assert np.array_equal(rec.p, rows.p[i])
+            assert np.array_equal(rec.L, rows.L[i])
 
 
 def test_box_spec_parsing_and_validation():
@@ -307,7 +320,7 @@ def test_exact_chunking_invariance(sieve5, monkeypatch):
 def test_sample_factor_vectors_deterministic(sieve5):
     rows1 = sample_factor_vectors(sieve5, 10**5, 50, 3, seed=5)
     rows2 = sample_factor_vectors(sieve5, 10**5, 50, 3, seed=5)
-    assert rows1 == rows2
+    assert np.array_equal(rows1, rows2)
     assert all(1 <= fv.N <= 10**5 for fv in rows1)
     assert all(len(fv.p) == 3 for fv in rows1)
 
@@ -332,7 +345,7 @@ def test_non_positive_factor_row_requests_are_refused_before_any_draw(
 
 #: sha256 of the N column then the row-major p columns, as int64 bytes, of
 #: sample_factor_vectors(sieve5, 10**5, 5000, 4, seed=7), taken from the row
-#: builder that called FactorVector(...) once per row
+#: builder that made one named tuple per row
 FACTOR_ROWS_NP_SHA256 = "33110c21eb8ef658a9fe2d54482f9e5aed5f03cc5b71359b15b147e17445ec91"
 
 
@@ -340,27 +353,15 @@ def test_factor_rows_are_pinned(sieve5):
     n, k = 10**5, 4
     rows = sample_factor_vectors(sieve5, n, 5000, k, seed=7)
     assert len(rows) == 5000
-    assert all(type(fv) is FactorVector for fv in rows)
-    N = np.array([fv.N for fv in rows], dtype=np.int64)
-    p = np.array([fv.p for fv in rows], dtype=np.int64)
+    N = rows.N
+    p = rows.p.astype(np.int64)
     assert p.shape == (5000, k)
     assert hashlib.sha256(N.tobytes() + p.tobytes()).hexdigest() == FACTOR_ROWS_NP_SHA256
     # L is recomputed here rather than pinned: math.log rounds through the
     # platform's libm
     logn = math.log(n)
-    for fv in rows:
-        assert fv.L == tuple(math.log(q) / logn if q > 1 else 0.0 for q in fv.p)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_factor_rows_leave_the_collector_as_found(sieve5, enabled):
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
-    try:
-        sample_factor_vectors(sieve5, 10**5, 1000, 3, seed=1)
-        assert gc.isenabled() is enabled
-    finally:
-        (gc.enable if was else gc.disable)()
+    for ps, L in zip(rows.p.tolist(), rows.L.tolist()):
+        assert L == [math.log(q) / logn if q > 1 else 0.0 for q in ps]
 
 
 def test_factor_row_peak_memory_is_within_the_guard(sieve7):
@@ -374,7 +375,7 @@ def test_factor_row_peak_memory_is_within_the_guard(sieve7):
         tracemalloc.stop()
     assert len(rows) == count
     # the estimate sample_factor_vectors refuses requests by
-    assert peak < (256 + 80 * k) * count
+    assert peak < (32 + 40 * k) * count
 
 
 # ---------------------------------------------------------------------------
