@@ -13,7 +13,6 @@ a vertex because each distance is affine per coordinate.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +46,8 @@ class BoxCriterion:
             raise ParameterError("k must be >= 1")
         if self.R is None:
             object.__setattr__(self, "R", self.k / (2.0 * self.epsilon))
-        if self.R < 0:
-            raise ParameterError("R must be >= 0")
+        if not 0 <= self.R < np.inf:  # NaN fails too
+            raise ParameterError(f"R must be finite and >= 0, got {self.R}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,6 @@ class ConvergenceReport:
     box: BoxSpec
     epsilon: float
     R: float
-    admissible: bool
     volume: float
     inf_density: float
     lower_bound: float
@@ -80,7 +78,6 @@ class ConvergenceReport:
             "box": [list(pair) for pair in zip(self.box.t, self.box.dt)],
             "epsilon": self.epsilon,
             "R": self.R,
-            "admissible": self.admissible,
             "volume": self.volume,
             "inf_density": self.inf_density,
             "lower_bound": self.lower_bound,
@@ -126,12 +123,7 @@ def inf_density_on_box(table: DickmanTable, box: BoxSpec) -> float:
     for lo, hi in zip(lows, highs):
         inv /= hi
         arg_num -= lo
-    arg = arg_num / lows[-1]
-    bound = float(np.min(inv * rho(table, arg)))
-    crude_arg = box.u0()
-    crude = rho(table, crude_arg) / math.prod(box.upper())
-    # the subdivided bound can only tighten the single-cell one
-    return max(bound, crude)
+    return float(np.min(inv * rho(table, arg_num / lows[-1])))
 
 
 def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
@@ -166,7 +158,6 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
                                        std_err=est.std_err,
                                        verdict=est.p_hat >= lower - margin))
     trend = all(b.estimate >= a.estimate for a, b in zip(entries, entries[1:]))
-    return ConvergenceReport(box=box, epsilon=crit.epsilon, R=crit.R,
-                             admissible=True, volume=vol, inf_density=inf_f,
-                             lower_bound=lower, entries=tuple(entries),
-                             trend=trend)
+    return ConvergenceReport(box=box, epsilon=crit.epsilon, R=crit.R, volume=vol,
+                             inf_density=inf_f, lower_bound=lower,
+                             entries=tuple(entries), trend=trend)

@@ -161,35 +161,28 @@ def _simpson(f, a, fa, b, fb):
     return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def _asr(f, a, fa, b, fb, eps, whole, m, fm, depth, state):
+def _asr(f, a, fa, b, fb, eps, whole, m, fm, depth):
     lm, flm, left = _simpson(f, a, fa, m, fm)
     rm, frm, right = _simpson(f, m, fm, b, fb)
     delta = left + right - whole
     if abs(delta) <= 15.0 * eps:
         return left + right + delta / 15.0
     if depth <= 0:
-        # keep the best local estimate so the caller can report a global one
-        state["converged"] = False
-        return left + right + delta / 15.0
-    return (_asr(f, a, fa, m, fm, eps / 2.0, left, lm, flm, depth - 1, state)
-            + _asr(f, m, fm, b, fb, eps / 2.0, right, rm, frm, depth - 1, state))
+        raise NumericalError(
+            f"adaptive quadrature failed to converge on [{a}, {b}] "
+            f"within depth {QUAD_MAX_DEPTH}")
+    return (_asr(f, a, fa, m, fm, eps / 2.0, left, lm, flm, depth - 1)
+            + _asr(f, m, fm, b, fb, eps / 2.0, right, rm, frm, depth - 1))
 
 
 def _adaptive_simpson(f, a, b, abs_tol):
-    """Integral of f over [a, b] to abs_tol, refining at most QUAD_MAX_DEPTH
-    levels deep."""
+    """Integral of f over [a, b] to abs_tol; raises NumericalError at the
+    first cell that would need more than QUAD_MAX_DEPTH levels."""
     if b <= a:
         return 0.0
-    depth = QUAD_MAX_DEPTH
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
-    state = {"converged": True}
-    total = _asr(f, a, fa, b, fb, abs_tol, whole, m, fm, depth, state)
-    if not state["converged"]:
-        raise NumericalError(
-            f"adaptive quadrature failed to converge on [{a}, {b}] "
-            f"within depth {depth}", partial=total)
-    return total
+    return _asr(f, a, fa, b, fb, abs_tol, whole, m, fm, QUAD_MAX_DEPTH)
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +212,13 @@ def h_function(i: int, u: float) -> float:
     """H_i(u): H_0 = 1, and for i >= 1 the nested integral above to QUAD_TOL.
 
     Returns exactly 0 when u <= i, where the region is empty.  Raises
-    NumericalError, carrying the partial value, if the quadrature does not
-    converge within QUAD_MAX_DEPTH levels.
+    ParameterError unless u is finite and positive, and NumericalError if the
+    quadrature does not converge within QUAD_MAX_DEPTH levels.
     """
     if i < 0:
         raise ParameterError("index must be non-negative")
-    if u <= 0:
-        raise ParameterError("u must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ParameterError(f"u must be finite and positive, got {u}")
     if i == 0:
         return 1.0
     if u <= i:
@@ -236,8 +229,8 @@ def h_function(i: int, u: float) -> float:
 def rho_via_alternating_sum(u: float) -> float:
     """1 + sum_{1 <= i < u} (-1)^i H_i(u); the sum is finite since H_i(u) = 0
     for i >= u."""
-    if u <= 0:
-        raise ParameterError("u must be positive")
+    if not (math.isfinite(u) and u > 0):
+        raise ParameterError(f"u must be finite and positive, got {u}")
     total = 1.0
     i = 1
     while i < u:

@@ -34,11 +34,4 @@ def check_memory(need: float, what: str) -> None:
 
 
 class NumericalError(BillingsleyError, RuntimeError):
-    """A numerical routine failed to converge.
-
-    Carries the best estimate obtained so far in ``partial``.
-    """
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """A numerical routine failed to converge."""

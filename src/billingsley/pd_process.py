@@ -148,9 +148,7 @@ def _axis_weights(lo: float, width: float, step: float) -> np.ndarray:
 
 
 def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x * y: direct when one is short, else as a product of real FFTs."""
-    if min(x.size, y.size) <= 64:
-        return np.convolve(x, y)
+    """x * y as a product of real FFTs."""
     n = x.size + y.size - 1
     size = 1 << (n - 1).bit_length()
     return np.fft.irfft(np.fft.rfft(x, size) * np.fft.rfft(y, size), size)[:n]

@@ -9,7 +9,7 @@ can be compared byte-for-byte across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,25 +69,13 @@ HARNESS_BOXES = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteContext:
-    """Shared heavyweight state for a bundle run."""
+    """The state every bundle shares: the sieve, the rho table and the seed."""
 
+    sieve: PrimeSieve
+    table: DickmanTable
     seed: int = DEFAULT_SEED
-    _sieve: PrimeSieve | None = field(default=None, repr=False)
-    _table: DickmanTable | None = field(default=None, repr=False)
-
-    @property
-    def sieve(self) -> PrimeSieve:
-        if self._sieve is None:
-            self._sieve = build_sieve(SIEVE_LIMIT)
-        return self._sieve
-
-    @property
-    def table(self) -> DickmanTable:
-        if self._table is None:
-            self._table = build_rho_table()
-        return self._table
 
 
 def check_dickman_analytic(ctx: SuiteContext) -> dict:
@@ -316,7 +304,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> tuple[dict, bool]:
     """
     if name not in BUNDLES:
         raise ParameterError(f"unknown bundle {name!r}; choose from {BUNDLES}")
-    ctx = SuiteContext(seed=seed)
+    ctx = SuiteContext(build_sieve(SIEVE_LIMIT), build_rho_table(), seed)
     results = [fn(ctx) for bundle, fn in CHECKS if name in ("all", bundle)]
     passed = all(r["passed"] for r in results)
     report = {

@@ -21,10 +21,7 @@ from billingsley.suite import (SuiteContext, check_alternating_sum,
 
 @pytest.fixture(scope="module")
 def ctx(sieve7, table):
-    c = SuiteContext()
-    c._sieve = sieve7
-    c._table = table
-    return c
+    return SuiteContext(sieve7, table)
 
 
 def _run(ctx, number, fn, budget=None):

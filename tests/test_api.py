@@ -25,12 +25,11 @@ PUBLIC_NAMES = [
 PUBLIC_PARAMETERS = {
     "BoxCriterion": ("epsilon", "k", "R"),
     "BoxSpec": ("t", "dt"),
-    "ConvergenceReport": ("box", "epsilon", "R", "admissible", "volume", "inf_density",
-                          "lower_bound", "entries", "trend"),
+    "ConvergenceReport": ("box", "epsilon", "R", "volume", "inf_density", "lower_bound",
+                          "entries", "trend"),
     "DickmanTable": ("u_max", "cells"),
     "EmpiricalEstimate": ("hits", "total"),
     "ExactProbability": ("count", "total"),
-    "NumericalError": ("message", "partial"),
     "PrimeSieve": ("limit", "largest_prime_factor", "prime_array"),
     "box_admissible": ("box", "crit"),
     "box_probability_exact": ("sieve", "n", "box"),
@@ -60,7 +59,8 @@ PUBLIC_PARAMETERS = {
     "sample_factor_vectors": ("sieve", "n", "count", "k", "seed"),
 }
 
-EXCEPTION_ARGS = {"BillingsleyError", "DomainError", "ParameterError", "ResourceError"}
+EXCEPTION_ARGS = {"BillingsleyError", "DomainError", "NumericalError", "ParameterError",
+                  "ResourceError"}
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

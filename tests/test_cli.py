@@ -281,7 +281,6 @@ def test_verify_roundtrip(tmp_path, capsys):
     entries = payload["results"]["entries"]
     assert [e["n"] for e in entries] == [1000, 10000]
     assert all(e["verdict"] for e in entries)
-    assert payload["results"]["admissible"] is True
 
 
 def test_verify_counts_the_1e7_rung_exactly(capsys):

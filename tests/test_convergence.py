@@ -75,6 +75,12 @@ def test_criterion_validation():
     assert BoxCriterion(epsilon=0.25, k=3).R == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("R", [float("nan"), float("inf"), float("-inf")])
+def test_criterion_refuses_non_finite_R(R):
+    with pytest.raises(ParameterError):
+        BoxCriterion(epsilon=0.25, k=1, R=R)
+
+
 def test_admissibility_monotone_under_shrink():
     rnd = random.Random(12)
     crit = BoxCriterion(epsilon=0.25, k=2)
@@ -148,7 +154,6 @@ def test_run_criterion_exact_ladder(table, sieve5):
     crit = BoxCriterion(epsilon=0.25, k=1)
     report = run_criterion(sieve5, table, (10**3, 10**4, 10**5),
                            BoxSpec((0.5,), (0.1,)), crit)
-    assert report.admissible
     assert [e.n for e in report.entries] == [10**3, 10**4, 10**5]
     assert all(e.method == "exact" for e in report.entries)
     assert report.all_pass()
@@ -171,5 +176,4 @@ def test_report_serializes(table, sieve5):
     crit = BoxCriterion(epsilon=0.25, k=1)
     report = run_criterion(sieve5, table, (10**3,), BoxSpec((0.5,), (0.1,)), crit)
     payload = json.dumps(report.to_dict(), sort_keys=True)
-    assert '"admissible": true' in payload
     assert '"trend"' in payload

@@ -167,11 +167,23 @@ def test_h_parameter_errors():
         h_function(1, 0.0)
 
 
-def test_h_nonconvergence_carries_partial(monkeypatch):
+def test_h_nonconvergence_raises(monkeypatch):
     monkeypatch.setattr(dickman, "QUAD_MAX_DEPTH", 1)
-    with pytest.raises(NumericalError, match="within depth 1") as err:
+    with pytest.raises(NumericalError, match="within depth 1"):
         h_function(2, 3.5)
-    assert err.value.partial == pytest.approx(H_ORACLE[(2, 3.5)], rel=1e-2)
+
+
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), float("-inf")])
+def test_h_refuses_non_finite_u(u):
+    for i in (0, 1, 2):
+        with pytest.raises(ParameterError):
+            h_function(i, u)
+
+
+@pytest.mark.parametrize("u", [float("nan"), float("inf"), float("-inf")])
+def test_alternating_sum_refuses_non_finite_u(u):
+    with pytest.raises(ParameterError):
+        rho_via_alternating_sum(u)
 
 
 def test_alternating_sum_trivial_below_one():

@@ -346,12 +346,14 @@ def test_lattice_nodes_past_the_simplex_read_f_as_zero(table):
 
 
 def test_fft_and_direct_convolution_agree():
-    # the outer axes of a k = 5 box at grid 32, all long enough for the FFT
-    # path
+    # the outer axes of a k = 5 box at grid 32, each over 64 nodes, and a
+    # side far thinner than a step, on two nodes
     box = BoxSpec.from_string("0.38,0.1;0.2,0.05;0.1,0.05;0.04,0.03;0.01,0.02")
     step = _validate(build_rho_table(30), box, 32)
     axes = [_axis_weights(t, d, step) for t, d in zip(box.t[:-1], box.dt[:-1])]
     assert min(a.size for a in axes) > 64
+    axes.append(_axis_weights(0.2, 1e-9, step))
+    assert axes[-1].size == 2
     fft, direct = axes[0], axes[0]
     for a in axes[1:]:
         fft, direct = _convolve(fft, a), np.convolve(direct, a)

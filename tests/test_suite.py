@@ -34,16 +34,10 @@ def scalar_loop(sieve):
             "passed": mismatches == 0}
 
 
-def context(sieve):
-    ctx = SuiteContext()
-    ctx._sieve = sieve
-    return ctx
-
-
-def test_criterion_3_equals_scalar_loop(sieve7):
+def test_criterion_3_equals_scalar_loop(sieve7, table):
     want = scalar_loop(sieve7)
     assert want["passed"]
-    assert check_psi_oracle_equivalence(context(sieve7)) == want
+    assert check_psi_oracle_equivalence(SuiteContext(sieve7, table)) == want
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +51,7 @@ def sieve4():
     {1: 2, 6: 13, 9999: 10**6},       # y = 1 breaks; one label beyond x_max
     {10: 7, 12: 11, 8000: 9000},      # the diagonal spoiled over a long run
 ])
-def test_criterion_3_on_corrupted_tables(sieve4, corrupt):
+def test_criterion_3_on_corrupted_tables(sieve4, table, corrupt):
     lpf = sieve4.largest_prime_factor.copy()
     for m, label in corrupt.items():
         lpf[m] = label
@@ -65,4 +59,4 @@ def test_criterion_3_on_corrupted_tables(sieve4, corrupt):
                      prime_array=sieve4.prime_array)
     want = scalar_loop(bad)
     assert want["mismatches"] > 0
-    assert check_psi_oracle_equivalence(context(bad)) == want
+    assert check_psi_oracle_equivalence(SuiteContext(bad, table)) == want
