@@ -9,30 +9,46 @@ reproducible, however many CPUs the process may use.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from pathlib import Path
 
 from . import __version__
 from .convergence import BoxCriterion, run_criterion
 from .dickman import DEFAULT_U_MAX, NODES_PER_UNIT, DickmanTable, build_rho_table, rho
-from .errors import BillingsleyError, ParameterError, check_memory
+from .errors import BillingsleyError, ParameterError, ResourceError, check_memory
 from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
                            prime_bounds, sample_box_probability, sample_factor_vectors)
-from .pd_process import (DEFAULT_TRUNCATION, pd_box_probability_refined, pd_density,
-                         pd_sample_batch)
+from .pd_process import (DEFAULT_TRUNCATION, _chunk_rows, pd_box_probability_refined,
+                         pd_density, pd_sample_batch)
 from .primes import build_sieve, mertens_constant_estimate, mertens_sum, power_floor
 from .rng import DEFAULT_SEED
 from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 from .suite import BUNDLES, SIEVE_LIMIT, run_suite
 
 
+#: most sticks (rows times truncation) one pd-sample run draws: the output
+#: streams, so no memory bound refuses a larger count; this is about 6.5
+#: minutes at truncation 60 and --k 1 on 2 vCPUs (2.7 us a row, most of it
+#: formatting)
+_MAX_PD_SAMPLE_DRAWS = 1 << 33
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit_pieces(iter(([text],)), out)
+
+
+def _emit_pieces(pieces, out: str | None) -> None:
+    """Write each piece, a list of strings, in order to the --out file or to
+    stdout.  The first piece is made before the file is opened, so that a
+    command refused before its first output leaves no file."""
+    first = next(pieces)
+    with (open(out, "w", encoding="utf-8") if out
+          else contextlib.nullcontext(sys.stdout)) as f:
+        f.writelines(first)
+        for piece in pieces:
+            f.writelines(piece)
 
 
 def _table_csv(table: DickmanTable) -> str:
@@ -151,13 +167,27 @@ def _cmd_sample_factors(args) -> int:
     return 0
 
 
-def _cmd_pd_sample(args) -> int:
-    sticks, _tails = pd_sample_batch(args.seed, args.count, args.trunc)
+def _pd_sample_csv(args):
+    """The pd-sample CSV lines, one chunk of _chunk_rows rows at a time: each
+    chunk's sticks are drawn through pd_sample_batch's `start` and released
+    once formatted, so memory holds one chunk's sticks and text however
+    large the count."""
+    if args.count * args.trunc > _MAX_PD_SAMPLE_DRAWS:
+        raise ResourceError(f"{args.count} rows at truncation {args.trunc} are more "
+                            f"than the cap of {_MAX_PD_SAMPLE_DRAWS} sticks")
     k = min(args.k, args.trunc)
-    lines = [",".join(f"c{i+1}" for i in range(k))]
-    for row in sticks[:, :k]:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+    lines = [",".join(f"c{i+1}" for i in range(k)) + "\n"]
+    step = _chunk_rows(args.trunc)
+    for lo in range(0, args.count, step):
+        rows = pd_sample_batch(args.seed, min(step, args.count - lo), args.trunc,
+                               start=lo)[0][:, :k].tolist()
+        lines += [",".join(map(repr, row)) + "\n" for row in rows]
+        yield lines
+        lines = []
+
+
+def _cmd_pd_sample(args) -> int:
+    _emit_pieces(_pd_sample_csv(args), args.out)
     return 0
 
 

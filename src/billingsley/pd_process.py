@@ -9,7 +9,11 @@ ranked downward after truncation, with the unbroken remainder prod U_i
 carried explicitly as tail mass.  The sampler fills blocks of about
 rng.BLOCK_WORDS uniforms column-major, one stick index per contiguous row, so
 that generating, multiplying and differencing a block are passes over
-memory that stays in cache; only the final sort works row by row.
+memory that stays in cache.  One transpose copy puts the negated
+differences straight into the block's rows of the output, where they are
+sorted and their signs restored in place; only that sort works row by row.
+Callers that need many rows draw them _chunk_rows at a time through
+`start`, so that their memory does not grow with the count.
 
 Box probabilities integrate the innermost coordinate in closed form: by the
 delay equation u rho'(u) = -rho(u - 1), for outer coordinates summing to s,
@@ -45,10 +49,23 @@ _MIN_BLOCK_ROWS = 256
 _MAX_BLOCK_WORDS = 1 << 20
 
 
+#: full blocks per call of a caller that streams draws through `start`: at
+#: truncation 60, 16 * 1092 rows and 8.5 MB of output a call.  Each call
+#: starts its own pool and buffers; on 2 vCPUs a row cost about 0.8 us in
+#: calls of 8 blocks, and 0.7 in calls of 16 as in one call of 10^5 rows
+_CHUNK_BLOCKS = 16
+
+
 def _block_rows(truncation: int) -> int:
     """Rows in a full sampler block at this truncation."""
     return max(1, rng.BLOCK_WORDS // truncation,
                min(_MIN_BLOCK_ROWS, _MAX_BLOCK_WORDS // truncation))
+
+
+def _chunk_rows(truncation: int) -> int:
+    """Rows per pd_sample_batch call when a caller streams many rows: a
+    whole number of blocks, enough to run every CPU, and bounded output."""
+    return _CHUNK_BLOCKS * _block_rows(truncation)
 
 
 def pd_density(table: DickmanTable, point) -> float:
@@ -85,13 +102,19 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     is a pass over contiguous rows of the block: the unmixed words are one
     add to a precomputed block, rng._uniform_block mixes them into
     uniforms, the prefix products take truncation - 1 row multiplies and the
-    stick lengths one subtract.  One transpose copy turns the lengths into
-    draws, which are sorted and copied out reversed.  The blocks change no
-    bits.  They are rng.run_tasks tasks, full-size when they hold the whole
-    block of rows; a worker has its own three block buffers and writes
-    disjoint rows of the output.  Refuses, before allocating, output and
+    negated stick lengths, p_j - p_{j-1} and p_1 - 1, one subtract.  One
+    transpose copy puts them straight into the block's rows of the output,
+    which are sorted ascending in place and restored as 0 - x, so that each
+    row ends descending.  Subtracting from 0 keeps the +0.0 lengths of
+    underflowed prefix products at +0.0, where negating would give -0.0.
+    The blocks change no bits.  They are rng.run_tasks tasks, full-size when
+    they hold the whole block of rows; a worker has its own two block
+    buffers, the words and the mixing scratch, which take the negated
+    lengths and the uniforms once each is spent, and writes disjoint rows
+    of the output.  Refuses, before allocating, output and
     buffers over the memory budget: 8 * (truncation + 1) bytes per row, the
-    shared block of words and three block buffers per CPU.
+    shared block of words and two block buffers per CPU, 1 + 2 * CPUs
+    blocks in all.
     """
     if truncation < 1:
         raise ParameterError("truncation must be >= 1")
@@ -99,7 +122,7 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
         raise ParameterError("count must be >= 1")
     t = truncation
     rows = min(count, _block_rows(t))
-    check_memory(8 * ((t + 1) * count + (1 + 3 * rng.cpu_count()) * t * rows),
+    check_memory(8 * ((t + 1) * count + (1 + 2 * rng.cpu_count()) * t * rows),
                  f"{count} PD draws at truncation {t}")
     # base[j, i] is the unmixed word of counter i * t + j; moving it on by
     # (start + lo) * t counters gives draw j of row start + lo + i
@@ -110,26 +133,28 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     tails = np.empty(count)
 
     def fill(lo, buffers):
-        words, scratch, prefix = buffers
+        words, scratch = buffers
         n = min(rows, count - lo)
         x = rng._advance(base[:, :n], (start + lo) * t, words[:, :n])
-        p = rng._uniform_block(x, scratch[:, :n], prefix[:, :n])
+        # the mixing scratch is spent once the uniforms are made: it takes them
+        p = rng._uniform_block(x, scratch[:, :n], scratch.view(np.float64)[:, :n])
         p_rows = list(p)
         for prev, row in zip(p_rows, p_rows[1:]):
             np.multiply(row, prev, out=row)
         tails[lo:lo + n] = p[-1]
-        # the words are spent: their buffer takes the stick lengths, and
-        # the scratch buffer the draws
+        # the words are spent too: their buffer takes the negated lengths,
+        # contiguous rows whose transposed copy is cheaper than writing
+        # through the transpose
         lengths = words.view(np.float64)[:, :n]
-        np.subtract(1.0, p[0], out=lengths[0])
-        np.subtract(p[:-1], p[1:], out=lengths[1:])
-        draws = scratch.view(np.float64).reshape(-1)[:n * t].reshape(n, t)
-        np.copyto(draws, lengths.T)
-        draws.sort(axis=1)
-        sticks[lo:lo + n] = draws[:, ::-1]
+        np.subtract(p[1:], p[:-1], out=lengths[1:])
+        np.subtract(p[0], 1.0, out=lengths[0])
+        out = sticks[lo:lo + n]
+        np.copyto(out, lengths.T)
+        out.sort(axis=1)
+        np.subtract(0.0, out, out=out)
 
     rng.run_tasks(fill, range(0, count, rows), count // rows,
-                  lambda: (np.empty_like(base), np.empty_like(base), np.empty(base.shape)))
+                  lambda: (np.empty_like(base), np.empty_like(base)))
     return sticks, tails
 
 
@@ -164,7 +189,11 @@ def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
         g = _convolve(g, _axis_weights(t, d, step))
     # last nodes pass their sides by < a step, so past s = 1 only if grid < k - 1; F = 0 there
     rest = np.maximum(1.0 - (sum(box.t[:-1]) + np.arange(g.size) * step), 0.0)
-    return float(np.dot(rho(table, rest / b) - rho(table, rest / a), g))
+    # numpy's pairwise sum, not np.dot: BLAS splits a long dot product by its
+    # thread count, so the bits would depend on the CPUs the process may use
+    f = rho(table, rest / b) - rho(table, rest / a)
+    f *= g
+    return float(np.sum(f))
 
 
 def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> float:

@@ -33,6 +33,9 @@ SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
 #: cache; its quotient buffer holds the odd entries of one segment
 SIEVE_SEGMENT = 1 << 18
 
+#: mertens_sum takes this many reciprocals (512 KiB) at a time
+_SUM_CHUNK = 1 << 16
+
 
 @dataclass(frozen=True, eq=False)
 class PrimeSieve:
@@ -200,13 +203,24 @@ def _power_round(n: int, t: float, rounding, step: int) -> int:
 def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     """Sum of 1/p over primes a <= p <= b, accumulated in ascending order.
 
-    np.cumsum adds strictly left to right (np.sum would add pairwise), so the
-    value is bit for bit that of a plain loop over the ascending primes.
+    The reciprocals are taken _SUM_CHUNK primes at a time into one reused
+    buffer whose first element holds the running sum, and np.cumsum adds
+    each chunk strictly left to right (np.sum would add pairwise), so the
+    value is bit for bit that of a plain loop over the ascending primes and
+    the memory does not grow with the range.
     """
     if not 2 <= a or a > b or b > sieve.limit:
         raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
     ps = sieve.primes_in_range(a, b)
-    return float(np.cumsum(1.0 / ps)[-1]) if ps.size else 0.0
+    terms = np.empty(min(ps.size, _SUM_CHUNK) + 1)
+    total = 0.0
+    for lo in range(0, ps.size, _SUM_CHUNK):
+        part = ps[lo:lo + _SUM_CHUNK]
+        run = terms[:part.size + 1]
+        run[0] = total
+        np.divide(1.0, part, out=run[1:])
+        total = float(np.cumsum(run, out=run)[-1])
+    return total
 
 
 def mertens_constant_estimate(sieve: PrimeSieve, x: int) -> float:

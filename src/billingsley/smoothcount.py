@@ -32,9 +32,9 @@ factor and counts as T entries.  Each leaf-range z is then one search.
   z above T.  Passed-on quotients gather, merged, until a stage holds
   enough of them.
 
-A single x <= T skips the sweep: one count off the leaf table.  That count,
-like psi_bruteforce, also takes an array of x: one cumulative sum up to the
-largest x and a gather.
+A single x <= T skips the sweep: one count off the leaf table, made in
+fixed chunks.  That count, like psi_bruteforce, also takes an array of x:
+one cumulative sum up to the largest x and a gather.
 
 Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
 engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
@@ -75,6 +75,10 @@ X_SUM_LIMIT = 1 << 62
 #: the one-large-factor identity expands at most about this many rows at once
 IDENTITY_ROWS = 1 << 22
 
+#: a single prefix count compares this many labels at a time, into one
+#: reused boolean buffer (64 KiB, with 256 KiB of int32 labels read)
+_COUNT_CHUNK = 1 << 16
+
 _POW2 = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
 
 
@@ -85,7 +89,9 @@ def _eratosthenes(limit: int) -> np.ndarray:
     for p in range(2, math.isqrt(limit) + 1):
         if not comp[p]:
             comp[p * p:: p] = True
-    return np.flatnonzero(~comp).astype(np.int64)
+    # complemented in place, and flatnonzero's int64 indices kept as they are:
+    # the peak is the flags and the primes, with no table-sized copy
+    return np.flatnonzero(np.logical_not(comp, out=comp)).astype(np.int64, copy=False)
 
 
 def _merge(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,8 +278,12 @@ def psi_exact(x: int, y: int) -> int:
 
 def _prefix_count(labels: np.ndarray, limit: int, x, y: int):
     """#{1 <= m <= x : labels[m] <= y} for an int x, or for each x of an
-    integer array as an int64 array: one cumulative sum of the labels up to
-    the largest x, then a gather (an int x reads only the last sum)."""
+    integer array as an int64 array.
+
+    An int x counts the labels _COUNT_CHUNK at a time into one reused
+    boolean buffer, so its memory does not grow with x.  An array takes one
+    cumulative sum of the labels up to its largest x, then a gather.
+    """
     try:
         x = np.asarray(x, dtype=np.int64)
     except OverflowError:
@@ -284,11 +294,16 @@ def _prefix_count(labels: np.ndarray, limit: int, x, y: int):
     top = int(x.max(initial=0))
     if top > limit:
         raise DomainError(f"x={top} beyond table limit {limit}")
-    smooth = labels[1: top + 1] <= y
-    if not x.ndim:  # the last prefix count, without a table-sized int32 array
-        return int(np.count_nonzero(smooth))
+    if not x.ndim:
+        smooth = np.empty(min(top, _COUNT_CHUNK), dtype=bool)
+        count = 0
+        for lo in range(1, top + 1, _COUNT_CHUNK):
+            part = labels[lo: min(lo + _COUNT_CHUNK, top + 1)]
+            count += int(np.count_nonzero(
+                np.less_equal(part, y, out=smooth[:part.size])))
+        return count
     # counts stay <= limit < 2^31, so the running sum fits int32
-    return np.cumsum(smooth, dtype=np.int32)[x - 1].astype(np.int64)
+    return np.cumsum(labels[1: top + 1] <= y, dtype=np.int32)[x - 1].astype(np.int64)
 
 
 def psi_bruteforce(sieve: PrimeSieve, x, y: int):

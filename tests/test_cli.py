@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from billingsley import (BoxSpec, box_probability_via_psi, build_rho_table, build_sieve,
-                         prime_bounds, psi_exact, sample_factor_vectors)
-from billingsley import cli
+from billingsley import (BoxSpec, ResourceError, box_probability_via_psi, build_rho_table,
+                         build_sieve, pd_sample_batch, prime_bounds, psi_exact,
+                         sample_factor_vectors)
+from billingsley import cli, errors, rng
+from billingsley.pd_process import _block_rows
 from billingsley.cli import dispatch
 
 
@@ -246,6 +248,49 @@ def test_pd_sample_csv(capsys):
     assert row[0] >= row[1] >= row[2] > 0
 
 
+@pytest.mark.parametrize("chunk", [lambda truncation: 7, _block_rows],
+                         ids=["7-rows", "one-block"])
+def test_pd_sample_streams_the_bytes_of_one_batch(capsys, tmp_path, monkeypatch, chunk):
+    sizes = []
+
+    def recording(seed, count, truncation, start=0):
+        sizes.append(count)
+        return pd_sample_batch(seed, count, truncation, start=start)
+
+    monkeypatch.setattr(cli, "pd_sample_batch", recording)
+    monkeypatch.setattr(cli, "_chunk_rows", chunk)
+    count, trunc = 3 * chunk(30) + 5, 30  # three chunk boundaries
+    argv = ["pd-sample", "--count", str(count), "--trunc", str(trunc), "--k", "4",
+            "--seed", "3"]
+    code, out, err = run(capsys, *argv)
+    sticks, _ = pd_sample_batch(3, count, trunc)
+    want = "c1,c2,c3,c4\n" + "".join(",".join(map(repr, row)) + "\n"
+                                     for row in sticks[:, :4].tolist())
+    assert code == 0 and err == "" and out == want
+    assert sizes == [chunk(trunc)] * 3 + [5]
+    target = tmp_path / "pd.csv"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == want
+
+
+def test_pd_sample_memory_check_counts_one_chunk(capsys, monkeypatch):
+    monkeypatch.setattr(rng, "cpu_count", lambda: 1)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 4 << 20)
+    monkeypatch.setattr(cli, "_chunk_rows", _block_rows)
+    with pytest.raises(ResourceError):
+        pd_sample_batch(1, 20000)  # 9.8 MB of sticks at once
+    code, out, err = run(capsys, "pd-sample", "--count", "20000", "--k", "1")
+    assert code == 0 and err == ""
+    assert out.count("\n") == 20001
+
+
+def test_refused_pd_sample_leaves_no_file(capsys, tmp_path):
+    target = tmp_path / "pd.csv"
+    code, out, err = run(capsys, "pd-sample", "--count", "1e16", "--out", str(target))
+    assert code == 1 and out == "" and "cap" in err
+    assert not target.exists()
+
+
 def test_pd_density_cli(capsys):
     code, out, _ = run(capsys, "pd-density", "--point", "0.6")
     assert code == 0
@@ -402,8 +447,9 @@ def test_count_options_accept_float_literals(capsys, argv, plain):
 
 
 #: finite values too large to serve, each refused before allocating or
-#: overflowing: the sample counts and the rho-table CSV by the memory budget,
-#: the box coordinate by float overflow in n^t
+#: overflowing: the factor-row count and the rho-table CSV by the memory
+#: budget, the pd-sample count and the Monte Carlo samples by their draw
+#: caps, the box coordinate by float overflow in n^t
 OVERSIZED_ARGV = [
     ["pd-sample", "--count", "1e16"],
     ["sample-factors", "--n", "1e4", "--count", "1e16"],

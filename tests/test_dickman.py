@@ -1,12 +1,13 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
-from billingsley import (DomainError, NumericalError, ParameterError, build_rho_table,
-                         dickman, h_function, rho, rho_via_alternating_sum)
-from billingsley.dickman import NODES_PER_UNIT
+from billingsley import (DomainError, NumericalError, ParameterError, ResourceError,
+                         build_rho_table, dickman, h_function, rho, rho_via_alternating_sum)
+from billingsley.dickman import H_U_MAX, NODES_PER_UNIT
 from conftest import H_ORACLE, RHO_ORACLE, RHO_PINS
 
 import rho_pins
@@ -184,6 +185,24 @@ def test_h_refuses_non_finite_u(u):
 def test_alternating_sum_refuses_non_finite_u(u):
     with pytest.raises(ParameterError):
         rho_via_alternating_sum(u)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rho_via_alternating_sum(7.5),  # 133 s without the bound
+    lambda: rho_via_alternating_sum(math.nextafter(H_U_MAX, math.inf)),
+    lambda: h_function(6, 7.5),
+    lambda: h_function(2, 1e6),
+], ids=["rho-7.5", "rho-past-bound", "h6-7.5", "h2-1e6"])
+def test_quadrature_past_the_u_bound_is_refused_at_once(call):
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceError, match="H_U_MAX"):
+        call()
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_h_answers_at_the_u_bound():
+    assert h_function(2, H_U_MAX) > 0
+    assert h_function(1, H_U_MAX) == pytest.approx(math.log(H_U_MAX), abs=1e-12)
 
 
 def test_alternating_sum_trivial_below_one():

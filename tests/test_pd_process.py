@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,7 +12,8 @@ import pytest
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
                          build_rho_table, errors, pd_box_probability_refined, pd_density,
                          pd_sample_batch, rho, rng)
-from billingsley.pd_process import _axis_weights, _block_rows, _convolve, _validate
+from billingsley.pd_process import (_axis_weights, _block_rows, _chunk_rows, _convolve,
+                                    _validate)
 
 import rho_pins
 from conftest import WORKER_COUNTS
@@ -156,6 +160,12 @@ def test_rows_across_a_block_boundary_are_single_draws():
         row, tail = pd_sample_batch(5, 1, start=i)
         assert row[0].tobytes() == sticks[i].tobytes()
         assert tail[0] == tails[i]
+
+
+@pytest.mark.parametrize("truncation", [1, 7, 60, 777, 10**4])
+def test_chunks_are_whole_blocks(truncation):
+    rows = _block_rows(truncation)
+    assert _chunk_rows(truncation) % rows == 0 and _chunk_rows(truncation) >= 2 * rows
 
 
 def test_sample_validation():
@@ -361,6 +371,22 @@ def test_fft_and_direct_convolution_agree():
     s = sum(box.t[:-1]) + np.arange(direct.size) * step
     f = 1.0 / (1.0 - s)  # any smooth F
     assert float(f @ fft) == pytest.approx(float(f @ direct), rel=1e-12, abs=0)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and at least two CPUs")
+def test_box_probability_bits_do_not_depend_on_the_cpus(table):
+    # a child pinned to one CPU before numpy loads runs every library on one
+    # thread; a long float dot product through BLAS would sum in other blocks
+    code = ("import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))}); "
+            "from billingsley import BoxSpec, build_rho_table, pd_box_probability_refined; "
+            "print(repr(pd_box_probability_refined(build_rho_table(), "
+            "BoxSpec((0.45, 0.15), (0.1, 0.1)))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    one = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    here = pd_box_probability_refined(table, BoxSpec((0.45, 0.15), (0.1, 0.1)))
+    assert one == repr(here) + "\n"
 
 
 def test_box_probability_narrow_box_is_small(table):

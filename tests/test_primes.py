@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billingsley import errors, smoothcount
+from billingsley import errors, primes, smoothcount
 from billingsley import (DomainError, ParameterError, ResourceError, build_sieve,
                          mertens_constant_estimate, mertens_sum, power_ceil,
                          power_floor)
@@ -159,6 +159,27 @@ def test_mertens_sum_is_the_ascending_fold(sieve7):
         for p in sieve7.primes_in_range(a, b).tolist():
             total += 1.0 / p
         assert mertens_sum(sieve7, a, b) == total
+
+
+def test_mertens_sum_chunks_are_one_cumulative_sum(sieve7):
+    # ranges of chunk - 1, chunk and chunk + 1 primes end at chunk boundaries
+    ps = sieve7.prime_array
+    c = primes._SUM_CHUNK
+    for first in (0, 5):
+        for count in (1, c - 1, c, c + 1, 2 * c, 3 * c + 7):
+            part = ps[first:first + count]
+            want = float(np.cumsum(1.0 / part)[-1])
+            assert mertens_sum(sieve7, int(part[0]), int(part[-1])) == want
+
+
+def test_mertens_sum_memory_does_not_grow_with_the_range(sieve7):
+    tracemalloc.start()
+    try:
+        mertens_sum(sieve7, 2, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # the 664579 reciprocals and their sums would be 10.6 MB
 
 
 def test_power_bounds_exact_integer_hits():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,3 +190,47 @@ def test_convergence_toward_rho2(table, sieve6):
     errs = [abs(psi_bruteforce(sieve6, n, int(n**0.5)) / n - rho2)
             for n in (10**4, 10**5, 10**6)]
     assert errs[0] > errs[1] > errs[2]
+
+
+def test_scalar_prefix_count_equals_the_array_path(sieve7):
+    # an int x counts in chunks; an array takes one cumulative sum
+    c = smoothcount._COUNT_CHUNK
+    xs = [c - 1, c, c + 1, 3 * c, 10**7]
+    for y in (1, 2, 97, 3162, 10**7):
+        want = psi_bruteforce(sieve7, np.array(xs), y).tolist()
+        assert [psi_bruteforce(sieve7, x, y) for x in xs] == want
+    engine = smoothcount.default_engine()
+    small = xs[:4]  # within the leaf table
+    for y in (2, 97, 3162):
+        assert [engine.psi_small(x, y) for x in small] == engine.psi_small(
+            np.array(small), y).tolist()
+
+
+def test_scalar_prefix_count_memory_does_not_grow_with_x(sieve7):
+    tracemalloc.start()
+    try:
+        assert psi_bruteforce(sieve7, 10**7, 3162) == 3362157
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20  # the whole comparison at 10^7 would be 10 MB
+
+
+def test_eratosthenes_is_the_old_list_without_a_table_sized_copy():
+    limit = 10**6
+    comp = np.zeros(limit + 1, dtype=bool)
+    comp[:2] = True
+    for p in range(2, math.isqrt(limit) + 1):
+        if not comp[p]:
+            comp[p * p:: p] = True
+    want = np.flatnonzero(~comp).astype(np.int64)
+    tracemalloc.start()
+    try:
+        got = smoothcount._eratosthenes(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    # the flags and the primes: a complement or a cast copy would add a
+    # second table or a second list
+    assert peak <= (limit + 1) + 8 * got.size + (1 << 16)
