@@ -142,7 +142,7 @@ def _cmd_box(args) -> int:
         box.require_inside_u()
         sieve = build_sieve(max(prime_bounds(args.n, box)[0][1], 2))
     else:
-        sieve = build_sieve(args.n)
+        sieve = build_sieve(max(args.n, 2))
     if args.method == "mc":
         est = sample_box_probability(sieve, args.n, box, args.samples, seed=args.seed)
         payload = {"count": est.hits, "total": est.total, "p_hat": est.p_hat,
@@ -156,7 +156,7 @@ def _cmd_box(args) -> int:
 
 
 def _cmd_sample_factors(args) -> int:
-    sieve = build_sieve(args.n)
+    sieve = build_sieve(max(args.n, 2))
     rows = sample_factor_vectors(sieve, args.n, args.count, args.k, seed=args.seed)
     header = ("N," + ",".join(f"p{i+1}" for i in range(args.k))
               + "," + ",".join(f"L{i+1}" for i in range(args.k)))

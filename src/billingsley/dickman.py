@@ -231,12 +231,13 @@ def h_function(i: int, u: float) -> float:
     shrinks.
 
     Returns exactly 0 when u <= i, where the region is empty.  Raises
-    ParameterError unless u is finite and positive, ResourceError before
-    any work when u > H_U_MAX, and NumericalError if the quadrature does
-    not converge within QUAD_MAX_DEPTH levels.
+    ParameterError unless i is a non-negative int (not a bool) and u is
+    finite and positive, ResourceError before any work when u > H_U_MAX,
+    and NumericalError if the quadrature does not converge within
+    QUAD_MAX_DEPTH levels.
     """
-    if i < 0:
-        raise ParameterError("index must be non-negative")
+    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+        raise ParameterError(f"index must be a non-negative int, got {i!r}")
     _check_u(u)
     if i == 0:
         return 1.0

@@ -5,7 +5,7 @@ For a box B = prod [t_i, t_i + dt_i] the probability P(P_i(N) in
 
 * exact enumeration of all m <= n (vectorized largest-factor scans),
 * the prime-tuple identity sum_{p_1 >= ... >= p_k} Psi(n/(p_1...p_k), p_k)/n,
-* Monte Carlo with counter-based streams.
+* Monte Carlo over the seed's counter-based stream.
 
 All three resolve interval endpoints through the same power_ceil/power_floor
 pair, so a prime on the boundary classifies identically everywhere; the first
@@ -34,14 +34,9 @@ from .smoothcount import default_engine, psi_sum
 
 from .rng import DEFAULT_SEED
 
-#: Monte Carlo work is split into this many fixed logical shards; results are
-#: a function of (seed, shard) only, so the scheduling never changes them.
-MC_SHARDS = 64
-
 #: most draws one Monte Carlo estimate may make, about five minutes on one
 #: CPU at n = 10^7: the draws stream through fixed buffers, so no memory
-#: bound refuses a larger budget (whole shards of 40 bytes a draw used to
-#: stop near 6.9e9)
+#: bound refuses a larger budget
 MAX_MC_SAMPLES = 1 << 33
 
 #: integers per task of the exact scan
@@ -328,11 +323,11 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
                            seed: int = DEFAULT_SEED) -> EmpiricalEstimate:
     """Monte Carlo estimate of the box probability.
 
-    The budget is split over MC_SHARDS fixed shards with independent
-    counter-based streams, so the estimate depends only on (seed, samples).
-    The shards are run_tasks tasks, full-size when they hold at least one
-    block of rng.BLOCK_WORDS draws.  A shard draws and counts a block at a
-    time through its worker's buffers.
+    The draws are 0..samples-1 of the seed's stream, exactly the integers
+    sample_factor_vectors ranks for the same seed and count, so the
+    estimate depends only on (seed, samples).  Each block of
+    rng.BLOCK_WORDS draws is one run_tasks task, drawn and counted through
+    its worker's buffers.
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
@@ -343,21 +338,16 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
     lpf = sieve.largest_prime_factor
-    counts = rng.partition(samples, MC_SHARDS)
-    block = min(counts[0], rng.BLOCK_WORDS)
+    key = rng.stream_key(seed)
+    block = min(samples, rng.BLOCK_WORDS)
 
-    def shard_hits(shard, buffers):
+    def block_hits(lo, buffers):
         ints, p, masks = buffers
-        key = rng.stream_key(seed, shard)
-        hits = 0
-        for lo in range(0, counts[shard], block):
-            size = min(block, counts[shard] - lo)
-            m = rng._int_block(key, lo, n, ints, ints[1][:size].view(np.int64))
-            hits += _count_in_box(lpf, m, bounds, p[:size], masks)
-        return hits
+        size = min(block, samples - lo)
+        m = rng._int_block(key, lo, n, ints, ints[1][:size].view(np.int64))
+        return _count_in_box(lpf, m, bounds, p[:size], masks)
 
-    full = sum(c >= rng.BLOCK_WORDS for c in counts)
-    hits = sum(rng.run_tasks(shard_hits, range(MC_SHARDS), full, lambda: (
+    hits = sum(rng.run_tasks(block_hits, range(0, samples, block), samples // block, lambda: (
         rng._int_buffers(block), np.empty(block, dtype=lpf.dtype), _masks(block))))
     return EmpiricalEstimate(hits, samples)
 
@@ -384,4 +374,4 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     check_memory((32 + 40 * k) * count, f"{count} factor rows of rank {k}")
-    return _factor_rows(sieve, n, rng.uniform_ints(seed, 0, count, n), k)
+    return _factor_rows(sieve, n, rng.uniform_ints(seed, count, n), k)

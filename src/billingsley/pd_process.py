@@ -90,8 +90,9 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     (count, truncation) array, each row descending, and the tail masses.
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
-    row consumes counter (start + i) * truncation + j of shard 0, so large
-    budgets can be processed in chunks without changing the stream.  Each
+    row consumes counter (start + i) * truncation + j of the seed's stream,
+    so large budgets can be processed in chunks without changing the
+    stream.  A start below 0, or rows past counter 2^64, are refused.  Each
     row sums to 1 minus its tail mass (telescoping), the product of the
     truncation residuals.  Ranks whose value is below the tail mass could in
     principle be displaced by unseen tail sticks; trust only components
@@ -120,6 +121,9 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
         raise ParameterError("truncation must be >= 1")
     if count < 1:
         raise ParameterError("count must be >= 1")
+    if start < 0 or (start + count) * truncation > 1 << 64:
+        raise ParameterError("rows must lie at counters [0, 2^64) of the stream: "
+                             "start >= 0 and (start + count) * truncation <= 2^64")
     t = truncation
     rows = min(count, _block_rows(t))
     check_memory(8 * ((t + 1) * count + (1 + 2 * rng.cpu_count()) * t * rows),
@@ -128,7 +132,7 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     # (start + lo) * t counters gives draw j of row start + lo + i
     offsets = np.add.outer(np.arange(t, dtype=np.uint64),
                            np.arange(rows, dtype=np.uint64) * np.uint64(t))
-    base = rng._counter_words(offsets, rng.stream_key(seed, 0))
+    base = rng._counter_words(offsets, rng.stream_key(seed))
     sticks = np.empty((count, t))
     tails = np.empty(count)
 

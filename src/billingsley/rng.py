@@ -1,16 +1,17 @@
 """Counter-based random streams for reproducible (and parallelizable) Monte Carlo.
 
-Every output is a pure function of (seed, shard, index), so a sampling run
-partitioned into shards yields bitwise-identical results no matter how the
-shards are scheduled.  The generator is the splitmix64 finalizer applied to
-a distinct 64-bit counter per draw.
+Each seed has one stream, and every output is a pure function of (seed,
+index): any block of draws can be made on its own, so a sampling run split
+into blocks yields bitwise-identical results no matter how the blocks are
+scheduled.  The generator is the splitmix64 finalizer applied to a distinct
+64-bit counter per draw.
 
 Bounded integers use the multiply-high reduction with the usual rejection of
 the short leading band, which removes modulo bias exactly.  A rejected draw
-retries at the same (shard, index) with an incremented attempt counter, so a
-retry never disturbs neighbouring draws; the retry probability is n / 2^64.
+retries at the same index with an incremented attempt counter, so a retry
+never disturbs neighbouring draws; the retry probability is n / 2^64.
 
-run_tasks spreads such independent pieces (Monte Carlo shards, scan chunks,
+run_tasks spreads such independent pieces (Monte Carlo blocks, scan chunks,
 sampler blocks) over the CPUs the process may use and returns their results
 in task order, so the scheduling never shows in a result.
 """
@@ -44,9 +45,9 @@ def mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def stream_key(seed: int, shard: int) -> int:
-    """Derive the 64-bit key of one shard's stream."""
-    return mix64(mix64(seed & MASK64) ^ mix64((shard + 0x5851F42D4C957F2D) & MASK64))
+def stream_key(seed: int) -> int:
+    """Derive the 64-bit key of the seed's stream."""
+    return mix64(mix64(seed & MASK64) ^ mix64(0x5851F42D4C957F2D))
 
 
 #: words per block of the stream fills (raw64's mixing, the PD stick
@@ -115,10 +116,10 @@ def _uniform_block(x: np.ndarray, scratch: np.ndarray, out: np.ndarray) -> np.nd
     return _unit_doubles(_mix64_array(x, scratch), out)
 
 
-def raw64(seed: int, shard: int, start: int, count: int) -> np.ndarray:
-    """64-bit words at counters start..start+count-1 of the (seed, shard) stream."""
+def raw64(seed: int, start: int, count: int) -> np.ndarray:
+    """64-bit words at counters start..start+count-1 of the seed's stream."""
     words = _counter_words(np.arange(start, start + count, dtype=np.uint64),
-                           stream_key(seed, shard))
+                           stream_key(seed))
     scratch = np.empty(min(words.size, BLOCK_WORDS), dtype=np.uint64)
     for lo in range(0, words.size, BLOCK_WORDS):
         x = words[lo:lo + BLOCK_WORDS]
@@ -199,8 +200,9 @@ def _int_block(key: int, start: int, n: int, buffers, out: np.ndarray) -> np.nda
     return out
 
 
-def uniform_ints(seed: int, shard: int, count: int, n: int) -> np.ndarray:
-    """`count` independent uniform integers in [1, n] from the (seed, shard) stream.
+def uniform_ints(seed: int, count: int, n: int) -> np.ndarray:
+    """`count` independent uniform integers in [1, n], draws 0..count-1 of
+    the seed's stream.
 
     The output is filled BLOCK_WORDS draws at a time by _int_block, so the
     memory needed is 8 bytes per draw plus the fixed buffers of one block.
@@ -210,18 +212,12 @@ def uniform_ints(seed: int, shard: int, count: int, n: int) -> np.ndarray:
     block = min(count, BLOCK_WORDS)
     check_memory(_INT_DRAW_BYTES * count + _INT_BLOCK_BYTES * block,
                  f"{count} uniform integers")
-    key = stream_key(seed, shard)
+    key = stream_key(seed)
     out = np.empty(count, dtype=np.int64)
     buffers = _int_buffers(block)
     for lo in range(0, count, BLOCK_WORDS):
         _int_block(key, lo, n, buffers, out[lo:lo + BLOCK_WORDS])
     return out
-
-
-def partition(total: int, shards: int) -> list[int]:
-    """Split a sample budget into fixed per-shard counts (first shards get the remainder)."""
-    q, r = divmod(total, shards)
-    return [q + (1 if i < r else 0) for i in range(shards)]
 
 
 def cpu_count() -> int:

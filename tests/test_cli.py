@@ -125,6 +125,18 @@ def test_box_mc_fields(capsys):
     assert out == out2
 
 
+def test_box_at_n_1_runs_every_method(capsys):
+    # N = 1 has no prime factor: the prime-tuple identity counts no tuple,
+    # while the scan and the draws read its padding 1 inside [1, 1]
+    counts = {}
+    for method in ("exact", "mc", "psi"):
+        code, out, _ = run(capsys, "box", "--n", "1", "--box", "0.5,0.1", "--method", method,
+                           "--samples", "1000")
+        assert code == 0, method
+        counts[method] = json.loads(out)["count"]
+    assert counts == {"exact": 1, "mc": 1000, "psi": 0}
+
+
 def test_out_file_matches_stdout(tmp_path, capsys):
     # --out writes what the command prints without it, and prints nothing
     for argv, expected in ((["psi", "--x", "100", "--y", "5"], "34\n"),
@@ -224,6 +236,12 @@ def test_sample_factors_csv_deterministic(capsys):
     lines = out.splitlines()
     assert lines[0] == "N,p1,p2,p3,L1,L2,L3"
     assert len(lines) == 6
+
+
+def test_sample_factors_at_n_1(capsys):
+    code, out, _ = run(capsys, "sample-factors", "--n", "1", "--count", "3", "--k", "2")
+    assert code == 0
+    assert out.splitlines() == ["N,p1,p2,L1,L2"] + ["1,1,1,0.0,0.0"] * 3
 
 
 def test_sample_factors_csv_rows_are_the_library_columns(capsys):

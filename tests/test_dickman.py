@@ -161,6 +161,12 @@ def test_h_against_oracle(key):
     assert h_function(i, u) == pytest.approx(H_ORACLE[key], abs=1e-8)
 
 
+@pytest.mark.parametrize("i", [1.5, 2.0, True, False, None, "1"])
+def test_h_index_must_be_an_int(i):
+    with pytest.raises(ParameterError, match="index"):
+        h_function(i, 3.0)
+
+
 def test_h_parameter_errors():
     with pytest.raises(ParameterError):
         h_function(-1, 2.0)

@@ -13,7 +13,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
                          psi_exact, ranked_factors, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import factor_stats, rng
-from billingsley.factor_stats import (MAX_MC_SAMPLES, MC_SHARDS, SCAN_CHUNK, _count_in_box,
+from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_in_box,
                                       _factor_rows, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
 from conftest import WORKER_COUNTS, inside_u
@@ -216,13 +216,13 @@ def test_partition_additivity(sieve5):
 
 def test_mc_determinism_across_worker_counts(sieve6, cpus):
     box = BoxSpec((0.5,), (0.1,))
-    # every shard holds one full block of draws, and some a partial second
-    samples = MC_SHARDS * rng.BLOCK_WORDS + 5
+    # three full blocks of draws and a partial fourth
+    samples = 3 * rng.BLOCK_WORDS + 5
     runs = []
     for workers in WORKER_COUNTS:
         pools = cpus(workers)
         runs.append(sample_box_probability(sieve6, 10**6, box, samples, seed=11))
-        assert pools == ([] if workers == 1 else [workers - 1])
+        assert pools == ([] if workers == 1 else [min(workers, 3) - 1])
     a = runs[0]
     assert all(r == a for r in runs)
     assert a.p_hat == a.hits / a.total
@@ -490,25 +490,27 @@ def test_mc_count_matches_full_peel(sieve5):
         assert got == want, box
 
 
-#: sample_box_probability hits at n = 10^6 with 2 * 10^5 draws, recorded
-#: with the full-peel count; the Monte Carlo route must stay bit-identical
+#: sample_box_probability hits at n = 10^6 with 2 * 10^5 draws, recorded as
+#: the in-box row counts of sample_factor_vectors for the same seed and count;
+#: the Monte Carlo route must stay bit-identical
 MC_PINNED_HITS = [
-    (BoxSpec((0.5,), (0.1,)), {7: 36048, 42: 35892}),
-    (BoxSpec((0.45, 0.15), (0.1, 0.1)), {7: 11489, 42: 11385}),
-    (BoxSpec((0.4, 0.25, 0.1), (0.05, 0.05, 0.05)), {7: 958, 42: 907}),
+    (BoxSpec((0.5,), (0.1,)), {7: 35721, 42: 36099}),
+    (BoxSpec((0.45, 0.15), (0.1, 0.1)), {7: 11274, 42: 11270}),
+    (BoxSpec((0.4, 0.25, 0.1), (0.05, 0.05, 0.05)), {7: 936, 42: 964}),
 ]
 
 
 def test_mc_hits_pinned(sieve6):
     for box, hits in MC_PINNED_HITS:
         for seed, want in hits.items():
+            assert in_box_rows(sieve6, 10**6, box, 200_000, seed) == want, (box, seed)
             est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
             assert est.hits == want, (box, seed)
 
 
 def test_mc_hits_pinned_across_worker_counts(sieve6, cpus, monkeypatch):
-    # blocks of 2^10 draws make the 3125-draw shards full-size, so the pool
-    # runs, and each shard ends on a partial block
+    # blocks of 2^10 draws make 195 full-size tasks, so the pool runs, and
+    # the last block is a partial one of 320 draws
     monkeypatch.setattr(rng, "BLOCK_WORDS", 1 << 10)
     for workers in WORKER_COUNTS:
         pools = cpus(workers)
@@ -517,6 +519,31 @@ def test_mc_hits_pinned_across_worker_counts(sieve6, cpus, monkeypatch):
                 est = sample_box_probability(sieve6, 10**6, box, 200_000, seed=seed)
                 assert est.hits == want, (workers, box, seed)
         assert pools == ([] if workers == 1 else [workers - 1] * 6)
+
+
+def in_box_rows(sieve, n, box, samples, seed):
+    """How many of sample_factor_vectors' rows have every rank inside the
+    box's prime_bounds."""
+    p = sample_factor_vectors(sieve, n, samples, box.k, seed=seed).p
+    lo, hi = np.array(prime_bounds(n, box)).T
+    return int(np.count_nonzero(np.all((p >= lo) & (p <= hi), axis=1)))
+
+
+def test_mc_hits_are_the_in_box_factor_rows(sieve6, cpus):
+    # the Monte Carlo draws are the integers the factor rows rank, so the
+    # hits are an exact count of those rows, on either side of a block
+    # boundary and over several pooled blocks with a partial last one
+    b = rng.BLOCK_WORDS
+    for samples in (b - 1, b, b + 1, 3 * b + 7):
+        for box, _ in MC_PINNED_HITS:
+            want = in_box_rows(sieve6, 10**6, box, samples, seed=7)
+            for workers in WORKER_COUNTS:
+                pools = cpus(workers)
+                est = sample_box_probability(sieve6, 10**6, box, samples, seed=7)
+                assert est.hits == want, (samples, box, workers)
+                full = samples // b
+                assert pools == ([] if workers == 1 or full < 2
+                                 else [min(workers, full) - 1])
 
 
 # ---------------------------------------------------------------------------

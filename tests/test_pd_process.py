@@ -11,7 +11,7 @@ import pytest
 
 from billingsley import (BoxSpec, DomainError, ParameterError, ResourceError,
                          build_rho_table, errors, pd_box_probability_refined, pd_density,
-                         pd_sample_batch, rho, rng)
+                         pd_process, pd_sample_batch, rho, rng)
 from billingsley.pd_process import (_axis_weights, _block_rows, _chunk_rows, _convolve,
                                     _validate)
 
@@ -22,7 +22,7 @@ from conftest import WORKER_COUNTS
 def _one_shot_stick_matrix(seed, count, truncation, start=0):
     # reference sampler: every row from one raw64 call, row-major, no
     # blocks; each uniform is (k + 0.5) * 2^-53 for k the top 53 bits of a word
-    words = rng.raw64(seed, 0, start * truncation, count * truncation)
+    words = rng.raw64(seed, start * truncation, count * truncation)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     u = u.reshape(count, truncation)
     prefix = np.cumprod(u, axis=1)
@@ -173,6 +173,25 @@ def test_sample_validation():
         pd_sample_batch(1, 1, truncation=0)
     with pytest.raises(ParameterError, match="count"):
         pd_sample_batch(1, 0)
+
+
+@pytest.mark.parametrize("count, truncation, start", [
+    (1, 60, -1), (3, 60, 2**70), (1, 1, 2**64), (2, 60, 2**64 // 60 - 1),
+    (2, 4, 2**62 - 1)])
+def test_rows_past_the_counter_range_are_refused_before_allocation(
+        monkeypatch, count, truncation, start):
+    def no_alloc(*args):
+        raise AssertionError("sized the allocation before refusing")
+
+    monkeypatch.setattr(pd_process, "check_memory", no_alloc)
+    with pytest.raises(ParameterError, match="counters"):
+        pd_sample_batch(1, count, truncation, start=start)
+
+
+def test_last_rows_of_the_counter_range_are_drawn():
+    # counters up to 2^64 - 1 are in range: the last row ends on that counter
+    sticks, _ = pd_sample_batch(1, 1, 4, start=2**62 - 1)
+    assert sticks.shape == (1, 4)
 
 
 def test_tail_mass_bound():

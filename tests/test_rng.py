@@ -10,21 +10,20 @@ from billingsley import ResourceError, pd_sample_batch, rng
 
 
 def test_raw64_deterministic_and_stream_separated():
-    a = rng.raw64(42, 0, 0, 100)
-    b = rng.raw64(42, 0, 0, 100)
+    a = rng.raw64(42, 0, 100)
+    b = rng.raw64(42, 0, 100)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, rng.raw64(42, 1, 0, 100))
-    assert not np.array_equal(a, rng.raw64(43, 0, 0, 100))
+    assert not np.array_equal(a, rng.raw64(43, 0, 100))
     # counter windows are consistent slices of one stream
-    assert np.array_equal(rng.raw64(42, 0, 10, 20), a[10:30])
+    assert np.array_equal(rng.raw64(42, 10, 20), a[10:30])
 
 
 def test_mix64_matches_vector_path():
     # raw64 mixes in blocks of BLOCK_WORDS; check the words on both sides of
     # the first boundary too
     b = rng.BLOCK_WORDS
-    z = rng.raw64(7, 3, 0, b + 2)
-    key = rng.stream_key(7, 3)
+    z = rng.raw64(7, 0, b + 2)
+    key = rng.stream_key(7)
     for i in [*range(16), b - 2, b - 1, b, b + 1]:
         assert int(z[i]) == rng.mix64((i * rng.GOLDEN + key) & rng.MASK64)
 
@@ -38,14 +37,14 @@ def test_unit_doubles_at_the_ends_of_the_word_range():
 
 def _uniforms(seed, start, count):
     # at truncation 1 the stick sampler's tail masses are the uniforms of
-    # shard 0, one per counter, filled in blocks of BLOCK_WORDS rows
+    # the seed's stream, one per counter, filled in blocks of BLOCK_WORDS rows
     return pd_sample_batch(seed, count, truncation=1, start=start)[1]
 
 
 def test_uniforms_are_the_doubles_of_raw64_across_blocks():
     b = rng.BLOCK_WORDS
     u = _uniforms(3, 77, b + 9)
-    want = (rng.raw64(3, 0, 77, b + 9) >> np.uint64(11)).astype(np.float64)
+    want = (rng.raw64(3, 77, b + 9) >> np.uint64(11)).astype(np.float64)
     want = (want + 0.5) * 2.0**-53
     assert u.tobytes() == want.tobytes()
 
@@ -59,7 +58,7 @@ def test_uniforms_open_interval():
 
 def test_uniform_ints_bounds_and_mean():
     for n in (1, 2, 10, 997, 10**6, 2**40):
-        v = rng.uniform_ints(9, 0, 20000, n)
+        v = rng.uniform_ints(9, 20000, n)
         assert int(v.min()) >= 1 and int(v.max()) <= n
         mean = float(v.mean())
         sd = n / 12**0.5 / 20000**0.5
@@ -67,21 +66,21 @@ def test_uniform_ints_bounds_and_mean():
 
 
 def test_uniform_ints_deterministic():
-    a = rng.uniform_ints(11, 4, 1000, 12345)
-    b = rng.uniform_ints(11, 4, 1000, 12345)
+    a = rng.uniform_ints(11, 1000, 12345)
+    b = rng.uniform_ints(11, 1000, 12345)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, rng.uniform_ints(11, 5, 1000, 12345))
+    assert not np.array_equal(a, rng.uniform_ints(12, 1000, 12345))
 
 
 def test_uniform_ints_validation():
     with pytest.raises(ValueError):
-        rng.uniform_ints(1, 0, 10, 0)
+        rng.uniform_ints(1, 10, 0)
     with pytest.raises(ResourceError, match="uniform integers"):
-        rng.uniform_ints(1, 0, 10**16, 10)
+        rng.uniform_ints(1, 10**16, 10)
 
 
 def test_mulhi_against_python_ints():
-    x = rng.raw64(3, 0, 0, 200)
+    x = rng.raw64(3, 0, 200)
     for n in (3, 10**6, 2**63 - 1, 0xFFFFFFFFFFFFFFF):
         hi, lo = rng._mulhi64(x.copy(), n, np.empty_like(x), np.empty_like(x))
         for i in range(0, 200, 17):
@@ -111,7 +110,7 @@ def _mulhi64_four_products(x, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 10**7, 2**32 - 1, 2**32, 2**32 + 1, 10**12,
                                3 * 10**17, 2**62 + 12345, 2**63 - 1])
 def test_mulhi_matches_four_product_oracle(n):
-    words = np.concatenate((rng.raw64(17, 4, 0, 50_000),
+    words = np.concatenate((rng.raw64(17, 0, 50_000),
                             np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)))
     hi, lo = rng._mulhi64(words.copy(), n, np.empty_like(words), np.empty_like(words))
     want_hi, want_lo = _mulhi64_four_products(words, n)
@@ -120,15 +119,15 @@ def test_mulhi_matches_four_product_oracle(n):
 
 def test_small_n_uniformity():
     # n = 3: all residues reachable, roughly equal
-    v = rng.uniform_ints(1, 0, 30000, 3)
+    v = rng.uniform_ints(1, 30000, 3)
     counts = np.bincount(v, minlength=4)[1:]
     assert counts.sum() == 30000
     assert np.all(np.abs(counts - 10000) < 500)
 
 
-def _reference_uniform_int(seed, shard, idx, n):
+def _reference_uniform_int(seed, idx, n):
     # scalar transcription of the documented algorithm, retries included
-    key = rng.stream_key(seed, shard)
+    key = rng.stream_key(seed)
     threshold = ((1 << 64) - n) % n
     attempt = 0
     while True:
@@ -144,24 +143,24 @@ def test_retry_path_engages_for_large_n():
     # n = 2^62 + 3 rejects ~25% of first attempts, so the retry branch is
     # genuinely exercised; results must match the scalar reference exactly
     n = (1 << 62) + 3
-    v = rng.uniform_ints(21, 2, 300, n)
-    retried = sum(int(v[i]) != int((int(rng.raw64(21, 2, i << rng.ATTEMPT_BITS, 1)[0]) * n >> 64) + 1)
+    v = rng.uniform_ints(21, 300, n)
+    retried = sum(int(v[i]) != int((int(rng.raw64(21, i << rng.ATTEMPT_BITS, 1)[0]) * n >> 64) + 1)
                   for i in range(300))
     assert retried > 20  # the first-attempt value was rejected somewhere
     for i in range(300):
-        assert int(v[i]) == _reference_uniform_int(21, 2, i, n)
+        assert int(v[i]) == _reference_uniform_int(21, i, n)
     assert int(v.min()) >= 1
 
 
 def test_n_beyond_int64_rejected():
     with pytest.raises(ValueError):
-        rng.uniform_ints(1, 0, 10, 1 << 63)
+        rng.uniform_ints(1, 10, 1 << 63)
 
 
 def test_vector_path_matches_reference_small_n():
-    v = rng.uniform_ints(8, 1, 100, 10**7)
+    v = rng.uniform_ints(8, 100, 10**7)
     for i in range(0, 100, 7):
-        assert int(v[i]) == _reference_uniform_int(8, 1, i, 10**7)
+        assert int(v[i]) == _reference_uniform_int(8, i, 10**7)
 
 
 @pytest.mark.parametrize("n, count", [
@@ -175,7 +174,7 @@ def test_uniform_ints_peak_is_within_the_memory_estimate(monkeypatch, n, count):
     monkeypatch.setattr(rng, "check_memory", lambda need, what: estimates.append(need))
     tracemalloc.start()
     try:
-        rng.uniform_ints(3, 1, count, n)
+        rng.uniform_ints(3, count, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -254,12 +253,6 @@ def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
     assert runs == [1] * 3000
 
 
-def test_partition():
-    assert rng.partition(10, 4) == [3, 3, 2, 2]
-    assert sum(rng.partition(10**5, 64)) == 10**5
-    assert rng.partition(3, 64).count(1) == 3
-
-
 def _digest(a):
     return hashlib.sha256(a.astype(a.dtype.newbyteorder("<")).tobytes()).hexdigest()
 
@@ -268,14 +261,14 @@ def test_streams_match_pinned_digests():
     # sha256 of the little-endian bytes, frozen so that no rewrite of the
     # mixing code can move a stream; the two uniform pins were taken from a
     # standalone counter-to-doubles loop, not from the sampler
-    assert _digest(rng.raw64(42, 3, 12345, 10**5)) == (
-        "64265954b249f234c834c509d8fcc6b2f2bc5f188d91ad21a7dd0337ae7eee76")
+    assert _digest(rng.raw64(42, 12345, 10**5)) == (
+        "17387a07d66cd8688c05756359d56a9e26f5000946e78fb84efc38204ab990fd")
     assert _digest(_uniforms(42, 12345, 10**5)) == (
         "fd4ea459dc6033f66e029504d34e4c341c11d475782a8d25ac952576d7c25420")
     assert _digest(_uniforms(7, 0, 4097)) == (
         "389d24fd1af84eed657c992f98e23006ed4fa005043541e24c5b7ff27d01bba2")
-    assert _digest(rng.uniform_ints(42, 5, 10**5, 10**7)) == (
-        "37cbe46c232e8490180c38430640990400fb08968a7a5b077d774f9434104f4a")
+    assert _digest(rng.uniform_ints(42, 10**5, 10**7)) == (
+        "66ee6579afe897265d4c48dd5543ee698bd28015cd4c0f5475e62376086d572e")
     # about a quarter of these draws take the retry path
-    assert _digest(rng.uniform_ints(21, 2, 3000, (1 << 62) + 3)) == (
-        "6c9b5cff5e57a34535ee9dd9f2bd2f147338a8c6893013a284b72245f0f455b2")
+    assert _digest(rng.uniform_ints(21, 3000, (1 << 62) + 3)) == (
+        "41fac1b7e5c558bd9212b7a64aa10690725ead66a0d87a6ac4e22666c6dc625f")
