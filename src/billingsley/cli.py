@@ -34,6 +34,9 @@ from .suite import BUNDLES, SIEVE_LIMIT, run_suite
 #: formatting)
 _MAX_PD_SAMPLE_DRAWS = 1 << 33
 
+#: sample-factors formats this many rows of its CSV at a time
+_CSV_ROWS = 1 << 14
+
 
 def _emit(text: str, out: str | None) -> None:
     _emit_pieces(iter(([text],)), out)
@@ -155,15 +158,21 @@ def _cmd_box(args) -> int:
     return 0
 
 
-def _cmd_sample_factors(args) -> int:
+def _sample_factors_csv(args):
+    """The sample-factors CSV: the header once the rows are drawn, then
+    _CSV_ROWS rows at a time, so that one chunk's text is held at once."""
     sieve = build_sieve(max(args.n, 2))
     rows = sample_factor_vectors(sieve, args.n, args.count, args.k, seed=args.seed)
-    header = ("N," + ",".join(f"p{i+1}" for i in range(args.k))
-              + "," + ",".join(f"L{i+1}" for i in range(args.k)))
-    lines = [header]
-    for N, p, L in zip(rows.N.tolist(), rows.p.tolist(), rows.L.tolist()):
-        lines.append(f"{N}," + ",".join(map(str, p)) + "," + ",".join(map(repr, L)))
-    _emit("\n".join(lines) + "\n", args.out)
+    yield ["N," + ",".join(f"p{i+1}" for i in range(args.k))
+           + "," + ",".join(f"L{i+1}" for i in range(args.k)) + "\n"]
+    for lo in range(0, rows.size, _CSV_ROWS):
+        part = rows[lo: lo + _CSV_ROWS]
+        yield [f"{N}," + ",".join(map(str, p)) + "," + ",".join(map(repr, L)) + "\n"
+               for N, p, L in zip(part.N.tolist(), part.p.tolist(), part.L.tolist())]
+
+
+def _cmd_sample_factors(args) -> int:
+    _emit_pieces(_sample_factors_csv(args), args.out)
     return 0
 
 
@@ -225,7 +234,7 @@ def _cmd_verify(args) -> int:
     sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
     table = _rho_table_reaching(box.u0())
     crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
-    report = run_criterion(sieve, table, ladder, box, crit, exact_threshold=sieve.limit)
+    report = run_criterion(sieve, table, ladder, box, crit)
     payload = {"version": __version__, "command": "verify",
                "config": {"epsilon": args.epsilon, "ladder": ladder},
                "results": report.to_dict()}

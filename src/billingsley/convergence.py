@@ -128,14 +128,14 @@ def inf_density_on_box(table: DickmanTable, box: BoxSpec) -> float:
 
 def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
                   crit: BoxCriterion, budget: int = 10**5, seed: int = DEFAULT_SEED,
-                  exact_threshold: int = 10**6) -> ConvergenceReport:
+                  exact_threshold: int = 2**31 - 1) -> ConvergenceReport:
     """Evaluate P(X_n in B) along the ladder and compare against
     (1 - eps) * vol(B) * inf_B f.
 
-    n up to exact_threshold (and within the sieve) is counted exactly by the
-    scan, n beyond the sieve exactly by the prime-tuple identity (the sieve
-    must reach their top prime bound); the n in between fall back to Monte
-    Carlo with a 4-sigma margin on the verdict.
+    n up to exact_threshold (by default the largest sieve limit) within the
+    sieve is counted exactly by the scan, n beyond the sieve exactly by the
+    prime-tuple identity (the sieve must reach their top prime bound); the n
+    in between fall back to Monte Carlo with a 4-sigma margin on the verdict.
     """
     if not box_admissible(box, crit):
         raise DomainError(

@@ -13,12 +13,12 @@ two must agree to the integer.
 
 The identity sums the innermost prime in closed form: the m <= N whose
 largest prime lies in [a, b] number sum_{a <= q <= b} Psi(N/q, q) =
-Psi(N, b) - Psi(N, a - 1).  Tuples run over the outer k - 1 ranges; a row
-whose quotient N is at most the Psi engine's leaf limit (2^20) takes two
-prefix counts off the engine's leaf table, and only larger N are expanded
-and swept.  The identity reads the sieve's prime list but never its
-largest-prime-factor table, which the scan reads, so each route checks the
-other through an independently built table.
+Psi(N, b) - Psi(N, a - 1).  Tuples run over the outer k - 1 ranges; the
+rows whose quotient N is at most the Psi engine's leaf limit (2^20) count
+the m <= N labelled in [a, b] in one pass over its leaf table, and only
+larger N are expanded and swept.  The identity reads the sieve's prime list
+but never its largest-prime-factor table, which the scan reads, so each
+route checks the other through an independently built table.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .primes import PrimeSieve, power_ceil, power_floor
-from .smoothcount import default_engine, psi_sum
+from .smoothcount import _count_labels, default_engine, psi_sum
 
 from .rng import DEFAULT_SEED
 
@@ -181,8 +181,9 @@ def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
 
 
 def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
-    """Integer interval [ceil(n^t_i), floor(n^{t_i+dt_i})] per coordinate."""
-    return [(power_ceil(n, t), power_floor(n, t + d))
+    """Integer interval [max(ceil(n^t_i), 2), floor(n^{t_i+dt_i})] per
+    coordinate: the padding 1 of _peel is never a rank inside a box."""
+    return [(max(power_ceil(n, t), 2), power_floor(n, t + d))
             for t, d in zip(box.t, box.dt)]
 
 
@@ -266,11 +267,12 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
 
     Tuples run over the outer k - 1 ranges only.  Each m <= N whose largest
     prime lies in the innermost range [a, b] is counted once by
-    sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, max(a - 1, 1)),
-    so a row with quotient N = n // (p_1 ... p_{k-1}) <= LEAF_LIMIT takes two
-    prefix counts off the Psi engine's leaf table (k = 1 has the one row
-    N = n).  The table cannot answer a larger N, so those rows expand the
-    innermost prime as well and go to psi_sum, a chunk of tuples at a time.
+    sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, a - 1), the m <= N
+    labelled in [a, b] in the Psi engine's leaf table: the rows with quotient
+    N = n // (p_1 ... p_{k-1}) <= LEAF_LIMIT (k = 1 has the one row N = n)
+    take one pass over those labels per chunk of tuples.  The table cannot
+    answer a larger N, so those rows expand the innermost prime as well and
+    go to psi_sum.
 
     Only the sieve's prime list is read, never its largest-prime-factor
     table: the exact scan reads that table and this route the engine's, so
@@ -290,13 +292,9 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     count = 0
     for N, _ in _prime_tuples(np.array([n], dtype=np.int64), ranges):
         small = N <= engine.leaf_limit
-        if small.any():
-            N_small = N[small]
-            count += int(engine.psi_small(N_small, b).sum()
-                         - engine.psi_small(N_small, max(a - 1, 1)).sum())
-        if not small.all():
-            for z, q in _prime_tuples(N[~small], inner):
-                count += psi_sum(z, q)
+        count += int(_count_labels(engine.leaf_labels, engine.leaf_limit, N[small],
+                                   a, b).sum())
+        count += sum(psi_sum(z, q) for z, q in _prime_tuples(N[~small], inner))
     return ExactProbability(count=count, total=n)
 
 

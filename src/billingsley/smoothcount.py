@@ -32,9 +32,9 @@ factor and counts as T entries.  Each leaf-range z is then one search.
   z above T.  Passed-on quotients gather, merged, until a stage holds
   enough of them.
 
-A single x <= T skips the sweep: one count off the leaf table, made in
-fixed chunks.  That count, like psi_bruteforce, also takes an array of x:
-one cumulative sum up to the largest x and a gather.
+A single x <= T skips the sweep: one count off the leaf table, the same
+streamed label count as psi_bruteforce's, for an int or an array of x, with
+memory that grows with the number of x, not with their size.
 
 Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
 engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
@@ -75,8 +75,8 @@ X_SUM_LIMIT = 1 << 62
 #: the one-large-factor identity expands at most about this many rows at once
 IDENTITY_ROWS = 1 << 22
 
-#: a single prefix count compares this many labels at a time, into one
-#: reused boolean buffer (64 KiB, with 256 KiB of int32 labels read)
+#: a label count compares this many labels at a time, into two reused
+#: boolean buffers (64 KiB each, with 256 KiB of int32 labels read)
 _COUNT_CHUNK = 1 << 16
 
 _POW2 = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
@@ -139,7 +139,7 @@ class PsiEngine:
     def psi_small(self, x, y: int):
         """Psi(x, y) for 1 <= x <= T off the leaf table; x is an int, or an
         integer array for an int64 array of counts."""
-        return _prefix_count(self.leaf_labels, self.leaf_limit, x, y)
+        return _count_labels(self.leaf_labels, self.leaf_limit, x, 1, int(y))
 
     def psi_sum(self, x, y) -> int:
         """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
@@ -276,34 +276,43 @@ def psi_exact(x: int, y: int) -> int:
     return engine.psi_sum([x], [y])
 
 
-def _prefix_count(labels: np.ndarray, limit: int, x, y: int):
-    """#{1 <= m <= x : labels[m] <= y} for an int x, or for each x of an
-    integer array as an int64 array.
+def _count_labels(labels: np.ndarray, limit: int, x, lo: int, hi: int):
+    """#{1 <= m <= x : lo <= labels[m] <= hi} for an int x, or for each x of
+    an integer array of any shape as an int64 array of that shape.
 
-    An int x counts the labels _COUNT_CHUNK at a time into one reused
-    boolean buffer, so its memory does not grow with x.  An array takes one
-    cumulative sum of the labels up to its largest x, then a gather.
-    """
+    The labels stream _COUNT_CHUNK at a time through two reused boolean
+    buffers.  With x sorted, a chunk where some x end counts up to the first
+    and sums cumulatively from there to the last."""
     try:
         x = np.asarray(x, dtype=np.int64)
     except OverflowError:
         raise DomainError(f"x beyond table limit {limit}") from None
-    y = int(y)
-    if y < 1 or (x.size and int(x.min()) < 1):
+    if hi < 1 or (x.size and int(x.min()) < 1):
         raise ParameterError("need x >= 1 and y >= 1")
     top = int(x.max(initial=0))
     if top > limit:
         raise DomainError(f"x={top} beyond table limit {limit}")
-    if not x.ndim:
-        smooth = np.empty(min(top, _COUNT_CHUNK), dtype=bool)
-        count = 0
-        for lo in range(1, top + 1, _COUNT_CHUNK):
-            part = labels[lo: min(lo + _COUNT_CHUNK, top + 1)]
-            count += int(np.count_nonzero(
-                np.less_equal(part, y, out=smooth[:part.size])))
-        return count
-    # counts stay <= limit < 2^31, so the running sum fits int32
-    return np.cumsum(labels[1: top + 1] <= y, dtype=np.int32)[x - 1].astype(np.int64)
+    order = x.argsort(axis=None)  # equal x get equal counts, in any order
+    ends = x.ravel()[order]
+    starts = range(1, top + 1, _COUNT_CHUNK)
+    cuts = [0] + ends.searchsorted(starts[1:]).tolist() + [x.size]  # x per chunk
+    counts = np.empty(x.size, dtype=np.int64)
+    inside, upto = (np.empty(min(top, _COUNT_CHUNK), dtype=bool) for _ in range(2))
+    total = 0
+    for start, done, stop in zip(starts, cuts, cuts[1:]):
+        part = labels[start: min(start + _COUNT_CHUNK, top + 1)]
+        band = np.greater_equal(part, lo, out=inside[:part.size])
+        band &= np.less_equal(part, hi, out=upto[:part.size])
+        if stop > done:
+            here = ends[done:stop] - start
+            first = int(here[0])
+            sums = np.add.accumulate(band[first: int(here[-1]) + 1], dtype=np.int32)
+            # counts stay <= limit < 2^31, so they fit the sums' int32
+            counts[order[done:stop]] = (total + int(np.count_nonzero(band[:first]))
+                                        + sums[here - first])
+        total += int(np.count_nonzero(band))
+    counts = counts.reshape(x.shape)
+    return counts if counts.ndim else int(counts)
 
 
 def psi_bruteforce(sieve: PrimeSieve, x, y: int):
@@ -312,7 +321,7 @@ def psi_bruteforce(sieve: PrimeSieve, x, y: int):
 
     m = 1 counts (it has no prime factor at all).
     """
-    return _prefix_count(sieve.largest_prime_factor, sieve.limit, x, y)
+    return _count_labels(sieve.largest_prime_factor, sieve.limit, x, 1, int(y))
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

@@ -280,8 +280,7 @@ def check_proposition1_harness(ctx: SuiteContext) -> dict:
     verdicts_ok = True
     for box, ladder in HARNESS_BOXES:
         crit = BoxCriterion(epsilon=HARNESS_EPSILON, k=box.k)
-        report = run_criterion(ctx.sieve, ctx.table, ladder, box, crit,
-                               exact_threshold=10**7)
+        report = run_criterion(ctx.sieve, ctx.table, ladder, box, crit)
         verdicts_ok &= report.all_pass()
         boxes.append(report.to_dict())
     return {"criterion": 10, "name": "proposition1_harness",

@@ -126,15 +126,15 @@ def test_box_mc_fields(capsys):
 
 
 def test_box_at_n_1_runs_every_method(capsys):
-    # N = 1 has no prime factor: the prime-tuple identity counts no tuple,
-    # while the scan and the draws read its padding 1 inside [1, 1]
+    # N = 1 has no prime factor, and no box interval holds its padding 1:
+    # every route counts 0
     counts = {}
     for method in ("exact", "mc", "psi"):
         code, out, _ = run(capsys, "box", "--n", "1", "--box", "0.5,0.1", "--method", method,
                            "--samples", "1000")
         assert code == 0, method
         counts[method] = json.loads(out)["count"]
-    assert counts == {"exact": 1, "mc": 1000, "psi": 0}
+    assert counts == {"exact": 0, "mc": 0, "psi": 0}
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -253,6 +253,30 @@ def test_sample_factors_csv_rows_are_the_library_columns(capsys):
     assert [[int(v) for v in f[:4]] for f in fields] == \
         np.column_stack([rows.N, rows.p]).tolist()
     assert [f[4:] for f in fields] == [[repr(v) for v in L] for L in rows.L.tolist()]
+
+
+def test_sample_factors_streams_the_bytes_of_one_table(capsys, tmp_path, monkeypatch):
+    pieces = []
+
+    def recording(lines, out):
+        lines = list(lines)
+        pieces.extend(len(piece) for piece in lines)
+        return emit(iter(lines), out)
+
+    emit = cli._emit_pieces
+    monkeypatch.setattr(cli, "_emit_pieces", recording)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 7)
+    argv = ["sample-factors", "--n", "1e4", "--count", "26", "--k", "2", "--seed", "4"]
+    code, out, err = run(capsys, *argv)
+    rows = sample_factor_vectors(build_sieve(10**4), 10**4, 26, 2, seed=4)
+    want = "N,p1,p2,L1,L2\n" + "".join(
+        f"{N},{p[0]},{p[1]},{L[0]!r},{L[1]!r}\n"
+        for N, p, L in zip(rows.N.tolist(), rows.p.tolist(), rows.L.tolist()))
+    assert code == 0 and err == "" and out == want
+    assert pieces == [1, 7, 7, 7, 5]  # the header, then one piece per chunk
+    target = tmp_path / "f.csv"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+    assert target.read_text(encoding="utf-8") == want
 
 
 def test_pd_sample_csv(capsys):

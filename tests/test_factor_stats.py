@@ -15,7 +15,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
 from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_in_box,
                                       _factor_rows, _masks, _peel, _scan_bounds)
-from billingsley.smoothcount import LEAF_LIMIT, default_engine, psi_sum
+from billingsley.smoothcount import LEAF_LIMIT, _count_labels, default_engine, psi_sum
 from conftest import WORKER_COUNTS, inside_u
 
 
@@ -185,6 +185,8 @@ def test_prime_bounds_pinned_values():
     assert prime_bounds(1000, BoxSpec((0.5,), (0.3,)))[0] == (32, 251)
     # exact integer powers resolve to themselves
     assert prime_bounds(10**4, BoxSpec((0.5,), (0.25,)))[0] == (100, 1000)
+    # no interval holds the padding 1, even where n^t is 1
+    assert prime_bounds(1000, BoxSpec((0.5, 0.0), (0.2, 0.1)))[1] == (2, 1)
 
 
 def test_empty_prime_range_gives_zero(sieve5):
@@ -618,7 +620,7 @@ def test_via_psi_rows_across_the_leaf_limit(sieve7, n, text):
 
 
 def test_via_psi_edge_intervals(sieve5):
-    # innermost interval [2, 13]: a - 1 = 1 is where the clamp sits
+    # innermost interval [2, 13]: the band starts at the smallest prime
     box = prime_box(N_SCAN, [(101, 997), (2, 13)])
     assert prime_bounds(N_SCAN, box)[1] == (2, 13)
     # innermost intervals with integers but no prime, and with no integer
@@ -630,13 +632,15 @@ def test_via_psi_edge_intervals(sieve5):
         assert box_probability_via_psi(sieve5, N_SCAN, b).count == want, b
         assert tuple_route_count(sieve5, N_SCAN, b) == want, b
     assert box_probability_via_psi(sieve5, N_SCAN, no_prime).count == 0
-    # n = 1: every bound is (1, 1), so a - 1 = 0 is clamped to 1
+    # n = 1: every bound is (2, 1), which holds no integer
+    assert prime_bounds(1, BoxSpec((0.5,), (0.1,))) == [(2, 1)]
     assert box_probability_via_psi(sieve5, 1, BoxSpec((0.5,), (0.1,))).count == 0
 
 
 def test_innermost_identity_row_by_row(sieve5):
-    # sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, max(a - 1, 1)) for
-    # every N, including N < a, as the route evaluates it off the engine
+    # sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, a - 1) for every
+    # N, including N < a, and the route counts it as the m <= N labelled in
+    # [a, b] off the engine's leaf table
     engine = default_engine()
     N = np.arange(1, 3001, dtype=np.int64)
     for a, b in [(2, 2), (2, 13), (3, 3), (14, 16), (30, 60), (101, 997), (2500, 2999)]:
@@ -644,7 +648,20 @@ def test_innermost_identity_row_by_row(sieve5):
         for q in sieve5.primes_in_range(a, b).tolist():
             z = N // q
             want[z >= 1] += psi_bruteforce(sieve5, z[z >= 1], q)
-        got = engine.psi_small(N, b) - engine.psi_small(N, max(a - 1, 1))
+        assert np.array_equal(engine.psi_small(N, b) - engine.psi_small(N, a - 1), want)
+        got = _count_labels(engine.leaf_labels, engine.leaf_limit, N, a, b)
+        assert np.array_equal(got, want), (a, b)
+
+
+def test_band_count_is_a_difference_of_psi_at_random_rows():
+    engine = default_engine()
+    rnd = np.random.default_rng(8)
+    for _ in range(20):
+        N = rnd.integers(1, LEAF_LIMIT + 1, int(rnd.integers(0, 300)))
+        a = int(rnd.integers(2, 5000))
+        b = a + int(rnd.integers(-1, 5000))
+        got = _count_labels(engine.leaf_labels, engine.leaf_limit, N, a, b)
+        want = engine.psi_small(N, b) - engine.psi_small(N, a - 1)
         assert np.array_equal(got, want), (a, b)
 
 

@@ -193,7 +193,6 @@ def test_convergence_toward_rho2(table, sieve6):
 
 
 def test_scalar_prefix_count_equals_the_array_path(sieve7):
-    # an int x counts in chunks; an array takes one cumulative sum
     c = smoothcount._COUNT_CHUNK
     xs = [c - 1, c, c + 1, 3 * c, 10**7]
     for y in (1, 2, 97, 3162, 10**7):
@@ -206,6 +205,31 @@ def test_scalar_prefix_count_equals_the_array_path(sieve7):
             np.array(small), y).tolist()
 
 
+def naive_label_count(labels, x, lo, hi):
+    """#{1 <= m <= x : lo <= labels[m] <= hi}, one slice per x."""
+    return int(np.count_nonzero((labels[1: x + 1] >= lo) & (labels[1: x + 1] <= hi)))
+
+
+def test_label_count_matches_a_naive_count_per_x(sieve7):
+    c = smoothcount._COUNT_CHUNK
+    lab = sieve7.largest_prime_factor
+    rnd = np.random.default_rng(5)
+    edges = [c - 1, c, c + 1, 3 * c]
+    unsorted = np.array(edges[::-1] + [1, 2, 3 * c - 1]
+                        + rnd.integers(1, 3 * c + 2, 40).tolist())
+    cases = [unsorted, np.array([c + 1, 5, c + 1, 5, 5, c - 1]), unsorted[:40].reshape(5, 8),
+             np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64), np.array(edges)]
+    for lo, hi in [(1, 1), (1, 97), (2, 13), (101, 997), (3163, 10**7), (50, 40)]:
+        for x in cases:
+            got = smoothcount._count_labels(lab, sieve7.limit, x, lo, hi)
+            assert got.dtype == np.int64 and got.shape == x.shape
+            want = [naive_label_count(lab, int(v), lo, hi) for v in x.ravel().tolist()]
+            assert got.ravel().tolist() == want, (lo, hi, x)
+        for v in edges + [np.array(c)]:  # an int or a 0-d array counts as an int
+            got = smoothcount._count_labels(lab, sieve7.limit, v, lo, hi)
+            assert type(got) is int and got == naive_label_count(lab, int(v), lo, hi)
+
+
 def test_scalar_prefix_count_memory_does_not_grow_with_x(sieve7):
     tracemalloc.start()
     try:
@@ -214,6 +238,18 @@ def test_scalar_prefix_count_memory_does_not_grow_with_x(sieve7):
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20  # the whole comparison at 10^7 would be 10 MB
+
+
+def test_array_prefix_count_memory_grows_with_the_x_not_their_size(sieve7):
+    x = np.array([10**7, 3, 10**7])
+    tracemalloc.start()
+    try:
+        got = psi_bruteforce(sieve7, x, 3162)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [3362157, 3, 3362157]
+    assert peak < 2 << 20  # a cumulative sum to 10^7 would be 40 MB
 
 
 def test_eratosthenes_is_the_old_list_without_a_table_sized_copy():
