@@ -13,7 +13,7 @@ from .errors import (BillingsleyError, DomainError, NumericalError, ParameterErr
                      ResourceError)
 from .factor_stats import (BoxSpec, EmpiricalEstimate, ExactProbability,
                            box_probability_exact, box_probability_via_psi, prime_bounds,
-                           ranked_factors, sample_box_probability, sample_factor_vectors)
+                           sample_box_probability, sample_factor_vectors)
 from .pd_process import pd_box_probability_refined, pd_density, pd_sample_batch
 from .primes import (PrimeSieve, build_sieve, mertens_constant_estimate, mertens_sum,
                      power_ceil, power_floor)
@@ -29,7 +29,7 @@ __all__ = [
     "distance_to_complement", "h_function", "inf_density_on_box",
     "mertens_constant_estimate", "mertens_sum", "pd_box_probability_refined",
     "pd_density", "pd_sample_batch", "power_ceil", "power_floor", "prime_bounds",
-    "psi_bruteforce", "psi_dickman", "psi_exact", "ranked_factors", "rho",
+    "psi_bruteforce", "psi_dickman", "psi_exact", "rho",
     "rho_via_alternating_sum", "run_criterion", "sample_box_probability",
     "sample_factor_vectors",
 ]

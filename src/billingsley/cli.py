@@ -268,8 +268,8 @@ def _count(value: str) -> int:
 
 
 def _ladder(value: str) -> list[int]:
-    """Comma-separated _count entries."""
-    return [_count(v) for v in value.split(",")]
+    """Comma-separated _positive_count entries."""
+    return [_positive_count(v) for v in value.split(",")]
 
 
 def _positive_count(value: str) -> int:
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("psi-ladder", help="Psi(n, n^{1/t})/n versus rho(t) by decades")
     s.add_argument("--t", type=_positive_float, default=2.0)
-    s.add_argument("--nmin", type=_count, default=10**4)
+    s.add_argument("--nmin", type=_positive_count, default=10**4)
     s.add_argument("--nmax", type=_count, required=True)
     _add_common(s, digits=False)
     s.set_defaults(fn=_cmd_psi_ladder)

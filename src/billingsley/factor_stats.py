@@ -30,7 +30,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .primes import PrimeSieve, power_ceil, power_floor
-from .smoothcount import _count_labels, default_engine, psi_sum
+from .smoothcount import _count_labels, default_engine
 
 from .rng import DEFAULT_SEED
 
@@ -172,14 +172,6 @@ def _factor_rows(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> np.recarra
     return rows
 
 
-def ranked_factors(sieve: PrimeSieve, N: int, k: int) -> tuple:
-    """The k largest prime factors of N with multiplicity, descending,
-    padded with 1 beyond Omega(N)."""
-    if not 1 <= N <= sieve.limit:
-        raise DomainError(f"{N} outside sieve range [1, {sieve.limit}]")
-    return tuple(_peel(sieve, np.array([N], dtype=np.int64), k)[0].tolist())
-
-
 def prime_bounds(n: int, box: BoxSpec) -> list[tuple[int, int]]:
     """Integer interval [max(ceil(n^t_i), 2), floor(n^{t_i+dt_i})] per
     coordinate: the padding 1 of _peel is never a rank inside a box."""
@@ -272,7 +264,7 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     N = n // (p_1 ... p_{k-1}) <= LEAF_LIMIT (k = 1 has the one row N = n)
     take one pass over those labels per chunk of tuples.  The table cannot
     answer a larger N, so those rows expand the innermost prime as well and
-    go to psi_sum.
+    go to the engine's psi_sum.
 
     Only the sieve's prime list is read, never its largest-prime-factor
     table: the exact scan reads that table and this route the engine's, so
@@ -292,9 +284,8 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     count = 0
     for N, _ in _prime_tuples(np.array([n], dtype=np.int64), ranges):
         small = N <= engine.leaf_limit
-        count += int(_count_labels(engine.leaf_labels, engine.leaf_limit, N[small],
-                                   a, b).sum())
-        count += sum(psi_sum(z, q) for z, q in _prime_tuples(N[~small], inner))
+        count += int(_count_labels(engine.leaf_labels, N[small], a, b).sum())
+        count += sum(engine.psi_sum(z, q) for z, q in _prime_tuples(N[~small], inner))
     return ExactProbability(count=count, total=n)
 
 

@@ -28,6 +28,7 @@ memory budget raises ResourceError before any work.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -184,13 +185,12 @@ def _convolve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
-    """F against the convolved outer weights, at s = sum_{i<k} t_i + m*step."""
+    """F against the convolved outer weights, at s = sum_{i<k} t_i + m*step.
+    With no outer axis (k = 1) g is one unit node at s = 0, so the sum is F(0)
+    exactly, whatever the step."""
     a, b = box.t[-1], box.upper()[-1]
-    if box.k == 1:
-        return rho(table, 1.0 / b) - rho(table, 1.0 / a)
-    g = _axis_weights(box.t[0], box.dt[0], step)
-    for t, d in zip(box.t[1:-1], box.dt[1:-1]):
-        g = _convolve(g, _axis_weights(t, d, step))
+    g = functools.reduce(_convolve, [_axis_weights(t, d, step) for t, d in
+                                     zip(box.t[:-1], box.dt[:-1])] or [np.ones(1)])
     # last nodes pass their sides by < a step, so past s = 1 only if grid < k - 1; F = 0 there
     rest = np.maximum(1.0 - (sum(box.t[:-1]) + np.arange(g.size) * step), 0.0)
     # numpy's pairwise sum, not np.dot: BLAS splits a long dot product by its
@@ -202,8 +202,8 @@ def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
 
 def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> float:
     """Checks every precondition before any work; returns the lattice step."""
-    if grid < 1:
-        raise ParameterError("grid must be >= 1")
+    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+        raise ParameterError(f"grid must be an int >= 1, got {grid!r}")
     box.require_inside_u()
     need = (1.0 - sum(box.t[:-1])) / box.t[-1]
     if need > table.u_max:

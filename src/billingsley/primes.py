@@ -188,7 +188,7 @@ def _power_round(n: int, t: float, rounding, step: int) -> int:
     n^t within the band around an integer m0 is placed exactly by
     _compare_power: the result is m0 unless n^t lies on the step's side of
     m0, and then m0 + step."""
-    if n < 1 or t < 0:
+    if not n >= 1 or t < 0:  # a nan t is refused below, as not a finite n^t
         raise ParameterError(f"power_{rounding.__name__} needs n >= 1 and t >= 0")
     c = _float_power(n, t)
     m0 = round(c)
@@ -209,7 +209,7 @@ def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     value is bit for bit that of a plain loop over the ascending primes and
     the memory does not grow with the range.
     """
-    if not 2 <= a or a > b or b > sieve.limit:
+    if not 2 <= a <= b <= sieve.limit:
         raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
     ps = sieve.primes_in_range(a, b)
     terms = np.empty(min(ps.size, _SUM_CHUNK) + 1)
@@ -225,7 +225,7 @@ def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
 
 def mertens_constant_estimate(sieve: PrimeSieve, x: int) -> float:
     """sum_{p <= x} 1/p - log log x; stabilizes to Mertens' constant as x grows."""
-    if x < 3:
+    if not x >= 3:
         raise DomainError("need x >= 3 so that log log x is positive")
     if x > sieve.limit:
         raise DomainError(f"x={x} beyond sieve limit {sieve.limit}")

@@ -1,9 +1,9 @@
 """Counting y-smooth integers: Psi(x, y) by two independent exact routes plus
 the Dickman approximation x * rho(log x / log y).
 
-psi_bruteforce scans largest prime factors off a PrimeSieve.  psi_exact and
-psi_sum run a PsiEngine, which keeps its own Eratosthenes prime list and
-shares no table with PrimeSieve, so each route serves as the other's oracle.
+psi_bruteforce scans largest prime factors off a PrimeSieve.  psi_exact runs
+a PsiEngine, which keeps its own Eratosthenes prime list and shares no table
+with PrimeSieve, so each route serves as the other's oracle.
 All quotient arithmetic is exact integer division.
 
 The engine evaluates a whole batch sum_r Psi(x_r, y_r) in numpy by sweeping
@@ -139,7 +139,7 @@ class PsiEngine:
     def psi_small(self, x, y: int):
         """Psi(x, y) for 1 <= x <= T off the leaf table; x is an int, or an
         integer array for an int64 array of counts."""
-        return _count_labels(self.leaf_labels, self.leaf_limit, x, 1, int(y))
+        return _count_labels(self.leaf_labels, x, 1, int(y))
 
     def psi_sum(self, x, y) -> int:
         """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
@@ -246,13 +246,8 @@ class PsiEngine:
 
 @functools.cache
 def default_engine() -> PsiEngine:
-    """The engine shared by psi_exact and psi_sum."""
+    """The engine shared by psi_exact and the prime-tuple identity."""
     return PsiEngine()
-
-
-def psi_sum(x, y) -> int:
-    """sum_r Psi(x[r], y[r]) over equally shaped integer arrays, in one sweep."""
-    return default_engine().psi_sum(x, y)
 
 
 def psi_exact(x: int, y: int) -> int:
@@ -276,13 +271,15 @@ def psi_exact(x: int, y: int) -> int:
     return engine.psi_sum([x], [y])
 
 
-def _count_labels(labels: np.ndarray, limit: int, x, lo: int, hi: int):
+def _count_labels(labels: np.ndarray, x, lo: int, hi: int):
     """#{1 <= m <= x : lo <= labels[m] <= hi} for an int x, or for each x of
-    an integer array of any shape as an int64 array of that shape.
+    an integer array of any shape as an int64 array of that shape; x reaches
+    at most the table's last index.
 
     The labels stream _COUNT_CHUNK at a time through two reused boolean
     buffers.  With x sorted, a chunk where some x end counts up to the first
     and sums cumulatively from there to the last."""
+    limit = labels.size - 1
     try:
         x = np.asarray(x, dtype=np.int64)
     except OverflowError:
@@ -321,7 +318,7 @@ def psi_bruteforce(sieve: PrimeSieve, x, y: int):
 
     m = 1 counts (it has no prime factor at all).
     """
-    return _count_labels(sieve.largest_prime_factor, sieve.limit, x, 1, int(y))
+    return _count_labels(sieve.largest_prime_factor, x, 1, int(y))
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

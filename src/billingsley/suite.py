@@ -104,20 +104,19 @@ def check_alternating_sum(ctx: SuiteContext) -> dict:
 
 
 def check_psi_oracle_equivalence(ctx: SuiteContext) -> dict:
-    """psi_exact == psi_bruteforce for every x <= 10^4 over the pinned y set.
+    """The Psi engine == psi_bruteforce for every x <= 10^4 over the pinned y set.
 
     x <= 10^4 lies below the engine's 2^20 leaf limit, so this checks the
     engine's leaf-table route against the sieve's LPF table, not the sweep
-    (the tier-1 tests cover that).  Each fixed-y column is one prefix count
-    per side; psi_exact answers y = 1 and y = x before it reaches the table,
-    so those columns call it per x.  mismatches and first_mismatch count the
-    (x, y) pairs x-major, then y in PSI_EQUIV_Y + (x,) order.
+    (the tier-1 tests cover that).  Each fixed-y column, y = 1 included, is
+    one label count per side; psi_exact answers y = x before it reaches the
+    table, so that column calls it per x.  mismatches and first_mismatch
+    count the (x, y) pairs x-major, then y in PSI_EQUIV_Y + (x,) order.
     """
     sieve = ctx.sieve
     engine = default_engine()
     xs = np.arange(1, PSI_EQUIV_X_MAX + 1, dtype=np.int64)
-    exact = [[psi_exact(x, y) for x in xs.tolist()] if y < 2 else
-             engine.psi_small(xs, y) for y in PSI_EQUIV_Y]
+    exact = [engine.psi_small(xs, y) for y in PSI_EQUIV_Y]
     exact.append([psi_exact(x, x) for x in xs.tolist()])
     brute = [psi_bruteforce(sieve, xs, y) for y in PSI_EQUIV_Y]
     brute.append(_bruteforce_diagonal(sieve, PSI_EQUIV_X_MAX))

@@ -14,7 +14,7 @@ PUBLIC_NAMES = [
     "distance_to_complement", "h_function", "inf_density_on_box",
     "mertens_constant_estimate", "mertens_sum", "pd_box_probability_refined",
     "pd_density", "pd_sample_batch", "power_ceil", "power_floor", "prime_bounds",
-    "psi_bruteforce", "psi_dickman", "psi_exact", "ranked_factors", "rho",
+    "psi_bruteforce", "psi_dickman", "psi_exact", "rho",
     "rho_via_alternating_sum", "run_criterion", "sample_box_probability",
     "sample_factor_vectors",
 ]
@@ -50,7 +50,6 @@ PUBLIC_PARAMETERS = {
     "psi_bruteforce": ("sieve", "x", "y"),
     "psi_dickman": ("table", "x", "y"),
     "psi_exact": ("x", "y"),
-    "ranked_factors": ("sieve", "N", "k"),
     "rho": ("table", "u"),
     "rho_via_alternating_sum": ("u",),
     "run_criterion": ("sieve", "table", "ladder", "box", "crit", "budget", "seed",

@@ -523,6 +523,9 @@ NON_POSITIVE_ARGV = [
      "--samples"),
     (["pd-box", "--box", "0.5,0.1", "--grid", "0"], "--grid"),
     (["pd-sample", "--count", "2", "--trunc", "0"], "--trunc"),
+    (["verify", "--box", "0.5,0.1", "--ladder", "0"], "--ladder"),
+    (["verify", "--box", "0.5,0.1", "--ladder", "1e4,-5"], "--ladder"),
+    (["psi-ladder", "--nmax", "1e5", "--nmin", "0"], "--nmin"),
 ]
 
 

@@ -10,12 +10,12 @@ import numpy as np
 from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
                          ResourceError, box_probability_exact, box_probability_via_psi,
                          build_sieve, power_floor, prime_bounds, psi_bruteforce,
-                         psi_exact, ranked_factors, sample_box_probability,
+                         psi_exact, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_in_box,
                                       _factor_rows, _masks, _peel, _scan_bounds)
-from billingsley.smoothcount import LEAF_LIMIT, _count_labels, default_engine, psi_sum
+from billingsley.smoothcount import LEAF_LIMIT, _count_labels, default_engine
 from conftest import WORKER_COUNTS, inside_u
 
 
@@ -28,11 +28,10 @@ def largest_factor_trial_division(m):
     return max(big, m) if m > 1 else big
 
 
-def test_ranked_factors_examples(sieve5):
-    assert ranked_factors(sieve5, 12, 3) == (3, 2, 2)
-    assert ranked_factors(sieve5, 1, 2) == (1, 1)
-    assert ranked_factors(sieve5, 97, 2) == (97, 1)
-    assert ranked_factors(sieve5, 360, 5) == (5, 3, 3, 2, 2)
+def test_peel_examples(sieve5):
+    assert _peel(sieve5, np.array([12]), 3).tolist() == [[3, 2, 2]]
+    assert _peel(sieve5, np.array([1, 97]), 2).tolist() == [[1, 1], [97, 1]]
+    assert _peel(sieve5, np.array([360]), 5).tolist() == [[5, 3, 3, 2, 2]]
 
 
 def test_peel_against_trial_division(sieve7):
@@ -53,11 +52,9 @@ def test_peel_against_trial_division(sieve7):
         assert row == sorted(factors, reverse=True) + [1] * (k - len(factors))
 
 
-def test_ranked_factors_errors(sieve5):
-    with pytest.raises(DomainError):
-        ranked_factors(sieve5, 10**5 + 1, 2)
+def test_peel_refuses_k_below_one(sieve5):
     with pytest.raises(ParameterError):
-        ranked_factors(sieve5, 10, 0)
+        _peel(sieve5, np.array([10]), 0)
 
 
 def _factor_row(sieve, n, N, k):
@@ -73,7 +70,7 @@ def test_factor_vector_invariants(sieve5):
         N = rnd.randint(1, n)
         row_N, p, L = _factor_row(sieve5, n, N, 4)
         assert row_N == N
-        assert p == ranked_factors(sieve5, N, 4)
+        assert p == tuple(_peel(sieve5, np.array([N]), 4)[0].tolist())
         assert all(a >= b for a, b in zip(p, p[1:]))
         prefix = math.prod(q for q in p if q > 1)
         assert N % prefix == 0
@@ -554,7 +551,7 @@ def test_mc_hits_are_the_in_box_factor_rows(sieve6, cpus):
 
 def tuple_route_count(sieve, n, box):
     """sum Psi(n // (p_1 ... p_k), p_k) over every prime tuple, all k levels
-    expanded and handed to psi_sum a chunk at a time."""
+    expanded and handed to the engine's psi_sum a chunk at a time."""
     box.require_inside_u()
     ranges = [sieve.primes_in_range(lo, hi) for lo, hi in prime_bounds(n, box)]
     count = 0
@@ -568,7 +565,7 @@ def tuple_route_count(sieve, n, box):
             rows, cols = np.nonzero(primes[None, :] <= (n // head)[:, None])
             tails = head[rows] * primes[cols]
             if level == len(ranges) - 1:
-                count += psi_sum(n // tails, primes[cols])
+                count += default_engine().psi_sum(n // tails, primes[cols])
             else:
                 extend(tails, level + 1)
 
@@ -649,7 +646,7 @@ def test_innermost_identity_row_by_row(sieve5):
             z = N // q
             want[z >= 1] += psi_bruteforce(sieve5, z[z >= 1], q)
         assert np.array_equal(engine.psi_small(N, b) - engine.psi_small(N, a - 1), want)
-        got = _count_labels(engine.leaf_labels, engine.leaf_limit, N, a, b)
+        got = _count_labels(engine.leaf_labels, N, a, b)
         assert np.array_equal(got, want), (a, b)
 
 
@@ -660,7 +657,7 @@ def test_band_count_is_a_difference_of_psi_at_random_rows():
         N = rnd.integers(1, LEAF_LIMIT + 1, int(rnd.integers(0, 300)))
         a = int(rnd.integers(2, 5000))
         b = a + int(rnd.integers(-1, 5000))
-        got = _count_labels(engine.leaf_labels, engine.leaf_limit, N, a, b)
+        got = _count_labels(engine.leaf_labels, N, a, b)
         want = engine.psi_small(N, b) - engine.psi_small(N, a - 1)
         assert np.array_equal(got, want), (a, b)
 

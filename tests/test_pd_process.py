@@ -315,6 +315,23 @@ def test_box_probability_k1_is_exact(table):
     assert val == rho(table, 1 / box.upper()[0]) - rho(table, 1 / 0.3)
     assert err == 0.0
     assert val == pytest.approx(_midpoint_oracle(table, box, 4096), abs=1e-9)
+    # k = 1 has no outer axis: the lattice is one unit node at s = 0, so the
+    # sum is rho(1/b) - rho(1/a) bit for bit, at both Richardson steps
+    rnd = random.Random(21)
+    for _ in range(300):
+        t = rnd.uniform(0.06, 0.95)
+        box = BoxSpec((t,), (rnd.uniform(1e-9, 0.99 * (1.0 - t)),))
+        grid = rnd.choice([1, 2, 7, 256])
+        want = rho(table, 1.0 / box.upper()[0]) - rho(table, 1.0 / t)
+        assert pd_box_probability_refined(table, box, grid) == (want, 0.0), (box, grid)
+
+
+@pytest.mark.parametrize("grid", [math.nan, 1.5, True])
+@pytest.mark.parametrize("box", [BoxSpec((0.5,), (0.1,)), BoxSpec((0.5, 0.2), (0.1, 0.05))],
+                         ids=["k1", "k2"])
+def test_grid_must_be_an_int(table, box, grid):
+    with pytest.raises(ParameterError, match="grid"):
+        pd_box_probability_refined(table, box, grid)
 
 
 @pytest.mark.parametrize("box, grid", [

@@ -150,6 +150,16 @@ def test_mertens_domain_errors(sieve5):
         mertens_constant_estimate(sieve5, 2)
 
 
+@pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+def test_mertens_refuses_non_finite_bounds(sieve5, v):
+    with pytest.raises(DomainError):
+        mertens_sum(sieve5, 2, v)
+    with pytest.raises(DomainError):
+        mertens_sum(sieve5, v, 100)
+    with pytest.raises(DomainError):
+        mertens_constant_estimate(sieve5, v)
+
+
 def test_mertens_sum_is_the_ascending_fold(sieve7):
     # the same bits as adding 1/p one prime at a time, smallest first
     n, (t, dt) = 10**7, (0.3, 0.05)
@@ -229,6 +239,14 @@ def test_power_bounds_parameter_errors():
             power_ceil(10**4, t)
         with pytest.raises(ParameterError, match="not a finite float"):
             power_floor(2, t)
+
+
+@pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+def test_power_bounds_refuse_non_finite_n(n):
+    with pytest.raises(ParameterError):
+        power_floor(n, 0.5)
+    with pytest.raises(ParameterError):
+        power_ceil(n, 0.5)
 
 
 def test_mertens_range_approximates_log_ratio(sieve7):

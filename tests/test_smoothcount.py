@@ -9,7 +9,7 @@ from billingsley import smoothcount
 from billingsley import (DomainError, ParameterError, ResourceError,
                          build_rho_table, psi_bruteforce, psi_dickman, psi_exact,
                          rho)
-from billingsley.smoothcount import LEAF_LIMIT, X_SUM_LIMIT, PsiEngine, psi_sum
+from billingsley.smoothcount import LEAF_LIMIT, X_SUM_LIMIT, PsiEngine, default_engine
 from conftest import RHO_ORACLE
 
 import rho_pins
@@ -142,7 +142,7 @@ def test_batch_sum_equals_single_queries():
     rnd = random.Random(13)
     xs = [0, 1, 7, 10**6] + [rnd.randint(1, 10**7) for _ in range(30)]
     ys = [3, 1, 100, 10**6] + [rnd.randint(1, 3000) for _ in range(30)]
-    assert psi_sum(xs, ys) == sum(psi_exact(x, y) for x, y in zip(xs, ys))
+    assert default_engine().psi_sum(xs, ys) == sum(psi_exact(x, y) for x, y in zip(xs, ys))
 
 
 def test_results_do_not_depend_on_call_order():
@@ -157,7 +157,7 @@ def test_int64_weight_limit_is_checked_up_front():
     with pytest.raises(ResourceError):
         psi_exact(X_SUM_LIMIT + 1, 1000)
     with pytest.raises(ResourceError):
-        psi_sum([X_SUM_LIMIT // 2] * 3, [5] * 3)
+        default_engine().psi_sum([X_SUM_LIMIT // 2] * 3, [5] * 3)
 
 
 def test_dickman_estimate(table):
@@ -221,13 +221,25 @@ def test_label_count_matches_a_naive_count_per_x(sieve7):
              np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64), np.array(edges)]
     for lo, hi in [(1, 1), (1, 97), (2, 13), (101, 997), (3163, 10**7), (50, 40)]:
         for x in cases:
-            got = smoothcount._count_labels(lab, sieve7.limit, x, lo, hi)
+            got = smoothcount._count_labels(lab, x, lo, hi)
             assert got.dtype == np.int64 and got.shape == x.shape
             want = [naive_label_count(lab, int(v), lo, hi) for v in x.ravel().tolist()]
             assert got.ravel().tolist() == want, (lo, hi, x)
         for v in edges + [np.array(c)]:  # an int or a 0-d array counts as an int
-            got = smoothcount._count_labels(lab, sieve7.limit, v, lo, hi)
+            got = smoothcount._count_labels(lab, v, lo, hi)
             assert type(got) is int and got == naive_label_count(lab, int(v), lo, hi)
+
+
+@pytest.mark.parametrize("size", [2, 3, 100, 1 << 16, (1 << 16) + 1, 3 * (1 << 16) + 7])
+def test_label_count_reaches_the_last_index_of_any_table(sieve7, size):
+    # the table's own length bounds x: its last index counts, one past it is
+    # refused whether x is an int or an array
+    lab = sieve7.largest_prime_factor[:size]
+    top = size - 1
+    assert smoothcount._count_labels(lab, top, 1, 97) == naive_label_count(lab, top, 1, 97)
+    for x in (size, np.array([1, size])):
+        with pytest.raises(DomainError, match=f"beyond table limit {top}"):
+            smoothcount._count_labels(lab, x, 1, 97)
 
 
 def test_scalar_prefix_count_memory_does_not_grow_with_x(sieve7):
