@@ -125,6 +125,8 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_psi_ladder(args) -> int:
+    if args.nmax < args.nmin:
+        raise ParameterError(f"empty ladder: --nmax {args.nmax} is below --nmin {args.nmin}")
     table = _rho_table_reaching(args.t)
     rho_t = rho(table, args.t)
     lines = ["n,psi,psi_over_n,rho,abs_err"]
@@ -357,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_psi_ladder)
 
     s = subs.add_parser("box", help="probability that ranked factors fall in a box")
-    s.add_argument("--n", type=_count, required=True)
+    s.add_argument("--n", type=_positive_count, required=True)
     s.add_argument("--box", required=True, help="'t1,dt1;t2,dt2;...'")
     s.add_argument("--method", choices=("exact", "psi", "mc"), default="exact")
     s.add_argument("--samples", type=_positive_count, default=10**5)
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_box)
 
     s = subs.add_parser("sample-factors", help="draw integers and rank their factors")
-    s.add_argument("--n", type=_count, required=True)
+    s.add_argument("--n", type=_positive_count, required=True)
     s.add_argument("--count", type=_positive_count, required=True)
     s.add_argument("--k", type=_positive_count, default=3)
     _add_common(s, digits=False, seed=True)

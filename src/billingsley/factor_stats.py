@@ -29,7 +29,7 @@ import numpy as np
 
 from . import rng
 from .errors import DomainError, ParameterError, ResourceError, check_memory
-from .primes import PrimeSieve, power_ceil, power_floor
+from .primes import PrimeSieve, _integer_n, power_ceil, power_floor
 from .smoothcount import _count_labels, default_engine
 
 from .rng import DEFAULT_SEED
@@ -183,19 +183,19 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProba
     """Exact count of m <= n whose ranked factors fall in the box's prime
     intervals, scanned in chunks of SCAN_CHUNK integers off the sieve: rank
     1 is a slice of the table, and only the m whose rank 1 is inside go on
-    to be peeled.  The chunks are run_tasks tasks, full-size when at least
-    rng.BLOCK_WORDS long."""
+    to be peeled.  The chunks are run_tasks tasks, pooled from two whole
+    chunks on."""
+    n = _integer_n(n)
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
     lpf = sieve.largest_prime_factor
 
-    def chunk_count(start, masks):
-        return _count_survivors(lpf, lpf[start:min(n + 1, start + SCAN_CHUNK)], bounds,
-                                lambda rows: rows.astype(lpf.dtype) + start, masks)
+    def chunk_count(lo, hi, masks):
+        return _count_survivors(lpf, lpf[lo:hi], bounds,
+                                lambda rows: rows.astype(lpf.dtype) + lo, masks)
 
-    full = n // SCAN_CHUNK if SCAN_CHUNK >= rng.BLOCK_WORDS else 0
-    counts = rng.run_tasks(chunk_count, range(1, n + 1, SCAN_CHUNK), full,
+    counts = rng.run_tasks(chunk_count, range(1, n + 1, SCAN_CHUNK),
                            lambda: _masks(min(SCAN_CHUNK, n)))
     return ExactProbability(count=sum(counts), total=n)
 
@@ -203,14 +203,6 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProba
 def _masks(size: int) -> tuple[np.ndarray, np.ndarray]:
     """The two boolean buffers _count_survivors compares rank 1 into."""
     return np.empty(size, dtype=bool), np.empty(size, dtype=bool)
-
-
-def _count_in_box(lpf: np.ndarray, m: np.ndarray, bounds, p: np.ndarray, masks) -> int:
-    """How many m have their ranked factors inside the prime intervals; p
-    (of lpf's dtype) takes their rank 1, and masks are _masks of m's size.
-    Every m must lie in [1, limit]."""
-    np.take(lpf, m, out=p, mode="clip")
-    return _count_survivors(lpf, p, bounds, lambda rows: m[rows], masks)
 
 
 def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
@@ -270,6 +262,7 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     table: the exact scan reads that table and this route the engine's, so
     each is an independent check on the other.
     """
+    n = _integer_n(n)
     box.require_inside_u()
     if not 1 <= n < 1 << 63:
         raise DomainError("n must be in [1, 2^63 - 1]")
@@ -318,6 +311,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     rng.BLOCK_WORDS draws is one run_tasks task, drawn and counted through
     its worker's buffers.
     """
+    n = _integer_n(n)
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if samples > MAX_MC_SAMPLES:
@@ -330,13 +324,14 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     key = rng.stream_key(seed)
     block = min(samples, rng.BLOCK_WORDS)
 
-    def block_hits(lo, buffers):
+    def block_hits(lo, hi, buffers):
         ints, p, masks = buffers
-        size = min(block, samples - lo)
-        m = rng._int_block(key, lo, n, ints, ints[1][:size].view(np.int64))
-        return _count_in_box(lpf, m, bounds, p[:size], masks)
+        m = rng._int_block(key, lo, n, ints, ints[1][:hi - lo].view(np.int64))
+        # every draw lies in [1, n], so clipping never moves one
+        p = np.take(lpf, m, out=p[:m.size], mode="clip")
+        return _count_survivors(lpf, p, bounds, lambda rows: m[rows], masks)
 
-    hits = sum(rng.run_tasks(block_hits, range(0, samples, block), samples // block, lambda: (
+    hits = sum(rng.run_tasks(block_hits, range(0, samples, block), lambda: (
         rng._int_buffers(block), np.empty(block, dtype=lpf.dtype), _masks(block))))
     return EmpiricalEstimate(hits, samples)
 
@@ -356,6 +351,7 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
     k = 1 where the draw's fixed buffers weigh on 2*10^4 rows (tracemalloc
     at k = 1 to 16), counted as 32 + 40 k.
     """
+    n = _integer_n(n)
     if count < 1:
         raise ParameterError("count must be >= 1")
     if k < 1:

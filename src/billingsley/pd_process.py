@@ -109,14 +109,13 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     which are sorted ascending in place and restored as 0 - x, so that each
     row ends descending.  Subtracting from 0 keeps the +0.0 lengths of
     underflowed prefix products at +0.0, where negating would give -0.0.
-    The blocks change no bits.  They are rng.run_tasks tasks, full-size when
-    they hold the whole block of rows; a worker has its own two block
-    buffers, the words and the mixing scratch, which take the negated
-    lengths and the uniforms once each is spent, and writes disjoint rows
-    of the output.  Refuses, before allocating, output and
-    buffers over the memory budget: 8 * (truncation + 1) bytes per row, the
-    shared block of words and two block buffers per CPU, 1 + 2 * CPUs
-    blocks in all.
+    The blocks change no bits.  They are rng.run_tasks tasks, pooled from
+    two whole blocks on; a worker has its own two block buffers, the words
+    and the mixing scratch, which take the negated lengths and the uniforms
+    once each is spent, and writes disjoint rows of the output.  Refuses,
+    before allocating, output and buffers over the memory budget:
+    8 * (truncation + 1) bytes per row, the shared block of words and two
+    block buffers per CPU, 1 + 2 * CPUs blocks in all.
     """
     if truncation < 1:
         raise ParameterError("truncation must be >= 1")
@@ -137,28 +136,28 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     sticks = np.empty((count, t))
     tails = np.empty(count)
 
-    def fill(lo, buffers):
+    def fill(lo, hi, buffers):
         words, scratch = buffers
-        n = min(rows, count - lo)
+        n = hi - lo
         x = rng._advance(base[:, :n], (start + lo) * t, words[:, :n])
         # the mixing scratch is spent once the uniforms are made: it takes them
         p = rng._uniform_block(x, scratch[:, :n], scratch.view(np.float64)[:, :n])
         p_rows = list(p)
         for prev, row in zip(p_rows, p_rows[1:]):
             np.multiply(row, prev, out=row)
-        tails[lo:lo + n] = p[-1]
+        tails[lo:hi] = p[-1]
         # the words are spent too: their buffer takes the negated lengths,
         # contiguous rows whose transposed copy is cheaper than writing
         # through the transpose
         lengths = words.view(np.float64)[:, :n]
         np.subtract(p[1:], p[:-1], out=lengths[1:])
         np.subtract(p[0], 1.0, out=lengths[0])
-        out = sticks[lo:lo + n]
+        out = sticks[lo:hi]
         np.copyto(out, lengths.T)
         out.sort(axis=1)
         np.subtract(0.0, out, out=out)
 
-    rng.run_tasks(fill, range(0, count, rows), count // rows,
+    rng.run_tasks(fill, range(0, count, rows),
                   lambda: (np.empty_like(base), np.empty_like(base)))
     return sticks, tails
 

@@ -17,6 +17,7 @@ the block being finalized, so its entry is already final.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -183,12 +184,22 @@ def power_ceil(n: int, t: float) -> int:
     return _power_round(n, t, math.ceil, 1)
 
 
+def _integer_n(n) -> int:
+    """n as a Python int, so that its powers never wrap: a numpy integer
+    converts exactly; a float, integral or not, is a ParameterError."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise ParameterError(f"n must be an integer, got {n!r}") from None
+
+
 def _power_round(n: int, t: float, rounding, step: int) -> int:
     """n^t rounded by math.floor (step -1) or math.ceil (step +1).  A float
     n^t within the band around an integer m0 is placed exactly by
     _compare_power: the result is m0 unless n^t lies on the step's side of
     m0, and then m0 + step."""
-    if not n >= 1 or t < 0:  # a nan t is refused below, as not a finite n^t
+    n = _integer_n(n)
+    if n < 1 or t < 0:  # a nan t is refused below, as not a finite n^t
         raise ParameterError(f"power_{rounding.__name__} needs n >= 1 and t >= 0")
     c = _float_power(n, t)
     m0 = round(c)

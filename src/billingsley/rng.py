@@ -11,9 +11,10 @@ the short leading band, which removes modulo bias exactly.  A rejected draw
 retries at the same index with an incremented attempt counter, so a retry
 never disturbs neighbouring draws; the retry probability is n / 2^64.
 
-run_tasks spreads such independent pieces (Monte Carlo blocks, scan chunks,
-sampler blocks) over the CPUs the process may use and returns their results
-in task order, so the scheduling never shows in a result.
+run_tasks hands each task of a range its bounds and runs the tasks (Monte
+Carlo blocks, scan chunks, sampler blocks) over the CPUs the process may
+use, pooled only from two whole steps on; the results come back in task
+order, so the scheduling never shows in a result.
 """
 from __future__ import annotations
 
@@ -229,8 +230,9 @@ def cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def run_tasks(fn, tasks, full: int, new_buffers) -> list:
-    """[fn(task, buffers) for task in tasks]: the results in task order.
+def run_tasks(fn, tasks: range, new_buffers) -> list:
+    """[fn(lo, min(lo + step, stop), buffers) for lo in tasks], tasks being
+    the range of task starts: the results in task order.
 
     The tasks must be independent.  They run on up to cpu_count() workers,
     the calling thread and a pool of threads, each taking the next task in
@@ -238,17 +240,18 @@ def run_tasks(fn, tasks, full: int, new_buffers) -> list:
     new_buffers() makes for each worker in the calling thread (so that no
     pool thread allocates them in a heap of its own).  numpy releases the
     interpreter lock inside its loops, so the workers overlap.  With one
-    CPU, or fewer than two full-size tasks (full counts them), the tasks run
-    inline with one set of buffers, where a pool would cost more than it
-    saves.  To use fewer CPUs, restrict the process's affinity (taskset).
+    CPU, or fewer than two whole steps in the range, the tasks run inline
+    with one set of buffers, where a pool would cost more than it saves.
+    To use fewer CPUs, restrict the process's affinity (taskset).
     """
-    workers = min(cpu_count(), full)
+    workers = min(cpu_count(), (tasks.stop - tasks.start) // tasks.step)
+    spans = [(lo, min(lo + tasks.step, tasks.stop)) for lo in tasks]
     if workers < 2:
         buffers = new_buffers()
-        return [fn(task, buffers) for task in tasks]
+        return [fn(lo, hi, buffers) for lo, hi in spans]
     sets = [new_buffers() for _ in range(workers)]
-    results = [None] * len(tasks)
-    todo = iter(enumerate(tasks))
+    results = [None] * len(spans)
+    todo = iter(enumerate(spans))
     lock = threading.Lock()
 
     def work(buffers):
@@ -257,7 +260,7 @@ def run_tasks(fn, tasks, full: int, new_buffers) -> list:
                 item = next(todo, None)
             if item is None:
                 return
-            results[item[0]] = fn(item[1], buffers)
+            results[item[0]] = fn(*item[1], buffers)
 
     with ThreadPoolExecutor(workers - 1) as pool:
         futures = [pool.submit(work, buffers) for buffers in sets[1:]]

@@ -80,6 +80,7 @@ IDENTITY_ROWS = 1 << 22
 _COUNT_CHUNK = 1 << 16
 
 _POW2 = np.left_shift(np.int64(1), np.arange(63, dtype=np.int64))
+_POW2.flags.writeable = False
 
 
 def _eratosthenes(limit: int) -> np.ndarray:
@@ -106,7 +107,8 @@ def _merge(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class PsiEngine:
     """Exact sums of smooth-number counts, with a cached prime list and leaf
-    table.  Results never depend on call history; the caches only grow.
+    table.  Results never depend on call history; the caches only grow, and
+    both are read-only, so a shared engine cannot be corrupted through them.
     """
 
     def __init__(self):
@@ -125,6 +127,8 @@ class PsiEngine:
             q = big[: np.searchsorted(big, leaf_limit // r, side="right")]
             lab[q * r] = q
         lab[0] = np.iinfo(np.int32).max
+        lab.flags.writeable = False
+        self.primes.flags.writeable = False
         self.leaf_labels = lab
 
     def _ensure_primes(self, limit: int) -> np.ndarray:
@@ -133,6 +137,7 @@ class PsiEngine:
                 raise ResourceError(f"prime list to {limit} exceeds cap {PRIME_CAP}")
             limit = min(max(limit, 2 * self.prime_limit), PRIME_CAP)  # grow geometrically
             self.primes = _eratosthenes(limit)
+            self.primes.flags.writeable = False
             self.prime_limit = limit
         return self.primes
 

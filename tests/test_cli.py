@@ -526,6 +526,9 @@ NON_POSITIVE_ARGV = [
     (["verify", "--box", "0.5,0.1", "--ladder", "0"], "--ladder"),
     (["verify", "--box", "0.5,0.1", "--ladder", "1e4,-5"], "--ladder"),
     (["psi-ladder", "--nmax", "1e5", "--nmin", "0"], "--nmin"),
+    (["box", "--n", "0", "--box", "0.5,0.1"], "--n"),
+    (["box", "--n", "-5", "--box", "0.5,0.1", "--method", "psi"], "--n"),
+    (["sample-factors", "--n", "0", "--count", "5"], "--n"),
 ]
 
 
@@ -570,6 +573,19 @@ def test_out_of_range_values_fail_with_one_error_line(capsys, argv, option, mess
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: {message}")
+
+
+@pytest.mark.parametrize("argv", [["--nmax", "0"], ["--nmin", "1e5", "--nmax", "1e4"]],
+                         ids=" ".join)
+def test_reversed_psi_ladder_fails_with_one_error_line(capsys, monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a rho table was built before the range was refused")
+
+    monkeypatch.setattr(cli, "build_rho_table", no_table)
+    code, out, err = run(capsys, "psi-ladder", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("error:") == 1 and "below --nmin" in err
 
 
 def test_digits_reach_the_exact_expansion_of_a_float(capsys):

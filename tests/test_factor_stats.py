@@ -13,7 +13,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
                          psi_exact, sample_box_probability,
                          sample_factor_vectors)
 from billingsley import factor_stats, rng
-from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_in_box,
+from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_survivors,
                                       _factor_rows, _masks, _peel, _scan_bounds)
 from billingsley.smoothcount import LEAF_LIMIT, _count_labels, default_engine
 from conftest import WORKER_COUNTS, inside_u
@@ -291,6 +291,37 @@ def test_mc_empty_box(sieve5):
     assert est.hits == 0 and est.p_hat == 0.0
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
+                         ids=lambda kind: kind.__name__)
+def test_numpy_integer_n_gives_the_int_result_in_every_route(sieve6, kind):
+    # n^0.5 = 1000 exactly: the interval ends are decided by the exact
+    # comparison, which used to fail on numpy powers
+    box = BoxSpec((0.5,), (0.1,))
+    for route in (box_probability_exact, box_probability_via_psi):
+        got = route(sieve6, kind(10**6), box)
+        assert got == route(sieve6, 10**6, box) and type(got.total) is int, route
+    assert (sample_box_probability(sieve6, kind(10**6), box, 1000, seed=3)
+            == sample_box_probability(sieve6, 10**6, box, 1000, seed=3))
+    assert np.array_equal(sample_factor_vectors(sieve6, kind(10**6), 50, 2, seed=3),
+                          sample_factor_vectors(sieve6, 10**6, 50, 2, seed=3))
+
+
+@pytest.mark.parametrize("n", [1e6, 1000.0, 10.5, math.nan])
+def test_float_n_is_refused_by_every_route_before_any_work(sieve6, monkeypatch, n):
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(rng, "run_tasks", no_work)
+    monkeypatch.setattr(rng, "uniform_ints", no_work)
+    monkeypatch.setattr(factor_stats, "default_engine", no_work)
+    box = BoxSpec((0.5,), (0.1,))
+    for route in (box_probability_exact, box_probability_via_psi,
+                  lambda sieve, n, box: sample_box_probability(sieve, n, box, 100),
+                  lambda sieve, n, box: sample_factor_vectors(sieve, n, 100, 2)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            route(sieve6, n, box)
+
+
 def test_marginal_cdf(sieve5):
     # P(L_1(n) <= 1/t) = Psi(n, n^{1/t}) / n, as psi-ladder computes it
     def cdf(n, t):
@@ -450,12 +481,14 @@ def test_exact_scan_matches_full_peel(sieve5, monkeypatch):
 
 def test_exact_scan_chunk_one_matches_full_peel(sieve5, monkeypatch):
     # one chunk per integer: every slice boundary and the survivor loop on
-    # single rows (about a second per box, so one box per k)
+    # single rows (about a second per box, so one box per k); on one CPU,
+    # where 10^5 one-integer tasks run inline rather than through a pool
     m = np.arange(1, N_SCAN + 1, dtype=np.int64)
     rnd = random.Random(7)
     boxes = [random_box(rnd, 1), prime_box(N_SCAN, SPECIAL_RANGES[1][1]),
              prime_box(N_SCAN, SPECIAL_RANGES[2][1]), random_box(rnd, 4)]
     monkeypatch.setattr(factor_stats, "SCAN_CHUNK", 1)
+    monkeypatch.setattr(rng, "cpu_count", lambda: 1)
     for box in boxes:
         want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
         assert box_probability_exact(sieve5, N_SCAN, box).count == want
@@ -484,8 +517,8 @@ def test_mc_count_matches_full_peel(sieve5):
     for box in scan_boxes():
         want = full_peel_count(sieve5, m, prime_bounds(N_SCAN, box))
         lpf = sieve5.largest_prime_factor
-        got = _count_in_box(lpf, m, _scan_bounds(sieve5, N_SCAN, box),
-                            np.empty(m.size, dtype=lpf.dtype), _masks(m.size))
+        got = _count_survivors(lpf, lpf[m], _scan_bounds(sieve5, N_SCAN, box),
+                               lambda rows: m[rows], _masks(m.size))
         assert got == want, box
 
 

@@ -249,6 +249,33 @@ def test_power_bounds_refuse_non_finite_n(n):
         power_ceil(n, 0.5)
 
 
+#: (n, t) with n^t at or next to an integer, where the exact comparison
+#: decides: 2^40 at t = 3/4 compares 2^120 with 2^120, which numpy int64 and
+#: uint64 powers wrap to 0
+NEAR_INTEGER_POWERS = [(10**6, 0.5), (10**4, 0.25), (10**4, 0.75), (2**40, 0.75),
+                       (10**10, 0.5), (10**10, 0.8)]
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
+                         ids=lambda kind: kind.__name__)
+def test_power_bounds_take_numpy_integers(kind):
+    for n, t in NEAR_INTEGER_POWERS:
+        if n > np.iinfo(kind).max:
+            continue
+        for f in (power_floor, power_ceil):
+            got = f(kind(n), t)
+            assert got == f(n, t) and type(got) is int, (kind, n, t)
+    assert power_floor(kind(10**6), 0.5) == power_ceil(kind(10**6), 0.5) == 1000
+
+
+@pytest.mark.parametrize("n", [1e6, 1000.0, 10.5])
+def test_power_bounds_refuse_float_n(n):
+    with pytest.raises(ParameterError, match="must be an integer"):
+        power_floor(n, 0.5)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        power_ceil(n, 0.5)
+
+
 def test_mertens_range_approximates_log_ratio(sieve7):
     # finite-n form: the reciprocal sum over [n^t, n^{t+dt}] is close to
     # log((t+dt)/t) already at n = 10^7

@@ -190,39 +190,63 @@ def test_run_tasks_keeps_task_order_and_one_buffer_set_per_worker(monkeypatch):
         made.append(threading.get_ident())
         return object()
 
-    def fn(task, buffers):
-        return task, id(buffers), threading.get_ident()
+    def fn(lo, hi, buffers):
+        return lo, hi, id(buffers), threading.get_ident()
 
-    out = rng.run_tasks(fn, range(40), 40, new_buffers)
-    assert [task for task, _, _ in out] == list(range(40))
+    out = rng.run_tasks(fn, range(0, 200, 5), new_buffers)
+    assert [(lo, hi) for lo, hi, _, _ in out] == [(lo, lo + 5) for lo in range(0, 200, 5)]
     assert made == [threading.get_ident()] * 3
     # a worker, the calling thread among them, hands every task it takes
     # the same buffers
     by_thread = {}
-    for _, buffers, thread in out:
+    for _, _, buffers, thread in out:
         by_thread.setdefault(thread, set()).add(buffers)
     assert len(by_thread) <= 3
     assert all(len(sets) == 1 for sets in by_thread.values())
 
 
-@pytest.mark.parametrize("cpus, full", [(1, 40), (4, 1), (4, 0)])
-def test_run_tasks_runs_inline_without_two_cpus_and_two_full_tasks(monkeypatch, cpus, full):
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("tasks, bounds", [
+    (range(0, 10, 4), [(0, 4), (4, 8), (8, 10)]),
+    (range(1, 11, 4), [(1, 5), (5, 9), (9, 11)]),
+    (range(1, 13, 4), [(1, 5), (5, 9), (9, 13)]),
+    (range(0, 3, 4), [(0, 3)]),
+], ids=["partial-last", "from-1", "whole-steps", "one-partial"])
+def test_run_tasks_hands_each_task_its_bounds(monkeypatch, cpus, tasks, bounds):
+    # hi = min(lo + step, stop): only the last task may be short, and a
+    # range starting at 1 (the scan's) keeps its offset
     monkeypatch.setattr(rng, "cpu_count", lambda: cpus)
-    out = rng.run_tasks(lambda task, buffers: (task, threading.get_ident()),
-                        range(5), full, lambda: None)
-    assert out == [(task, threading.get_ident()) for task in range(5)]
+    assert rng.run_tasks(lambda lo, hi, buffers: (lo, hi), tasks, lambda: None) == bounds
+
+
+@pytest.mark.parametrize("workers, stop", [(1, 40), (4, 0), (4, 1), (4, 7)])
+def test_run_tasks_runs_inline_without_two_cpus_and_two_full_tasks(cpus, workers, stop):
+    # steps of 4: 1 CPU with ten whole steps, no task, one partial task, and
+    # range(0, 7, 4), one whole step and a partial one
+    pools = cpus(workers)
+    out = rng.run_tasks(lambda lo, hi, buffers: (lo, hi, threading.get_ident()),
+                        range(0, stop, 4), lambda: None)
+    assert out == [(lo, min(lo + 4, stop), threading.get_ident()) for lo in range(0, stop, 4)]
+    assert pools == []
+
+
+def test_run_tasks_pools_from_two_whole_steps(cpus):
+    pools = cpus(4)
+    rng.run_tasks(lambda lo, hi, buffers: lo, range(0, 8, 4), lambda: None)
+    rng.run_tasks(lambda lo, hi, buffers: lo, range(1, 14, 4), lambda: None)
+    assert pools == [1, 2]
 
 
 def test_run_tasks_raises_a_task_error(monkeypatch):
     monkeypatch.setattr(rng, "cpu_count", lambda: 2)
 
-    def fn(task, buffers):
-        if task == 7:
+    def fn(lo, hi, buffers):
+        if lo == 7:
             raise ValueError("task 7")
-        return task
+        return lo
 
     with pytest.raises(ValueError, match="task 7"):
-        rng.run_tasks(fn, range(10), 10, lambda: None)
+        rng.run_tasks(fn, range(10), lambda: None)
 
 
 def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
@@ -232,14 +256,15 @@ def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
     runs = [0] * 3000
     lock = threading.Lock()
 
-    def fn(task, buffers):
+    def fn(lo, hi, buffers):
+        assert hi == lo + 1
         with lock:
-            runs[task] += 1
-        return task * task
+            runs[lo] += 1
+        return lo * lo
 
     out = []
     runner = threading.Thread(
-        target=lambda: out.extend(rng.run_tasks(fn, range(3000), 3000, lambda: None)),
+        target=lambda: out.extend(rng.run_tasks(fn, range(3000), lambda: None)),
         daemon=True)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

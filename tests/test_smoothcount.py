@@ -282,3 +282,20 @@ def test_eratosthenes_is_the_old_list_without_a_table_sized_copy():
     # the flags and the primes: a complement or a cast copy would add a
     # second table or a second list
     assert peak <= (limit + 1) + 8 * got.size + (1 << 16)
+
+
+def test_engine_tables_are_read_only():
+    # a write into a shared table would change every later count in the
+    # process: leaf_labels[10] = 3 made psi_exact(10, 3) read 8, not 7
+    # (each write stores the value already there, so that a writeable table
+    # is left as it was)
+    engine = default_engine()
+    for table in (engine.leaf_labels, engine.primes, smoothcount._POW2):
+        with pytest.raises(ValueError, match="read-only"):
+            table[10] = table[10]
+    assert psi_exact(10, 3) == 7
+    grown = PsiEngine()
+    grown._ensure_primes(2 * grown.prime_limit + 1)
+    assert grown.prime_limit > LEAF_LIMIT
+    with pytest.raises(ValueError, match="read-only"):
+        grown.primes[0] = grown.primes[0]
