@@ -277,7 +277,8 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     count = 0
     for N, _ in _prime_tuples(np.array([n], dtype=np.int64), ranges):
         small = N <= engine.leaf_limit
-        count += int(_count_labels(engine.leaf_labels, N[small], a, b).sum())
+        # the rows come N-descending for each head: reversed, they sort faster
+        count += int(_count_labels(engine.leaf_labels, N[small][::-1], a, b).sum())
         count += sum(engine.psi_sum(z, q) for z, q in _prime_tuples(N[~small], inner))
     return ExactProbability(count=count, total=n)
 

@@ -37,6 +37,7 @@ from . import rng
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError, check_memory
 from .factor_stats import BoxSpec
+from .primes import _integer_n
 
 DEFAULT_TRUNCATION = 60
 
@@ -117,6 +118,9 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     8 * (truncation + 1) bytes per row, the shared block of words and two
     block buffers per CPU, 1 + 2 * CPUs blocks in all.
     """
+    # Python ints, so that neither the guard nor a counter wraps in int64
+    count, truncation, start = (_integer_n(v, name) for v, name in (
+        (count, "count"), (truncation, "truncation"), (start, "start")))
     if truncation < 1:
         raise ParameterError("truncation must be >= 1")
     if count < 1:

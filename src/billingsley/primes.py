@@ -184,13 +184,13 @@ def power_ceil(n: int, t: float) -> int:
     return _power_round(n, t, math.ceil, 1)
 
 
-def _integer_n(n) -> int:
+def _integer_n(n, name: str = "n") -> int:
     """n as a Python int, so that its powers never wrap: a numpy integer
     converts exactly; a float, integral or not, is a ParameterError."""
     try:
         return operator.index(n)
     except TypeError:
-        raise ParameterError(f"n must be an integer, got {n!r}") from None
+        raise ParameterError(f"{name} must be an integer, got {n!r}") from None
 
 
 def _power_round(n: int, t: float, rounding, step: int) -> int:

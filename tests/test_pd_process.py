@@ -188,6 +188,26 @@ def test_rows_past_the_counter_range_are_refused_before_allocation(
         pd_sample_batch(1, count, truncation, start=start)
 
 
+def test_numpy_integer_count_and_start_give_the_int_rows():
+    # numpy counters reached rng._advance as int64 and raised OverflowError
+    sticks, tails = pd_sample_batch(42, np.int64(3), 60, start=np.int64(10))
+    want, want_tails = pd_sample_batch(42, 3, 60, start=10)
+    assert sticks.tobytes() == want.tobytes() and tails.tobytes() == want_tails.tobytes()
+
+
+def test_numpy_integer_rows_past_the_counter_range_are_refused(monkeypatch):
+    # (start + count) * truncation wrapped in int64, so the guard let it by
+    def no_alloc(*args):
+        raise AssertionError("sized the allocation before refusing")
+
+    monkeypatch.setattr(pd_process, "check_memory", no_alloc)
+    with pytest.raises(ParameterError, match="counters"):
+        pd_sample_batch(42, np.int64(3), 60, start=np.int64(2**62))
+    for count, truncation, start in [(3.0, 60, 0), (3, 60.0, 0), (3, 60, 1.5)]:
+        with pytest.raises(ParameterError, match="must be an integer"):
+            pd_sample_batch(42, count, truncation, start=start)
+
+
 def test_last_rows_of_the_counter_range_are_drawn():
     # counters up to 2^64 - 1 are in range: the last row ends on that counter
     sticks, _ = pd_sample_batch(1, 1, 4, start=2**62 - 1)

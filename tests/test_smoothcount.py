@@ -45,6 +45,21 @@ def test_exact_parameter_errors():
         psi_exact(10, 0)
 
 
+@pytest.mark.parametrize("x, y", [(10.7, 3), (10.0, 3), (10, 3.0), (1e12, 1000)])
+def test_exact_refuses_float_arguments(x, y):
+    # int(x) used to truncate psi_exact(10.7, 3) to Psi(10, 3) = 7
+    with pytest.raises(ParameterError, match="must be an integer"):
+        psi_exact(x, y)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
+                         ids=lambda kind: kind.__name__)
+def test_exact_takes_numpy_integers(kind):
+    for x, y in [(10, 3), (10**6, 997), (2 * 10**6, 13)]:
+        got = psi_exact(kind(x), kind(y))
+        assert type(got) is int and got == psi_exact(x, y)
+
+
 def test_exact_equals_bruteforce_dense(sieve5):
     for x in range(1, 2000):
         for y in (1, 2, 3, 5, 7, 11, 13, x):
@@ -108,6 +123,70 @@ def test_pinned_large_values():
     assert psi_exact(3 * 10**11, 1000) == 2933641996
     assert psi_exact(10**12, 1000) == 6471274933
     assert psi_exact(10**11, 10**4) == 9091106074
+
+
+def smooth_by_powers(primes, limit):
+    """The m <= limit with no prime factor outside primes, in pure Python."""
+    out = [1]
+    for q in primes:
+        grown = []
+        for m in out:
+            while m <= limit:
+                grown.append(m)
+                m *= q
+        out = grown
+    return sorted(out)
+
+
+#: the primes the sweep's close multiplies out
+CLOSE_PRIMES = [q for q in range(2, smoothcount.SMOOTH_CLOSE + 1)
+                if all(q % d for d in range(2, q))]
+
+
+def test_smooth_numbers_match_a_pure_python_enumeration():
+    for i in range(1, len(CLOSE_PRIMES) + 1):
+        primes = CLOSE_PRIMES[:i]
+        got = smoothcount._smooth_numbers(np.array(primes, dtype=np.int64), 10**6)
+        assert got.dtype == np.int64
+        assert got.tolist() == smooth_by_powers(primes, 10**6), primes[-1]
+
+
+def test_smooth_numbers_at_the_batch_limit_stay_bounded():
+    # the close's largest list: no quotient exceeds X_SUM_LIMIT
+    got = smoothcount._smooth_numbers(np.array(CLOSE_PRIMES, dtype=np.int64), X_SUM_LIMIT)
+    assert got.size <= 327090  # 2.6 MB
+    assert int(got[0]) == 1 and int(got[-1]) <= X_SUM_LIMIT and np.all(np.diff(got) > 0)
+
+
+def test_exact_at_small_y_far_out():
+    want = len(smooth_by_powers([2, 3, 5, 7], 10**15))
+    assert want == 33406
+    assert psi_exact(10**15, 7) == want
+
+
+def test_batch_straddling_the_close_equals_single_queries(sieve7):
+    # queries whose label is below the close prime close again at their own
+    # stage, after a first close has emptied the quotients and their weights
+    rnd = random.Random(24)
+    ys = [2, 3, 4, 5, 7, 10, 11, 12, 13, 100, 1000]
+    xs = [rnd.randint(LEAF_LIMIT + 1, 10**7) for _ in ys] + [rnd.randint(1, 10**5) for _ in ys]
+    ys = ys + ys
+    singles = [psi_exact(x, y) for x, y in zip(xs, ys)]
+    assert singles == [psi_bruteforce(sieve7, x, y) for x, y in zip(xs, ys)]
+    assert default_engine().psi_sum(xs, ys) == sum(singles)
+    assert default_engine().psi_sum(xs[:11], ys[:11]) == sum(singles[:11])
+
+
+def test_sweep_memory_at_3e11_stays_below_12_mib():
+    default_engine()  # the leaf table and the primes psi_exact(3e11, 1000) reads
+    tracemalloc.start()
+    try:
+        assert psi_exact(3 * 10**11, 1000) == 2933641996
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 27 MiB when the sweep carried every quotient down to p = 2
+    assert peak <= 12 << 20
 
 
 def test_random_against_bruteforce(sieve7):
@@ -290,7 +369,7 @@ def test_engine_tables_are_read_only():
     # (each write stores the value already there, so that a writeable table
     # is left as it was)
     engine = default_engine()
-    for table in (engine.leaf_labels, engine.primes, smoothcount._POW2):
+    for table in (engine.leaf_labels, engine.primes):
         with pytest.raises(ValueError, match="read-only"):
             table[10] = table[10]
     assert psi_exact(10, 3) == 7
