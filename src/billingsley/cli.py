@@ -180,9 +180,9 @@ def _cmd_sample_factors(args) -> int:
 
 def _pd_sample_csv(args):
     """The pd-sample CSV lines, one chunk of _chunk_rows rows at a time: each
-    chunk's sticks are drawn through pd_sample_batch's `start` and released
-    once formatted, so memory holds one chunk's sticks and text however
-    large the count."""
+    chunk's k largest sticks are drawn through pd_sample_batch's `start` and
+    released once formatted, so memory holds one chunk's sticks and text
+    however large the count."""
     if args.count * args.trunc > _MAX_PD_SAMPLE_DRAWS:
         raise ResourceError(f"{args.count} rows at truncation {args.trunc} are more "
                             f"than the cap of {_MAX_PD_SAMPLE_DRAWS} sticks")
@@ -191,7 +191,7 @@ def _pd_sample_csv(args):
     step = _chunk_rows(args.trunc)
     for lo in range(0, args.count, step):
         rows = pd_sample_batch(args.seed, min(step, args.count - lo), args.trunc,
-                               start=lo)[0][:, :k].tolist()
+                               start=lo, k=k)[0].tolist()
         lines += [",".join(map(repr, row)) + "\n" for row in rows]
         yield lines
         lines = []

@@ -312,7 +312,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     rng.BLOCK_WORDS draws is one run_tasks task, drawn and counted through
     its worker's buffers.
     """
-    n = _integer_n(n)
+    n, samples = _integer_n(n), _integer_n(samples, "samples")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
     if samples > MAX_MC_SAMPLES:
@@ -350,9 +350,9 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
     Refuses, before any draw, a count or k below 1 and rows whose peak
     memory would exceed the budget: about 9 + 37 k bytes each, up to 59 at
     k = 1 where the draw's fixed buffers weigh on 2*10^4 rows (tracemalloc
-    at k = 1 to 16), counted as 32 + 40 k.
+    at k = 1 to 16), counted as 32 + 40 k.  Floats are refused.
     """
-    n = _integer_n(n)
+    n, count, k = _integer_n(n), _integer_n(count, "count"), _integer_n(k, "k")
     if count < 1:
         raise ParameterError("count must be >= 1")
     if k < 1:

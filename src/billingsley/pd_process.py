@@ -10,8 +10,10 @@ carried explicitly as tail mass.  The sampler fills blocks of about
 rng.BLOCK_WORDS uniforms column-major, one stick index per contiguous row, so
 that generating, multiplying and differencing a block are passes over
 memory that stays in cache.  One transpose copy puts the negated
-differences straight into the block's rows of the output, where they are
-sorted and their signs restored in place; only that sort works row by row.
+differences into rows that are sorted and have their signs restored; only
+that sort works row by row.  A caller that reads only the k largest ranks
+asks for k: the rows are then sorted in a spent block buffer and only k
+columns reach the output, 8 * (k + 1) bytes a row with the tail mass.
 Callers that need many rows draw them _chunk_rows at a time through
 `start`, so that their memory does not grow with the count.
 
@@ -52,9 +54,10 @@ _MAX_BLOCK_WORDS = 1 << 20
 
 
 #: full blocks per call of a caller that streams draws through `start`: at
-#: truncation 60, 16 * 1092 rows and 8.5 MB of output a call.  Each call
-#: starts its own pool and buffers; on 2 vCPUs a row cost about 0.8 us in
-#: calls of 8 blocks, and 0.7 in calls of 16 as in one call of 10^5 rows
+#: truncation 60, 16 * 1092 rows, 8.5 MB of output a call with all ranks
+#: and 0.28 MB with k = 1, against 2.6 MB of block buffers on 2 CPUs.  Each
+#: call starts its own pool and buffers; on 2 vCPUs a row cost about 0.8 us
+#: in calls of 8 blocks, and 0.7 in calls of 16 as in one call of 10^5 rows
 _CHUNK_BLOCKS = 16
 
 
@@ -87,9 +90,10 @@ def pd_density(table: DickmanTable, point) -> float:
 
 
 def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
-                    start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """`count` ranked, truncated Poisson-Dirichlet draws: the sticks as a
-    (count, truncation) array, each row descending, and the tail masses.
+                    start: int = 0, k: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`count` ranked, truncated Poisson-Dirichlet draws: the k largest
+    sticks of each row (all `truncation` of them when k is None) as a
+    (count, k) array, each row descending, and the tail masses.
 
     Row i is a pure function of (seed, start + i, truncation): draw j of the
     row consumes counter (start + i) * truncation + j of the seed's stream,
@@ -106,17 +110,21 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     add to a precomputed block, rng._uniform_block mixes them into
     uniforms, the prefix products take truncation - 1 row multiplies and the
     negated stick lengths, p_j - p_{j-1} and p_1 - 1, one subtract.  One
-    transpose copy puts them straight into the block's rows of the output,
-    which are sorted ascending in place and restored as 0 - x, so that each
-    row ends descending.  Subtracting from 0 keeps the +0.0 lengths of
-    underflowed prefix products at +0.0, where negating would give -0.0.
-    The blocks change no bits.  They are rng.run_tasks tasks, pooled from
-    two whole blocks on; a worker has its own two block buffers, the words
-    and the mixing scratch, which take the negated lengths and the uniforms
-    once each is spent, and writes disjoint rows of the output.  Refuses,
-    before allocating, output and buffers over the memory budget:
-    8 * (truncation + 1) bytes per row, the shared block of words and two
-    block buffers per CPU, 1 + 2 * CPUs blocks in all.
+    transpose copy puts them into rows, which are sorted ascending in place
+    and restored as 0 - x, so that each row ends descending.  With all ranks
+    the rows are the block's rows of the output; with k < truncation they
+    are the worker's mixing scratch, spent by then, and only their first k
+    columns are restored into the output.  Either way column i is bit for
+    bit column i of the full rows.  Subtracting from 0 keeps the +0.0
+    lengths of underflowed prefix products at +0.0, where negating would
+    give -0.0.  The blocks change no bits.  They are rng.run_tasks tasks,
+    pooled from two whole blocks on; a worker has its own two block
+    buffers, the words and the mixing scratch, which take the negated
+    lengths and the uniforms once each is spent, and writes disjoint rows
+    of the output.  Refuses a k outside [1, truncation], and, before
+    allocating, output and buffers over the memory budget: 8 * (k + 1)
+    bytes per row, the shared block of words and two block buffers per
+    CPU, 1 + 2 * CPUs blocks in all.
     """
     # Python ints, so that neither the guard nor a counter wraps in int64
     count, truncation, start = (_integer_n(v, name) for v, name in (
@@ -129,15 +137,19 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
         raise ParameterError("rows must lie at counters [0, 2^64) of the stream: "
                              "start >= 0 and (start + count) * truncation <= 2^64")
     t = truncation
+    k = t if k is None else _integer_n(k, "k")
+    if not 1 <= k <= t:
+        raise ParameterError(f"k must be in [1, truncation = {t}], got {k}")
     rows = min(count, _block_rows(t))
-    check_memory(8 * ((t + 1) * count + (1 + 2 * rng.cpu_count()) * t * rows),
+    check_memory(8 * ((k + 1) * count + (1 + 2 * rng.cpu_count()) * t * rows),
                  f"{count} PD draws at truncation {t}")
+    key = rng.stream_key(seed)
     # base[j, i] is the unmixed word of counter i * t + j; moving it on by
     # (start + lo) * t counters gives draw j of row start + lo + i
     offsets = np.add.outer(np.arange(t, dtype=np.uint64),
                            np.arange(rows, dtype=np.uint64) * np.uint64(t))
-    base = rng._counter_words(offsets, rng.stream_key(seed))
-    sticks = np.empty((count, t))
+    base = rng._counter_words(offsets, key)
+    sticks = np.empty((count, k))
     tails = np.empty(count)
 
     def fill(lo, hi, buffers):
@@ -157,9 +169,12 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
         np.subtract(p[1:], p[:-1], out=lengths[1:])
         np.subtract(p[0], 1.0, out=lengths[0])
         out = sticks[lo:hi]
-        np.copyto(out, lengths.T)
-        out.sort(axis=1)
-        np.subtract(0.0, out, out=out)
+        # all ranks sort in place in the output; fewer sort in the mixing
+        # scratch, spent once the lengths exist, and only k columns are kept
+        ranked = out if k == t else scratch.view(np.float64).ravel()[:n * t].reshape(n, t)
+        np.copyto(ranked, lengths.T)
+        ranked.sort(axis=1)
+        np.subtract(0.0, ranked[:, :k], out=out)
 
     rng.run_tasks(fill, range(0, count, rows),
                   lambda: (np.empty_like(base), np.empty_like(base)))

@@ -45,7 +45,8 @@ class PrimeSieve:
     ``largest_prime_factor[m]`` is the largest prime dividing m (1 at
     indices 0 and 1); m >= 2 is prime iff it equals m.  ``prime_array``
     holds the primes in ascending order as int64.  Both arrays are
-    read-only, so a sieve can be shared across threads.
+    read-only, and so are the arrays whose memory they view, so a sieve can
+    be shared across threads.
     """
 
     limit: int
@@ -53,8 +54,8 @@ class PrimeSieve:
     prime_array: np.ndarray
 
     def __post_init__(self):
-        self.largest_prime_factor.flags.writeable = False
-        self.prime_array.flags.writeable = False
+        _read_only(self.largest_prime_factor)
+        _read_only(self.prime_array)
 
     def primes_in_range(self, a: int, b: int) -> np.ndarray:
         """Primes p with a <= p <= b."""
@@ -64,16 +65,31 @@ class PrimeSieve:
         return ps[i:j]
 
 
+def _prime_count_bound(limit: int) -> int:
+    """An upper bound on pi(limit), from pi(x) < 1.25506 x / ln x for x > 1
+    (Rosser and Schoenfeld)."""
+    return int(1.26 * limit / math.log(limit))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Make arr and every array whose memory it views read-only, so that no
+    write through a base reaches it; returns arr."""
+    a = arr
+    while isinstance(a, np.ndarray):
+        a.flags.writeable = False
+        a = a.base
+    return arr
+
+
 def _build_bytes(limit: int) -> int:
-    """Upper bound on the peak bytes of build_sieve: the int32 table; 16
-    bytes per prime (pi(limit) < 1.26 limit / ln limit), the int64 primes
-    collected and then concatenated; the finalize quotients and their
-    temporaries, 24 bytes per odd entry of one segment; the wheel pattern
-    with up to one period of table padding; and 64 KiB of Python objects.
-    That is 5.1 bytes per integer at 10^8 and 5.0 at 10^9, so the default
-    memory budget admits limits up to about 8.6e8."""
+    """Upper bound on the peak bytes of build_sieve: the int32 table; the
+    int64 prime buffer of _prime_count_bound entries; the finalize
+    quotients and their temporaries, 24 bytes per odd entry of one segment;
+    the wheel pattern with up to one period of table padding; and 64 KiB of
+    Python objects.  That is 4.58 bytes per integer at 10^8 and 4.49 at
+    10^9, so the default memory budget admits limits up to about 9.56e8."""
     odd = min(SIEVE_SEGMENT, limit + 1) // 2 + 1
-    return (4 * (limit + 1) + 16 * int(1.26 * limit / math.log(limit))
+    return (4 * (limit + 1) + 8 * _prime_count_bound(limit)
             + 24 * odd + 8 * math.prod(SIEVE_WHEEL) + (1 << 16))
 
 
@@ -113,7 +129,11 @@ def build_sieve(limit: int) -> PrimeSieve:
         if head[p] == 1:  # no smaller prime divides p
             others.append(p)
             head[p * p::p] = p
-    primes = [np.array(wheel + others, dtype=np.int64)]
+    # each prime is written once, ascending, into one buffer sized by the
+    # bound on pi(limit); the sieve keeps the filled head
+    primes = np.empty(_prime_count_bound(limit), dtype=np.int64)
+    filled = len(wheel) + len(others)
+    primes[:filled] = wheel + others
     quotient = np.empty(min(SIEVE_SEGMENT, limit + 1) // 2 + 1, dtype=np.intp)
     for start in range(0, limit + 1, SIEVE_SEGMENT):
         end = min(start + SIEVE_SEGMENT, limit + 1)
@@ -133,11 +153,12 @@ def build_sieve(limit: int) -> PrimeSieve:
                       casting="unsafe")
             np.maximum(odd, lpf.take(q), out=odd)
             lpf[big] = big
-            primes.append(big)
+            primes[filled:filled + big.size] = big
+            filled += big.size
             s = e
     lpf[0] = 1
     return PrimeSieve(limit=limit, largest_prime_factor=lpf,
-                      prime_array=np.concatenate(primes))
+                      prime_array=primes[:filled])
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +212,21 @@ def _integer_n(n, name: str = "n") -> int:
         return operator.index(n)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {n!r}") from None
+
+
+def _integer_array(x, name: str = "x") -> np.ndarray:
+    """x as an int64 array of its shape, 0-d for a scalar: an int, a numpy
+    integer, or an array or sequence of integers.  A float, integral or
+    not, or a non-empty array of any other dtype is a ParameterError, so
+    that nothing is truncated; an int past int64 raises OverflowError."""
+    a = np.asarray(x)
+    if a.dtype.kind in "iu" or not a.size:  # an empty list comes as float64
+        return a.astype(np.int64, copy=False)
+    if a.ndim and a.dtype != object:
+        raise ParameterError(f"{name} must be integers, got an array of {a.dtype}")
+    # a scalar, or objects such as ints past int64: each one through _integer_n
+    return np.array([_integer_n(v, name) for v in a.ravel().tolist()],
+                    dtype=np.int64).reshape(a.shape)
 
 
 def _power_round(n: int, t: float, rounding, step: int) -> int:

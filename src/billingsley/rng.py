@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .errors import check_memory
+from .primes import _integer_n
 
 #: fixed documented default seed; never time-based
 DEFAULT_SEED = 42
@@ -47,8 +48,9 @@ def mix64(x: int) -> int:
 
 
 def stream_key(seed: int) -> int:
-    """Derive the 64-bit key of the seed's stream."""
-    return mix64(mix64(seed & MASK64) ^ mix64(0x5851F42D4C957F2D))
+    """Derive the 64-bit key of the seed's stream.  A numpy integer seed
+    keys the stream of its int; a float is a ParameterError."""
+    return mix64(mix64(_integer_n(seed, "seed") & MASK64) ^ mix64(0x5851F42D4C957F2D))
 
 
 #: words per block of the stream fills (raw64's mixing, the PD stick

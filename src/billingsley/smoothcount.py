@@ -56,7 +56,7 @@ import numpy as np
 
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError, ResourceError
-from .primes import PrimeSieve, _integer_n
+from .primes import PrimeSieve, _integer_array, _integer_n, _read_only
 
 #: never sieve the internal prime list beyond this
 PRIME_CAP = 10**8
@@ -144,30 +144,32 @@ class PsiEngine:
             q = big[: np.searchsorted(big, leaf_limit // r, side="right")]
             lab[q * r] = q
         lab[0] = np.iinfo(np.int32).max
-        lab.flags.writeable = False
-        self.primes.flags.writeable = False
-        self.leaf_labels = lab
+        self.leaf_labels = _read_only(lab)
+        _read_only(self.primes)
 
     def _ensure_primes(self, limit: int) -> np.ndarray:
         if limit > self.prime_limit:
             if limit > PRIME_CAP:
                 raise ResourceError(f"prime list to {limit} exceeds cap {PRIME_CAP}")
             limit = min(max(limit, 2 * self.prime_limit), PRIME_CAP)  # grow geometrically
-            self.primes = _eratosthenes(limit)
-            self.primes.flags.writeable = False
+            self.primes = _read_only(_eratosthenes(limit))
             self.prime_limit = limit
         return self.primes
 
     def psi_small(self, x, y: int):
         """Psi(x, y) for 1 <= x <= T off the leaf table; x is an int, or an
-        integer array for an int64 array of counts."""
-        return _count_labels(self.leaf_labels, x, 1, int(y))
+        integer array for an int64 array of counts.  Floats are refused."""
+        return _count_labels(self.leaf_labels, x, 1, _integer_n(y, "y"))
 
     def psi_sum(self, x, y) -> int:
         """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
-        with x < 1 count 0."""
-        x = np.asarray(x, dtype=np.int64).ravel()
-        y = np.asarray(y, dtype=np.int64).ravel()
+        with x < 1 count 0.  Floats and arrays of them are refused, and so
+        are x or y past int64."""
+        try:
+            x = _integer_array(x, "x").ravel()
+            y = _integer_array(y, "y").ravel()
+        except OverflowError:
+            raise DomainError("x and y must lie below 2^63") from None
         if x.shape != y.shape:
             raise ParameterError("x and y must have the same shape")
         keep = x >= 1
@@ -297,14 +299,14 @@ def psi_exact(x: int, y: int) -> int:
 def _count_labels(labels: np.ndarray, x, lo: int, hi: int):
     """#{1 <= m <= x : lo <= labels[m] <= hi} for an int x, or for each x of
     an integer array of any shape as an int64 array of that shape; x reaches
-    at most the table's last index.
+    at most the table's last index, and floats are refused.
 
     The labels stream _COUNT_CHUNK at a time through two reused boolean
     buffers.  With x sorted, a chunk where some x end counts up to the first
     and sums cumulatively from there to the last."""
     limit = labels.size - 1
     try:
-        x = np.asarray(x, dtype=np.int64)
+        x = _integer_array(x)
     except OverflowError:
         raise DomainError(f"x beyond table limit {limit}") from None
     if hi < 1 or (x.size and int(x.min()) < 1):
@@ -340,9 +342,9 @@ def psi_bruteforce(sieve: PrimeSieve, x, y: int):
     """Psi(x, y) by counting off the sieve's largest-prime-factor table; x is
     an int, or an integer array for an int64 array of counts.
 
-    m = 1 counts (it has no prime factor at all).
+    m = 1 counts (it has no prime factor at all).  Floats are refused.
     """
-    return _count_labels(sieve.largest_prime_factor, x, 1, int(y))
+    return _count_labels(sieve.largest_prime_factor, x, 1, _integer_n(y, "y"))
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

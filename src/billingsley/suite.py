@@ -211,10 +211,11 @@ def check_mertens_range(ctx: SuiteContext) -> dict:
 def check_pd_marginal(ctx: SuiteContext) -> dict:
     """Stick-breaking frequency of L_1 <= 1/2 against rho(2), 3-sigma band.
 
-    The rows are drawn _chunk_rows at a time through pd_sample_batch's
-    `start`, each chunk released once its hits are counted, so the check's
-    memory does not grow with PD_MARGINAL_SAMPLES; hits / samples is
-    bit for bit the mean of one whole batch's indicator.
+    Only the largest stick of each row is drawn out (k = 1), _chunk_rows
+    rows at a time through pd_sample_batch's `start`, each chunk released
+    once its hits are counted, so the check's memory does not grow with
+    PD_MARGINAL_SAMPLES; hits / samples is bit for bit the mean of one
+    whole batch's indicator.
 
     Two-sided 3-sigma: ~0.27% of seeds are expected to land outside; the
     shipped seed is fixed, so the check itself is deterministic.
@@ -225,7 +226,7 @@ def check_pd_marginal(ctx: SuiteContext) -> dict:
     hits = 0
     for lo in range(0, samples, chunk):  # no name holds a chunk into the next call
         hits += int(np.count_nonzero(
-            pd_sample_batch(ctx.seed, min(chunk, samples - lo), start=lo)[0][:, 0] <= 0.5))
+            pd_sample_batch(ctx.seed, min(chunk, samples - lo), start=lo, k=1)[0] <= 0.5))
     freq = hits / samples
     tol = PD_MARGINAL_SIGMAS * math.sqrt(rho2 * (1.0 - rho2) / samples)
     diff = abs(freq - rho2)

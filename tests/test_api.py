@@ -43,7 +43,7 @@ PUBLIC_PARAMETERS = {
     "mertens_sum": ("sieve", "a", "b"),
     "pd_box_probability_refined": ("table", "box", "grid"),
     "pd_density": ("table", "point"),
-    "pd_sample_batch": ("seed", "count", "truncation", "start"),
+    "pd_sample_batch": ("seed", "count", "truncation", "start", "k"),
     "power_ceil": ("n", "t"),
     "power_floor": ("n", "t"),
     "prime_bounds": ("n", "box"),

@@ -295,9 +295,9 @@ def test_pd_sample_csv(capsys):
 def test_pd_sample_streams_the_bytes_of_one_batch(capsys, tmp_path, monkeypatch, chunk):
     sizes = []
 
-    def recording(seed, count, truncation, start=0):
+    def recording(seed, count, truncation, start=0, k=None):
         sizes.append(count)
-        return pd_sample_batch(seed, count, truncation, start=start)
+        return pd_sample_batch(seed, count, truncation, start=start, k=k)
 
     monkeypatch.setattr(cli, "pd_sample_batch", recording)
     monkeypatch.setattr(cli, "_chunk_rows", chunk)

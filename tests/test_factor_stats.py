@@ -322,6 +322,30 @@ def test_float_n_is_refused_by_every_route_before_any_work(sieve6, monkeypatch, 
             route(sieve6, n, box)
 
 
+@pytest.mark.parametrize("draw", [
+    lambda sieve, box: sample_box_probability(sieve, 10**4, box, samples=10.0),
+    lambda sieve, box: sample_factor_vectors(sieve, 10**4, 10.0, 2),
+    lambda sieve, box: sample_factor_vectors(sieve, 10**4, 10, 2.5),
+], ids=["mc-samples", "rows-count", "rows-k"])
+def test_float_counts_are_refused_before_any_draw(sieve5, monkeypatch, draw):
+    # each raised a bare TypeError from range() or the peel
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(rng, "run_tasks", no_work)
+    monkeypatch.setattr(rng, "uniform_ints", no_work)
+    with pytest.raises(ParameterError, match="must be an integer"):
+        draw(sieve5, BoxSpec((0.5,), (0.1,)))
+
+
+def test_numpy_integer_counts_give_the_int_draws(sieve5):
+    box = BoxSpec((0.5,), (0.1,))
+    assert (sample_box_probability(sieve5, 10**4, box, np.int64(1000), seed=3)
+            == sample_box_probability(sieve5, 10**4, box, 1000, seed=3))
+    assert np.array_equal(sample_factor_vectors(sieve5, 10**4, np.int64(50), np.int32(2)),
+                          sample_factor_vectors(sieve5, 10**4, 50, 2))
+
+
 def test_marginal_cdf(sieve5):
     # P(L_1(n) <= 1/t) = Psi(n, n^{1/t}) / n, as psi-ladder computes it
     def cdf(n, t):

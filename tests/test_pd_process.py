@@ -214,6 +214,58 @@ def test_last_rows_of_the_counter_range_are_drawn():
     assert sticks.shape == (1, 4)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("truncation", [1, 5, 60])
+def test_k_ranks_are_the_first_columns_of_the_full_rows(cpus, truncation, workers):
+    pools = cpus(workers)
+    rows = _block_rows(truncation)
+    ks = sorted({k for k in (1, 2, truncation - 1, truncation) if 1 <= k <= truncation})
+    for count in (1, rows - 1, rows + 3, 2 * rows + 5):
+        for start in (0, 123):
+            full, full_tails = pd_sample_batch(7, count, truncation, start=start)
+            for k in ks:
+                sticks, tails = pd_sample_batch(7, count, truncation, start=start, k=k)
+                assert sticks.shape == (count, k) and sticks.flags.c_contiguous
+                assert sticks.tobytes() == np.ascontiguousarray(full[:, :k]).tobytes()
+                assert tails.tobytes() == full_tails.tobytes()
+    # only two blocks and more pool, once for the full rows and once per k
+    assert pools == ([] if workers == 1 else [1] * (2 * (len(ks) + 1)))
+
+
+def test_k_outside_the_ranks_is_refused():
+    for k in (0, 61, -1):
+        with pytest.raises(ParameterError, match="k must be in"):
+            pd_sample_batch(1, 3, 60, k=k)
+    with pytest.raises(ParameterError, match="k must be an integer"):
+        pd_sample_batch(1, 3, 60, k=2.0)
+    sticks, tails = pd_sample_batch(42, 3, 60, start=10, k=np.int64(2))
+    want, want_tails = pd_sample_batch(42, 3, 60, start=10)
+    assert sticks.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+    assert tails.tobytes() == want_tails.tobytes()
+
+
+def test_memory_check_counts_only_the_ranks_drawn_out(monkeypatch, cpus):
+    cpus(2)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 4 << 20)
+    with pytest.raises(ResourceError):
+        pd_sample_batch(1, 20000)  # 9.8 MB of sticks at once
+    sticks, _ = pd_sample_batch(1, 20000, k=1)
+    assert sticks.shape == (20000, 1)
+
+
+def test_one_rank_peak_is_the_buffers_and_a_column(cpus):
+    # 1.6 MB of output and 2.6 MB of block buffers on two CPUs, against
+    # 49 MB for the full rows
+    cpus(2)
+    tracemalloc.start()
+    try:
+        pd_sample_batch(1, 10**5, k=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
+
+
 def test_tail_mass_bound():
     # -log(tail) is a sum of 60 unit exponentials; mass above 2^-20 requires
     # that sum below 13.9, which is far into its lower tail

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billingsley import ResourceError, pd_sample_batch, rng
+from billingsley import (ParameterError, ResourceError, build_sieve, pd_sample_batch, rng,
+                         sample_box_probability, sample_factor_vectors)
+from billingsley.factor_stats import BoxSpec
 
 
 def test_raw64_deterministic_and_stream_separated():
@@ -26,6 +28,21 @@ def test_mix64_matches_vector_path():
     key = rng.stream_key(7)
     for i in [*range(16), b - 2, b - 1, b, b + 1]:
         assert int(z[i]) == rng.mix64((i * rng.GOLDEN + key) & rng.MASK64)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
+                         ids=lambda kind: kind.__name__)
+def test_numpy_integer_seeds_key_the_int_stream(kind):
+    # seed & MASK64 overflowed on a numpy seed, and raised a bare TypeError on a float
+    assert rng.stream_key(kind(42)) == rng.stream_key(42)
+    assert (pd_sample_batch(kind(42), 3)[0].tobytes()
+            == pd_sample_batch(42, 3)[0].tobytes())
+    sieve, box = build_sieve(1000), BoxSpec((0.5,), (0.1,))
+    for draw in (lambda seed: pd_sample_batch(seed, 3),
+                 lambda seed: sample_factor_vectors(sieve, 1000, 3, 1, seed=seed),
+                 lambda seed: sample_box_probability(sieve, 1000, box, 10, seed=seed)):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            draw(42.0)
 
 
 def test_unit_doubles_at_the_ends_of_the_word_range():

@@ -363,18 +363,53 @@ def test_eratosthenes_is_the_old_list_without_a_table_sized_copy():
     assert peak <= (limit + 1) + 8 * got.size + (1 << 16)
 
 
+@pytest.mark.parametrize("count", [
+    lambda sieve: default_engine().psi_sum([10.7], [3.9]),
+    lambda sieve: default_engine().psi_sum([10], [3.9]),
+    lambda sieve: default_engine().psi_sum(np.array([10.0, 20.0]), np.array([3, 3])),
+    lambda sieve: default_engine().psi_sum(np.array([10, 2.5], dtype=object), [3, 3]),
+    lambda sieve: default_engine().psi_small(10.7, 3.9),
+    lambda sieve: default_engine().psi_small(10, 3.0),
+    lambda sieve: psi_bruteforce(sieve, 10.7, 3.9),
+    lambda sieve: psi_bruteforce(sieve, np.array([10.0]), 3),
+], ids=["psi_sum", "psi_sum-y", "psi_sum-array", "psi_sum-objects", "psi_small",
+        "psi_small-y", "bruteforce", "bruteforce-array"])
+def test_every_count_refuses_float_arguments(sieve5, count):
+    # each of these truncated to Psi(10, 3) = 7
+    with pytest.raises(ParameterError, match="must be (an )?integer"):
+        count(sieve5)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
+                         ids=lambda kind: kind.__name__)
+def test_every_count_takes_numpy_integers(sieve5, kind):
+    engine = default_engine()
+    for got in (engine.psi_sum(kind(10), kind(3)), engine.psi_small(kind(10), kind(3)),
+                psi_bruteforce(sieve5, kind(10), kind(3)),
+                engine.psi_sum(np.array([10], dtype=kind), np.array([3], dtype=kind))):
+        assert type(got) is int and got == 7
+
+
+def test_batch_past_int64_is_a_domain_error():
+    # np.asarray raised a bare OverflowError
+    for x, y in [(2**70, 3), ([2**70], [3]), ([10], [2**64])]:
+        with pytest.raises(DomainError, match="below 2\\^63"):
+            default_engine().psi_sum(x, y)
+
+
 def test_engine_tables_are_read_only():
     # a write into a shared table would change every later count in the
     # process: leaf_labels[10] = 3 made psi_exact(10, 3) read 8, not 7
     # (each write stores the value already there, so that a writeable table
     # is left as it was)
     engine = default_engine()
-    for table in (engine.leaf_labels, engine.primes):
+    for table in (engine.leaf_labels, engine.primes, engine.primes.base):
         with pytest.raises(ValueError, match="read-only"):
             table[10] = table[10]
     assert psi_exact(10, 3) == 7
     grown = PsiEngine()
     grown._ensure_primes(2 * grown.prime_limit + 1)
     assert grown.prime_limit > LEAF_LIMIT
-    with pytest.raises(ValueError, match="read-only"):
-        grown.primes[0] = grown.primes[0]
+    for table in (grown.primes, grown.primes.base):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = table[0]

@@ -103,6 +103,13 @@ def test_criterion_8_peak_does_not_grow_with_the_samples(sieve5, table, monkeypa
     assert peak < 8 * 61 * PD_MARGINAL_SAMPLES / 2
 
 
+def test_criterion_8_draws_out_only_the_first_rank(sieve5, table, cpus):
+    # a chunk's first column and the block buffers of two CPUs; all 60
+    # ranks of a chunk alone are 8.4 MB
+    cpus(2)
+    assert _traced_peak(lambda: check_pd_marginal(SuiteContext(sieve5, table))) < 5 << 20
+
+
 def test_criterion_2_is_unchanged_under_the_u_bound(sieve5, table):
     assert max(ALTERNATING_SUM_POINTS) <= H_U_MAX
     got = check_alternating_sum(SuiteContext(sieve5, table))
