@@ -21,7 +21,7 @@ from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError
 from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
                            sample_box_probability)
-from .primes import PrimeSieve
+from .primes import PrimeSieve, _integer_n
 from .rng import DEFAULT_SEED
 
 #: Monte Carlo verdicts get this many standard errors of slack
@@ -42,6 +42,7 @@ class BoxCriterion:
     def __post_init__(self):
         if not 0 < self.epsilon < 1:
             raise ParameterError("epsilon must lie in (0, 1)")
+        object.__setattr__(self, "k", _integer_n(self.k, "k"))
         if self.k < 1:
             raise ParameterError("k must be >= 1")
         if self.R is None:
@@ -137,6 +138,7 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     prime-tuple identity (the sieve must reach their top prime bound); the n
     in between fall back to Monte Carlo with a 4-sigma margin on the verdict.
     """
+    ladder = sorted(_integer_n(v) for v in ladder)
     if not box_admissible(box, crit):
         raise DomainError(
             f"box not admissible: R*diam(B) = {crit.R * box.diameter():.6g} "
@@ -145,7 +147,7 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     inf_f = inf_density_on_box(table, box)
     lower = (1.0 - crit.epsilon) * vol * inf_f
     entries = []
-    for n in sorted(int(v) for v in ladder):
+    for n in ladder:
         if n > sieve.limit or n <= exact_threshold:
             est = (box_probability_exact(sieve, n, box) if n <= sieve.limit
                    else box_probability_via_psi(sieve, n, box))

@@ -13,12 +13,12 @@ two must agree to the integer.
 
 The identity sums the innermost prime in closed form: the m <= N whose
 largest prime lies in [a, b] number sum_{a <= q <= b} Psi(N/q, q) =
-Psi(N, b) - Psi(N, a - 1).  Tuples run over the outer k - 1 ranges; the
-rows whose quotient N is at most the Psi engine's leaf limit (2^20) count
-the m <= N labelled in [a, b] in one pass over its leaf table, and only
-larger N are expanded and swept.  The identity reads the sieve's prime list
-but never its largest-prime-factor table, which the scan reads, so each
-route checks the other through an independently built table.
+Psi(N, b) - Psi(N, a - 1).  Tuples run over the outer k - 1 ranges; rows
+whose quotient N is at most the Psi engine's leaf limit (2^20) read it off
+one prefix count of the leaf table's labels in [a, b], and only larger N
+are expanded and swept.  The identity reads the sieve's prime list but
+never its largest-prime-factor table, which the scan reads, so each route
+checks the other through an independently built table.
 """
 from __future__ import annotations
 
@@ -30,9 +30,7 @@ import numpy as np
 from . import rng
 from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .primes import PrimeSieve, _integer_n, power_ceil, power_floor
-from .smoothcount import _count_labels, default_engine
-
-from .rng import DEFAULT_SEED
+from .smoothcount import default_engine
 
 #: most draws one Monte Carlo estimate may make, about five minutes on one
 #: CPU at n = 10^7: the draws stream through fixed buffers, so no memory
@@ -42,7 +40,7 @@ MAX_MC_SAMPLES = 1 << 33
 #: integers per task of the exact scan
 SCAN_CHUNK = 1 << 18
 
-#: prime tuples handed to the Psi engine per call in box_probability_via_psi
+#: prime tuples box_probability_via_psi forms and counts at a time
 PSI_TUPLE_CHUNK = 1 << 20
 
 
@@ -254,9 +252,9 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, a - 1), the m <= N
     labelled in [a, b] in the Psi engine's leaf table: the rows with quotient
     N = n // (p_1 ... p_{k-1}) <= LEAF_LIMIT (k = 1 has the one row N = n)
-    take one pass over those labels per chunk of tuples.  The table cannot
-    answer a larger N, so those rows expand the innermost prime as well and
-    go to the engine's psi_sum.
+    read it off one int32 prefix count of those labels, built once per call
+    up to the largest such N.  The table cannot answer a larger N, so those
+    rows expand the innermost prime as well and go to the engine's psi_sum.
 
     Only the sieve's prime list is read, never its largest-prime-factor
     table: the exact scan reads that table and this route the engine's, so
@@ -274,11 +272,14 @@ def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactPro
     ranges = [sieve.primes_in_range(lo, hi) for lo, hi in outer]
     inner = [sieve.primes_in_range(a, b)]
     engine = default_engine()
+    top = min(n // math.prod(lo for lo, _ in outer), engine.leaf_limit)  # >= every leaf row's N
+    lab = engine.leaf_labels[1:top + 1]  # index 0 is the table's sentinel
+    below = np.zeros(top + 1, dtype=np.int32)  # below[N]: the m <= N labelled in [a, b]
+    np.cumsum((lab >= a) & (lab <= b), dtype=np.int32, out=below[1:])
     count = 0
     for N, _ in _prime_tuples(np.array([n], dtype=np.int64), ranges):
         small = N <= engine.leaf_limit
-        # the rows come N-descending for each head: reversed, they sort faster
-        count += int(_count_labels(engine.leaf_labels, N[small][::-1], a, b).sum())
+        count += int(below[N[small]].sum(dtype=np.int64))
         count += sum(engine.psi_sum(z, q) for z, q in _prime_tuples(N[~small], inner))
     return ExactProbability(count=count, total=n)
 
@@ -303,7 +304,7 @@ def _prime_tuples(N: np.ndarray, ranges: list):
 
 
 def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int,
-                           seed: int = DEFAULT_SEED) -> EmpiricalEstimate:
+                           seed: int = rng.DEFAULT_SEED) -> EmpiricalEstimate:
     """Monte Carlo estimate of the box probability.
 
     The draws are 0..samples-1 of the seed's stream, exactly the integers
@@ -338,7 +339,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
 
 
 def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
-                          seed: int = DEFAULT_SEED) -> np.recarray:
+                          seed: int = rng.DEFAULT_SEED) -> np.recarray:
     """Draw `count` uniform integers from [1, n] and rank their factors.
 
     Returns a record array of `count` rows with fields N (int64), p (the

@@ -220,14 +220,14 @@ def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
 
 def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> float:
     """Checks every precondition before any work; returns the lattice step."""
-    if isinstance(grid, bool) or not isinstance(grid, int) or grid < 1:
+    if isinstance(grid, bool) or _integer_n(grid, "grid") < 1:
         raise ParameterError(f"grid must be an int >= 1, got {grid!r}")
     box.require_inside_u()
     need = (1.0 - sum(box.t[:-1])) / box.t[-1]
     if need > table.u_max:
         raise DomainError(f"the box needs rho up to u = {need:.6g}, but the "
                           f"table stops at u_max = {table.u_max:g}")
-    step = min(_LATTICE_UNIT, box.t[-1]) / grid
+    step = min(_LATTICE_UNIT, box.t[-1]) / int(grid)
     points = sum(box.dt[:-1]) / step + box.k  # <= grid/_LATTICE_UNIT + k at t_k >= _LATTICE_UNIT
     check_memory(128.0 * points,  # measured peak about 100 bytes a point
                  f"a quadrature lattice of {points:.3g} points")

@@ -108,8 +108,9 @@ def build_sieve(limit: int) -> PrimeSieve:
     * any other odd m takes max(P, lpf[m / P]), P being its entry.
 
     The writes move forward through the table, and for a fixed P so do the
-    reads.
+    reads.  A float limit is refused.
     """
+    limit = _integer_n(limit, "sieve limit")
     if limit < 2 or limit > 2**31 - 1:
         raise ParameterError(f"sieve limit must be in [2, 2^31 - 1], got {limit}")
     check_memory(_build_bytes(limit), f"sieve to {limit}")
@@ -254,11 +255,11 @@ def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     buffer whose first element holds the running sum, and np.cumsum adds
     each chunk strictly left to right (np.sum would add pairwise), so the
     value is bit for bit that of a plain loop over the ascending primes and
-    the memory does not grow with the range.
+    the memory does not grow with the range.  Floats are refused.
     """
-    if not 2 <= a <= b <= sieve.limit:
+    if not 2 <= a <= b <= sieve.limit:  # nan and inf fail here
         raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
-    ps = sieve.primes_in_range(a, b)
+    ps = sieve.primes_in_range(_integer_n(a, "a"), _integer_n(b, "b"))
     terms = np.empty(min(ps.size, _SUM_CHUNK) + 1)
     total = 0.0
     for lo in range(0, ps.size, _SUM_CHUNK):
@@ -276,4 +277,4 @@ def mertens_constant_estimate(sieve: PrimeSieve, x: int) -> float:
         raise DomainError("need x >= 3 so that log log x is positive")
     if x > sieve.limit:
         raise DomainError(f"x={x} beyond sieve limit {sieve.limit}")
-    return mertens_sum(sieve, 2, x) - math.log(math.log(x))
+    return mertens_sum(sieve, 2, _integer_n(x, "x")) - math.log(math.log(x))

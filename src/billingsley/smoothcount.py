@@ -77,8 +77,7 @@ X_SUM_LIMIT = 1 << 62
 #: the one-large-factor identity expands at most about this many rows at once
 IDENTITY_ROWS = 1 << 22
 
-#: a label count compares this many labels at a time, into two reused
-#: boolean buffers (64 KiB each, with 256 KiB of int32 labels read)
+#: a label count compares this many int32 labels at a time into one 64 KiB buffer
 _COUNT_CHUNK = 1 << 16
 
 #: the sweep closes at the first stage whose prime is at most this.  In a
@@ -159,7 +158,7 @@ class PsiEngine:
     def psi_small(self, x, y: int):
         """Psi(x, y) for 1 <= x <= T off the leaf table; x is an int, or an
         integer array for an int64 array of counts.  Floats are refused."""
-        return _count_labels(self.leaf_labels, x, 1, _integer_n(y, "y"))
+        return _count_labels(self.leaf_labels, x, _integer_n(y, "y"))
 
     def psi_sum(self, x, y) -> int:
         """sum_r Psi(x[r], y[r]) over equally shaped integer arrays; terms
@@ -296,20 +295,19 @@ def psi_exact(x: int, y: int) -> int:
     return engine.psi_sum([x], [y])
 
 
-def _count_labels(labels: np.ndarray, x, lo: int, hi: int):
-    """#{1 <= m <= x : lo <= labels[m] <= hi} for an int x, or for each x of
-    an integer array of any shape as an int64 array of that shape; x reaches
-    at most the table's last index, and floats are refused.
-
-    The labels stream _COUNT_CHUNK at a time through two reused boolean
-    buffers.  With x sorted, a chunk where some x end counts up to the first
-    and sums cumulatively from there to the last."""
+def _count_labels(labels: np.ndarray, x, y: int):
+    """#{1 <= m <= x : labels[m] <= y}, Psi(x, y) off a largest-prime-factor
+    table: for an int x, or for each x of an integer array as an int64 array
+    of its shape.  x reaches at most the table's last index; floats are
+    refused.  The labels stream _COUNT_CHUNK at a time through one reused
+    boolean buffer; with x sorted, a chunk where some x end counts up to the
+    first and sums cumulatively from there to the last."""
     limit = labels.size - 1
     try:
         x = _integer_array(x)
     except OverflowError:
         raise DomainError(f"x beyond table limit {limit}") from None
-    if hi < 1 or (x.size and int(x.min()) < 1):
+    if y < 1 or (x.size and int(x.min()) < 1):
         raise ParameterError("need x >= 1 and y >= 1")
     top = int(x.max(initial=0))
     if top > limit:
@@ -319,21 +317,19 @@ def _count_labels(labels: np.ndarray, x, lo: int, hi: int):
     starts = range(1, top + 1, _COUNT_CHUNK)
     cuts = [0] + ends.searchsorted(starts[1:]).tolist() + [x.size]  # x per chunk
     counts = np.empty(x.size, dtype=np.int64)
-    inside, upto = (np.empty(min(top, _COUNT_CHUNK), dtype=bool) for _ in range(2))
+    inside = np.empty(min(top, _COUNT_CHUNK), dtype=bool)
     total = 0
     for start, done, stop in zip(starts, cuts, cuts[1:]):
         part = labels[start: min(start + _COUNT_CHUNK, top + 1)]
-        band = np.less_equal(part, hi, out=inside[:part.size])
-        if lo > 1:  # every label is at least 1
-            band &= np.greater_equal(part, lo, out=upto[:part.size])
+        smooth = np.less_equal(part, y, out=inside[:part.size])
         if stop > done:
             here = ends[done:stop] - start
             first = int(here[0])
-            sums = np.add.accumulate(band[first: int(here[-1]) + 1], dtype=np.int32)
+            sums = np.add.accumulate(smooth[first: int(here[-1]) + 1], dtype=np.int32)
             # counts stay <= limit < 2^31, so they fit the sums' int32
-            counts[order[done:stop]] = (total + int(np.count_nonzero(band[:first]))
+            counts[order[done:stop]] = (total + int(np.count_nonzero(smooth[:first]))
                                         + sums[here - first])
-        total += int(np.count_nonzero(band))
+        total += int(np.count_nonzero(smooth))
     counts = counts.reshape(x.shape)
     return counts if counts.ndim else int(counts)
 
@@ -344,7 +340,7 @@ def psi_bruteforce(sieve: PrimeSieve, x, y: int):
 
     m = 1 counts (it has no prime factor at all).  Floats are refused.
     """
-    return _count_labels(sieve.largest_prime_factor, x, 1, _integer_n(y, "y"))
+    return _count_labels(sieve.largest_prime_factor, x, _integer_n(y, "y"))
 
 
 def psi_dickman(table: DickmanTable, x: float, y: float) -> float:

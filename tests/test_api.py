@@ -2,7 +2,11 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import billingsley
+from billingsley import BoxCriterion, BoxSpec, ParameterError
 
 #: the public API; a name added or dropped here is a change to review
 PUBLIC_NAMES = [
@@ -84,3 +88,28 @@ def test_readme_library_sketch_runs():
     sketch = re.search(r"## Library sketch\n\n```python\n(.*?)```", text, re.S)
     assert sketch is not None, "README has no library sketch"
     exec(compile(sketch.group(1), str(README), "exec"), {})
+
+
+@pytest.mark.parametrize("entry", ["run_criterion", "mertens_sum", "mertens_constant_estimate",
+                                   "build_sieve", "BoxCriterion", "pd_box_probability_refined"])
+def test_integer_arguments_refuse_floats_and_take_numpy_integers(sieve5, table, entry):
+    # a float is refused before any work, integral or not, and a numpy
+    # integer gives the same answer as the int
+    box = BoxSpec.from_string("0.5,0.1")
+    call, value, bad = {
+        "run_criterion": (lambda v: billingsley.run_criterion(
+            sieve5, table, [v], box, BoxCriterion(epsilon=0.25, k=1)).to_dict(), 10**4, 10000.7),
+        "mertens_sum": (lambda v: billingsley.mertens_sum(sieve5, v, 10), 3, 2.5),
+        "mertens_constant_estimate": (
+            lambda v: billingsley.mertens_constant_estimate(sieve5, v), 10, 10.5),
+        "build_sieve": (lambda v: (type(billingsley.build_sieve(v).limit),
+                                   billingsley.build_sieve(v).prime_array.tolist()), 100, 10.5),
+        "BoxCriterion": (lambda v: (BoxCriterion(epsilon=0.25, k=v),
+                                    type(BoxCriterion(epsilon=0.25, k=v).k)), 1, 1.5),
+        "pd_box_probability_refined": (lambda v: billingsley.pd_box_probability_refined(
+            table, BoxSpec.from_string("0.45,0.1;0.2,0.05"), grid=v), 8, 8.0),
+    }[entry]
+    for v in (bad, float(value)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(v)
+    assert call(np.int64(value)) == call(value)

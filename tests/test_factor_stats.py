@@ -15,7 +15,7 @@ from billingsley import (BoxSpec, DomainError, ParameterError, PrimeSieve,
 from billingsley import factor_stats, rng
 from billingsley.factor_stats import (MAX_MC_SAMPLES, SCAN_CHUNK, _count_survivors,
                                       _factor_rows, _masks, _peel, _scan_bounds)
-from billingsley.smoothcount import LEAF_LIMIT, _count_labels, default_engine
+from billingsley.smoothcount import LEAF_LIMIT, default_engine
 from conftest import WORKER_COUNTS, inside_u
 
 
@@ -691,10 +691,32 @@ def test_via_psi_edge_intervals(sieve5):
     assert box_probability_via_psi(sieve5, 1, BoxSpec((0.5,), (0.1,))).count == 0
 
 
+def band_box(n, outer, band):
+    """A box with the prime interval outer (none if None), then band = (a, b);
+    b = a - 1 gives an innermost interval with no integer."""
+    a, b = band
+    inner = (a - 0.5, b + 0.5) if b >= a else (a - 0.8, a - 0.2)
+    return log_box(n, ([(outer[0] - 0.5, outer[1] + 0.5)] if outer else []) + [inner])
+
+
+def check_route_against_psi_rows(sieve, n, outer, band):
+    """The route's count on band_box against the sum over its rows N = n // p,
+    p prime in outer (the one row N = n with no outer interval), of
+    Psi(N, b) - Psi(N, a - 1) off the leaf table; returns the rows."""
+    engine = default_engine()
+    box = band_box(n, outer, band)
+    assert prime_bounds(n, box) == ([outer] if outer else []) + [band]
+    N = n // sieve.primes_in_range(*outer) if outer else np.array([n])
+    assert N.max(initial=0) <= LEAF_LIMIT
+    a, b = band
+    want = int(np.sum(engine.psi_small(N, b) - engine.psi_small(N, a - 1)))
+    assert box_probability_via_psi(sieve, n, box).count == want, (n, outer, band)
+    return N
+
+
 def test_innermost_identity_row_by_row(sieve5):
     # sum_{a <= q <= b} Psi(N // q, q) = Psi(N, b) - Psi(N, a - 1) for every
-    # N, including N < a, and the route counts it as the m <= N labelled in
-    # [a, b] off the engine's leaf table
+    # N, including N < a, and the route counts it on boxes with that band
     engine = default_engine()
     N = np.arange(1, 3001, dtype=np.int64)
     for a, b in [(2, 2), (2, 13), (3, 3), (14, 16), (30, 60), (101, 997), (2500, 2999)]:
@@ -703,20 +725,27 @@ def test_innermost_identity_row_by_row(sieve5):
             z = N // q
             want[z >= 1] += psi_bruteforce(sieve5, z[z >= 1], q)
         assert np.array_equal(engine.psi_small(N, b) - engine.psi_small(N, a - 1), want)
-        got = _count_labels(engine.leaf_labels, N, a, b)
-        assert np.array_equal(got, want), (a, b)
+    for a, b in [(2, 2), (2, 13), (14, 16), (2500, 2999), (25, 24), (2500, 2499)]:
+        check_route_against_psi_rows(sieve5, 10**6, None, (a, b))
+        outer = (max(a, b) + 10, max(a, b) + 5000)
+        check_route_against_psi_rows(sieve5, 4 * (outer[1] + 1) * (b + 1), outer, (a, b))
+    # inside U every row has N >= b, so N < a takes an empty band: here the
+    # rows are N = 24 and 25 against a = 25
+    N = check_route_against_psi_rows(sieve5, 10**6, (39000, 40300), (25, 24))
+    assert (N < 25).any() and (N == 25).any()
 
 
-def test_band_count_is_a_difference_of_psi_at_random_rows():
-    engine = default_engine()
+def test_band_count_is_a_difference_of_psi_at_random_rows(sieve5):
     rnd = np.random.default_rng(8)
     for _ in range(20):
-        N = rnd.integers(1, LEAF_LIMIT + 1, int(rnd.integers(0, 300)))
         a = int(rnd.integers(2, 5000))
         b = a + int(rnd.integers(-1, 5000))
-        got = _count_labels(engine.leaf_labels, N, a, b)
-        want = engine.psi_small(N, b) - engine.psi_small(N, a - 1)
-        assert np.array_equal(got, want), (a, b)
+        check_route_against_psi_rows(sieve5, int(rnd.integers(b + 1, LEAF_LIMIT + 1)),
+                                     None, (a, b))
+        lo = max(a, b) + int(rnd.integers(2, 1000))
+        outer = (lo, min(lo + int(rnd.integers(0, 20000)), 10**5))
+        n = int(rnd.integers((outer[1] + 1) * (b + 1), lo * LEAF_LIMIT))
+        check_route_against_psi_rows(sieve5, n, outer, (a, b))
 
 
 @pytest.fixture(scope="module")
@@ -733,6 +762,37 @@ def test_via_psi_pins_past_the_leaf_limit(sieve_top_1e12):
         assert tuple_route_count(sieve_top_1e12, n, box) == want
     # from the full tuple route, which takes seconds here
     assert box_probability_via_psi(sieve_top_1e12, 10**12, k2).count == 16663915721
+
+
+#: a k = 3 box whose route at 10^12 and 10^13 forms millions of leaf rows
+MANY_ROWS_BOX = BoxSpec.from_string("0.4,0.05;0.2,0.05;0.1,0.05")
+
+
+@pytest.fixture(scope="module")
+def sieve_top_1e13():
+    """Primes up to the top bound of MANY_ROWS_BOX at n = 10^13."""
+    return build_sieve(prime_bounds(10**13, MANY_ROWS_BOX)[0][1])
+
+
+def test_via_psi_pins_on_a_box_with_many_leaf_rows(sieve_top_1e13):
+    # 10^13 matches P_n = 0.0046176454 from the tree before the streamed label
+    # count; both counts are unchanged by how the leaf rows are counted
+    for n, want in [(10**12, 4778184690), (10**13, 46176453601)]:
+        assert box_probability_via_psi(sieve_top_1e13, n, MANY_ROWS_BOX).count == want
+
+
+def test_via_psi_memory_on_a_box_with_many_leaf_rows(sieve_top_1e13):
+    box_probability_via_psi(sieve_top_1e13, 10**12, MANY_ROWS_BOX)  # the engine's tables
+    tracemalloc.start()
+    try:
+        got = box_probability_via_psi(sieve_top_1e13, 10**13, MANY_ROWS_BOX).count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == 46176453601
+    # 52 MiB, against 87 MiB when each chunk's leaf rows were sorted and
+    # counted one by one
+    assert peak < 64 << 20
 
 
 def test_via_psi_reads_no_largest_prime_factor_table(sieve7):
