@@ -40,8 +40,19 @@ MAX_MC_SAMPLES = 1 << 33
 #: integers per task of the exact scan
 SCAN_CHUNK = 1 << 18
 
-#: prime tuples box_probability_via_psi forms and counts at a time
-PSI_TUPLE_CHUNK = 1 << 20
+#: share of True in a rank-1 mask above which _positions pads it past a
+#: tenth.  numpy 2.4 lists the positions of a mask at most a tenth True by a
+#: skip loop, else by a branch-free pass of about 1.3 ns an entry on a
+#: 2-vCPU Xeon VM; the skip loop costs as much at a share of 3.0 to 3.3%,
+#: and 2 to 3 times as much near a tenth, measured over fresh scan and
+#: Monte Carlo masks of 2^18 and 2^16 entries (one mask listed over and over
+#: trains the branch predictor, which hides the skip loop's cost)
+_PAD_FROM = 0.03
+
+#: prime tuples box_probability_via_psi forms and counts at a time, which
+#: set the route's peak memory: a tracemalloc peak of 14 MiB on the tests'
+#: k = 3 box at 10^13, against 52 MiB at 2^20, which was no faster
+PSI_TUPLE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -191,7 +202,7 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProba
 
     def chunk_count(lo, hi, masks):
         return _count_survivors(lpf, lpf[lo:hi], bounds,
-                                lambda rows: rows.astype(lpf.dtype) + lo, masks)
+                                lambda rows: np.add(rows, lo, out=rows), masks)
 
     counts = rng.run_tasks(chunk_count, range(1, n + 1, SCAN_CHUNK),
                            lambda: _masks(min(SCAN_CHUNK, n)))
@@ -199,8 +210,11 @@ def box_probability_exact(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProba
 
 
 def _masks(size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two boolean buffers _count_survivors compares rank 1 into."""
-    return np.empty(size, dtype=bool), np.empty(size, dtype=bool)
+    """The two boolean buffers _count_survivors compares rank 1 into.  The
+    first has size // 9 + 1 entries of room past size, where _positions
+    writes True until more than a tenth of the longer mask is True, from
+    any count of True in the first size entries."""
+    return np.empty(size + size // 9 + 1, dtype=bool), np.empty(size, dtype=bool)
 
 
 def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
@@ -213,30 +227,57 @@ def _scan_bounds(sieve: PrimeSieve, n: int, box: BoxSpec) -> list | None:
 def _count_survivors(lpf: np.ndarray, p: np.ndarray, bounds, m_at, masks) -> int:
     """How many integers have ranks 1..k inside the _scan_bounds intervals,
     given rank 1 of each as p and the integers at chosen positions as
-    m_at(rows).
+    m_at(rows): an intp array of their own that the peel divides in place,
+    which may be rows itself, as rows is read before it.
 
-    Rank 1 is compared into the boolean buffers masks, at least p's size.
-    Rank i + 1 is divided out and read only for the integers whose ranks
-    1..i are inside; padding 1 peels 1 to itself, as in _peel.
+    Rank 1 is compared into the boolean buffers masks (_masks of at least
+    p's size) and counted before its positions are listed, so that a share
+    of True in (_PAD_FROM, 1/10] is listed on numpy's branch-free pass.
+    Rank i + 1 is divided out and read only at the positions of the
+    integers whose ranks 1..i are inside; the last rank is counted, never
+    compacted.  Padding 1 peels 1 to itself, as in _peel.
     """
     if bounds is None:
         return 0
-    (lo, hi), rest = bounds[0], bounds[1:]
-    inside, upto = (mask[:p.size] for mask in masks)
+    (lo, hi), *rest = bounds
+    mask, upto = masks
+    inside = mask[:p.size]
     np.greater_equal(p, lo, out=inside)
-    inside &= np.less_equal(p, hi, out=upto)
-    if not rest:
-        return int(np.count_nonzero(inside))
-    rows = np.flatnonzero(inside)
-    if not rows.size:
-        return 0
-    m, p = m_at(rows), p[rows]
-    for lo, hi in rest:
-        m = m // p
-        p = lpf[m]
-        inside = (p >= lo) & (p <= hi)
-        m, p = m[inside], p[inside]
-    return m.size
+    inside &= np.less_equal(p, hi, out=upto[:p.size])
+    count = int(np.count_nonzero(inside))
+    if not rest or not count:
+        return count
+    rows = _positions(mask, p.size, count)
+    p = p[rows]
+    m = m_at(rows)
+    *middle, (lo, hi) = rest
+    for lo_i, hi_i in middle:
+        p = lpf[_divide_out(m, p)]
+        keep = np.flatnonzero((p >= lo_i) & (p <= hi_i))
+        m, p = m[keep], p[keep]
+    p = lpf[_divide_out(m, p)]
+    return int(np.count_nonzero((p >= lo) & (p <= hi)))
+
+
+def _divide_out(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """m //= p in place, for an intp array m and each p a divisor of its m:
+    the float quotient of integers below 2^53 is then exact, and cheaper
+    than an integer division, and written back into m it allocates no
+    array."""
+    return np.divide(m, p, out=m, casting="unsafe")
+
+
+def _positions(mask: np.ndarray, size: int, count: int) -> np.ndarray:
+    """np.flatnonzero(mask[:size]), given its count of True and the room
+    of _masks past size.  For counts in (_PAD_FROM, 1/10] of size, True is
+    written past size until just over a tenth of the longer mask is True,
+    which numpy lists on its branch-free pass, and only the first count
+    positions are kept."""
+    if not _PAD_FROM * size < count <= size // 10:
+        return np.flatnonzero(mask[:size])
+    end = size + (size - 10 * count) // 9 + 1
+    mask[size:end] = True
+    return np.flatnonzero(mask[:end])[:count]
 
 
 def box_probability_via_psi(sieve: PrimeSieve, n: int, box: BoxSpec) -> ExactProbability:

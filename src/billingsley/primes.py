@@ -208,11 +208,14 @@ def power_ceil(n: int, t: float) -> int:
 
 def _integer_n(n, name: str = "n") -> int:
     """n as a Python int, so that its powers never wrap: a numpy integer
-    converts exactly; a float, integral or not, is a ParameterError."""
+    converts exactly; a float, integral or not, or a bool is a
+    ParameterError."""
     try:
-        return operator.index(n)
+        if not isinstance(n, bool):
+            return operator.index(n)
     except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {n!r}") from None
+        pass
+    raise ParameterError(f"{name} must be an integer, got {n!r}")
 
 
 def _integer_array(x, name: str = "x") -> np.ndarray:

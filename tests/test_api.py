@@ -113,3 +113,20 @@ def test_integer_arguments_refuse_floats_and_take_numpy_integers(sieve5, table, 
         with pytest.raises(ParameterError, match="must be an integer"):
             call(v)
     assert call(np.int64(value)) == call(value)
+
+
+@pytest.mark.parametrize("entry", ["psi_exact", "BoxCriterion", "build_sieve",
+                                   "pd_sample_batch", "box_probability_exact"])
+def test_integer_arguments_refuse_bools(sieve5, entry):
+    # a bool is an int to Python, but never a count, a rank or a limit
+    call = {
+        "psi_exact": lambda v: billingsley.psi_exact(v, 10),
+        "BoxCriterion": lambda v: BoxCriterion(epsilon=0.25, k=v),
+        "build_sieve": billingsley.build_sieve,
+        "pd_sample_batch": lambda v: billingsley.pd_sample_batch(42, v),
+        "box_probability_exact": lambda v: billingsley.box_probability_exact(
+            sieve5, v, BoxSpec.from_string("0.5,0.1")),
+    }[entry]
+    for v in (True, np.True_):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            call(v)

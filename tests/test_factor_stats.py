@@ -546,6 +546,101 @@ def test_mc_count_matches_full_peel(sieve5):
         assert got == want, box
 
 
+#: rank-1 ranges whose share of the m <= N_SCAN lies below _PAD_FROM, in
+#: the band (_PAD_FROM, 1/10] where _positions pads the mask, and above it;
+#: the ranges below them give ranks 2 and 3
+BAND_RANGES = {"below": (1000, 1200), "band": (307, 499), "above": (101, 211)}
+LOWER_RANGES = [(11, 97), (2, 7)]
+
+
+def test_band_ranges_have_their_shares(sieve5):
+    lpf = sieve5.largest_prime_factor[1:N_SCAN + 1]
+    share = {band: np.count_nonzero((lpf >= lo) & (lpf <= hi)) / N_SCAN
+             for band, (lo, hi) in BAND_RANGES.items()}
+    assert share["below"] < factor_stats._PAD_FROM < share["band"] <= 0.1 < share["above"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("band", sorted(BAND_RANGES))
+def test_survivor_count_matches_full_peel_in_every_band(sieve5, monkeypatch, band, k):
+    ranges = [BAND_RANGES[band]] + LOWER_RANGES[:k - 1]
+    box = prime_box(N_SCAN, ranges)
+    m = np.arange(1, N_SCAN + 1, dtype=np.int64)
+    want = full_peel_count(sieve5, m, ranges)
+    shares = []
+    positions = factor_stats._positions
+
+    def checked_positions(mask, size, count):
+        shares.append(count / size)
+        rows = positions(mask, size, count)
+        assert np.array_equal(rows, np.flatnonzero(mask[:size]))
+        return rows
+
+    monkeypatch.setattr(factor_stats, "_positions", checked_positions)
+    lpf = sieve5.largest_prime_factor
+    got = _count_survivors(lpf, lpf[m], _scan_bounds(sieve5, N_SCAN, box),
+                           lambda rows: m[rows], _masks(m.size))
+    assert got == want
+    # chunks that do not divide N_SCAN, so that a short last chunk ends the
+    # scan, each chunk's share near the whole range's
+    for chunk in (3001, 7919):
+        monkeypatch.setattr(factor_stats, "SCAN_CHUNK", chunk)
+        assert box_probability_exact(sieve5, N_SCAN, box).count == want, chunk
+    if k > 1 and band == "band":
+        assert shares and all(factor_stats._PAD_FROM < v <= 0.1 for v in shares), shares
+
+
+def test_survivor_count_of_one_integer_and_of_none(sieve5):
+    lpf = sieve5.largest_prime_factor
+    band = [BAND_RANGES["band"]]
+    for ranges in (band + LOWER_RANGES[:1], band + LOWER_RANGES, band + [(114, 126)]):
+        bounds = _scan_bounds(sieve5, N_SCAN, prime_box(N_SCAN, ranges))
+        for m0 in (1, 2, 307, 307 * 11, 307 * 11 * 7, 499 * 97 * 2, 499 * 101, N_SCAN):
+            m = np.array([m0], dtype=np.int64)
+            got = _count_survivors(lpf, lpf[m], bounds, lambda rows: m[rows], _masks(1))
+            assert got == full_peel_count(sieve5, m, ranges), (ranges, m0)
+    # survivors at rank 1 and none at rank 2, which holds no prime
+    box = prime_box(N_SCAN, band + [(114, 126)])
+    assert box_probability_exact(sieve5, N_SCAN, box).count == 0
+
+
+@pytest.mark.parametrize("share", [0, 0.03, 0.099, 0.1, 0.101, 0.5, 1])
+def test_positions_equal_flatnonzero(share):
+    rnd = np.random.default_rng(3)
+    for size in (1, 1000, 1 << 16):
+        mask = _masks(size)[0]
+        assert mask.size == size + size // 9 + 1
+        mask[:] = rnd.random(mask.size) < 0.5  # the room past size holds anything
+        mask[:size] = False
+        count = round(share * size)
+        mask[rnd.choice(size, count, replace=False)] = True
+        assert np.array_equal(factor_stats._positions(mask, size, count),
+                              np.flatnonzero(mask[:size])), size
+
+
+def test_divide_out_is_exact_up_to_the_largest_sieve_limit():
+    # m // p for p a divisor of m, up to m = 2^31 - 1, the largest sieve
+    # limit (and a prime)
+    rnd = np.random.default_rng(5)
+    p = rnd.integers(1, 1 << 16, 10**5)
+    q = rnd.integers(1, (2**31 - 1) // p + 1)
+    p = np.append(p, [1, 2**31 - 1, 46337])
+    q = np.append(q, [2**31 - 1, 1, 46337])
+    m = p * q
+    assert factor_stats._divide_out(m, p.astype(np.int32)) is m
+    assert np.array_equal(m, q)
+
+
+def test_counts_pinned_in_the_padded_band(sieve7, cpus):
+    # rank-1 share 9.5%, inside the band where _positions pads a mask
+    box = BoxSpec.from_string("0.5,0.05;0.2,0.05")
+    assert box_probability_exact(sieve7, 10**7, box).count == 159662
+    for workers in (1, 2):
+        pools = cpus(workers)
+        assert sample_box_probability(sieve7, 10**7, box, 10**7, seed=42).hits == 159823
+        assert pools == ([] if workers == 1 else [1])
+
+
 #: sample_box_probability hits at n = 10^6 with 2 * 10^5 draws, recorded as
 #: the in-box row counts of sample_factor_vectors for the same seed and count;
 #: the Monte Carlo route must stay bit-identical
@@ -790,9 +885,9 @@ def test_via_psi_memory_on_a_box_with_many_leaf_rows(sieve_top_1e13):
     finally:
         tracemalloc.stop()
     assert got == 46176453601
-    # 52 MiB, against 87 MiB when each chunk's leaf rows were sorted and
-    # counted one by one
-    assert peak < 64 << 20
+    # 14 MiB in tuple chunks of 2^18; 52 MiB in chunks of 2^20, and 87 MiB
+    # when each chunk's leaf rows were sorted and counted one by one
+    assert peak < 24 << 20
 
 
 def test_via_psi_reads_no_largest_prime_factor_table(sieve7):

@@ -215,14 +215,18 @@ def test_last_rows_of_the_counter_range_are_drawn():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("truncation", [1, 5, 60])
+@pytest.mark.parametrize("truncation", [1, 5, 60, 1100])
 def test_k_ranks_are_the_first_columns_of_the_full_rows(cpus, truncation, workers):
+    # at truncation 1100 the prefix products underflow to 0 within each
+    # row, so the rows end in lengths of +0.0, never -0.0
     pools = cpus(workers)
     rows = _block_rows(truncation)
     ks = sorted({k for k in (1, 2, truncation - 1, truncation) if 1 <= k <= truncation})
     for count in (1, rows - 1, rows + 3, 2 * rows + 5):
         for start in (0, 123):
             full, full_tails = pd_sample_batch(7, count, truncation, start=start)
+            assert not np.signbit(full).any()
+            assert (full[:, -1] == 0).all() == (truncation == 1100)
             for k in ks:
                 sticks, tails = pd_sample_batch(7, count, truncation, start=start, k=k)
                 assert sticks.shape == (count, k) and sticks.flags.c_contiguous
