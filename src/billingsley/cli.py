@@ -18,10 +18,11 @@ from . import __version__
 from .convergence import BoxCriterion, run_criterion
 from .dickman import DEFAULT_U_MAX, NODES_PER_UNIT, DickmanTable, build_rho_table, rho
 from .errors import BillingsleyError, ParameterError, ResourceError, check_memory
-from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
-                           prime_bounds, sample_box_probability, sample_factor_vectors)
-from .pd_process import (DEFAULT_TRUNCATION, _chunk_rows, pd_box_probability_refined,
-                         pd_density, pd_sample_batch)
+from .factor_stats import (BoxSpec, _u0, _u_facets, box_probability_exact,
+                           box_probability_via_psi, prime_bounds, sample_box_probability,
+                           sample_factor_vectors)
+from .pd_process import (DEFAULT_TRUNCATION, _chunk_rows, _closed_form_reach,
+                         pd_box_probability_refined, pd_density, pd_sample_batch)
 from .primes import build_sieve, mertens_constant_estimate, mertens_sum, power_floor
 from .rng import DEFAULT_SEED
 from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
@@ -207,10 +208,9 @@ def _cmd_pd_density(args) -> int:
         point = [float(v) for v in args.point.split(",")]
     except ValueError:
         raise ParameterError(f"bad point {args.point!r}, want 't1,t2,...'") from None
-    # the density reads rho at (1 - sum t)/t_k, and only inside U
-    inside = (point[-1] > 0 and sum(point) < 1
-              and all(a > b for a, b in zip(point, point[1:])))
-    table = _rho_table_reaching((1.0 - sum(point)) / point[-1] if inside else 0.0)
+    # the density reads rho only inside U, where a nan point is not
+    inside = all(d > 0 for d in _u_facets(point, point))
+    table = _rho_table_reaching(_u0(point) if inside else 0.0)
     _emit(f"{pd_density(table, point):.{args.digits}f}\n", args.out)
     return 0
 
@@ -218,8 +218,7 @@ def _cmd_pd_density(args) -> int:
 def _cmd_pd_box(args) -> int:
     box = BoxSpec.from_string(args.box)
     box.require_inside_u()
-    # the closed form reads rho one unit past the density's own argument
-    table = _rho_table_reaching(box.u0() + 1.0)
+    table = _rho_table_reaching(_closed_form_reach(box))
     value, err = pd_box_probability_refined(table, box, grid=args.grid)
     _emit(_json_text({"value": value, "error_estimate": err}), args.out)
     return 0

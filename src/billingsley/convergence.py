@@ -19,8 +19,8 @@ import numpy as np
 
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError
-from .factor_stats import (BoxSpec, box_probability_exact, box_probability_via_psi,
-                           sample_box_probability)
+from .factor_stats import (BoxSpec, _u_facets, box_probability_exact,
+                           box_probability_via_psi, sample_box_probability)
 from .primes import PrimeSieve, _integer_n
 from .rng import DEFAULT_SEED
 
@@ -95,7 +95,7 @@ class ConvergenceReport:
 def distance_to_complement(box: BoxSpec) -> float:
     """Exact d(B, U^c): minimum facet distance over the box's vertices."""
     box.require_inside_u()
-    return min(box._facets())
+    return min(_u_facets(box.t, box.upper()))
 
 
 def box_admissible(box: BoxSpec, crit: BoxCriterion) -> bool:

@@ -155,9 +155,7 @@ def rho(table: DickmanTable, u):
     t = x - j
     a, b, c, d = (row.take(j) for row in table.cells)
     out = a + t * (b + t * (c + t * d))
-    if np.isscalar(u) or arr.ndim == 0:
-        return float(out)
-    return out
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +255,7 @@ def rho_via_alternating_sum(u: float) -> float:
     """
     _check_u(u)
     total = 1.0
-    i = 1
-    while i < u:
+    for i in range(1, math.ceil(u)):
         term = h_function(i, u)
         total += term if i % 2 == 0 else -term
-        i += 1
     return total

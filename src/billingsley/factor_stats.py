@@ -55,6 +55,19 @@ _PAD_FROM = 0.03
 PSI_TUPLE_CHUNK = 1 << 18
 
 
+def _u_facets(low, high) -> list[float]:
+    """Distances from the nearest vertex of the box [low, high] (a point t is
+    [t, t]) to the facets t_k = 0, t_i = t_{i+1} (i < k), sum t_i = 1 of
+    U = {t_1 > ... > t_k > 0, sum t_i < 1}, each positive iff on U's side."""
+    return ([low[-1]] + [(low[i] - high[i + 1]) / math.sqrt(2.0) for i in range(len(low) - 1)]
+            + [(1.0 - sum(high)) / math.sqrt(len(low))])
+
+
+def _u0(t) -> float:
+    """(1 - sum t_i) / t_k, the density's rho argument at the point t."""
+    return (1.0 - sum(t)) / t[-1]
+
+
 @dataclass(frozen=True)
 class BoxSpec:
     """A closed coordinate box prod_i [t[i], t[i] + dt[i]], listed largest
@@ -86,34 +99,23 @@ class BoxSpec:
     def upper(self) -> tuple:
         return tuple(a + b for a, b in zip(self.t, self.dt))
 
-    def _facets(self) -> list[float]:
-        """Distances from the box's nearest vertex to U's k+1 facet
-        hyperplanes: t_k = 0, then t_i = t_{i+1} for i = 1..k-1, then
-        sum t_i = 1.  Each is positive iff the box is on U's side of it."""
-        t, up, k = self.t, self.upper(), self.k
-        return ([t[-1]] + [(t[i] - up[i + 1]) / math.sqrt(2.0) for i in range(k - 1)]
-                + [(1.0 - sum(up)) / math.sqrt(k)])
-
-    def _violation(self) -> str | None:
-        """Why the box is not inside U, for the first facet it reaches."""
-        up = self.upper()
-        i = next((i for i, d in enumerate(self._facets()) if d <= 0), None)
-        if i is None:
-            return None
-        if i == 0:
-            return f"t_{self.k} = {self.t[-1]} is not > 0"
-        if i < self.k:
-            return f"t_{i + 1} + dt_{i + 1} = {up[i]} is not < t_{i} = {self.t[i - 1]}"
-        return f"sum of right endpoints = {sum(up)} is not < 1"
-
     def require_inside_u(self) -> None:
-        reason = self._violation()
-        if reason is not None:
+        """DomainError unless the box is inside U, naming the first facet it reaches."""
+        up = self.upper()
+        for i, d in enumerate(_u_facets(self.t, up)):
+            if d > 0:
+                continue
+            if i == 0:
+                reason = f"t_{self.k} = {self.t[-1]} is not > 0"
+            elif i < self.k:
+                reason = f"t_{i + 1} + dt_{i + 1} = {up[i]} is not < t_{i} = {self.t[i - 1]}"
+            else:
+                reason = f"sum of right endpoints = {sum(up)} is not < 1"
             raise DomainError(f"box not inside U: {reason}")
 
     def u0(self) -> float:
-        """(1 - sum t_i) / t_k, the largest rho argument over the box."""
-        return (1.0 - sum(self.t)) / self.t[-1]
+        """The largest rho argument over the box, _u0 of its lower corner."""
+        return _u0(self.t)
 
     @classmethod
     def from_string(cls, text: str) -> "BoxSpec":

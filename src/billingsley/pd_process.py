@@ -3,7 +3,9 @@ the stick-breaking sampler, and box probabilities by quadrature.
 
 The k-dimensional density is rho((1 - sum t_i)/t_k) / (t_1 ... t_k) on the
 open region U = {t_1 > ... > t_k > 0, sum t_i < 1} and zero elsewhere
-(boundary included in "elsewhere").  Sampling breaks a unit stick at
+(boundary included in "elsewhere").  A point t is in U iff all its facet
+distances factor_stats._u_facets(t, t) are positive, as a box's are, and
+its rho argument is factor_stats._u0(t).  Sampling breaks a unit stick at
 independent uniforms: lengths 1-U_1, U_1-U_1U_2, U_1U_2-U_1U_2U_3, ...,
 ranked downward after truncation, with the unbroken remainder prod U_i
 carried explicitly as tail mass.  The sampler fills blocks of about
@@ -25,9 +27,9 @@ U the outer k-1 coordinates enter only through s, so the integral is
 int F(s) g(s) ds, g the convolution of their weights dt/t, each spread
 cloud-in-cell from its lower side over a lattice of step
 min(_LATTICE_UNIT, t_k)/grid, as F varies on the scale t_k; k = 1 is exact.
-F reads rho up to (1 - t_1 - ... - t_{k-1})/t_k, one unit past the density's
-own largest argument, so the table must reach that far.  A lattice over the
-memory budget raises ResourceError before any work.
+F reads rho up to (1 - t_1 - ... - t_{k-1})/t_k, _closed_form_reach, one
+unit past the density's own largest argument, so the table must reach that
+far.  A lattice over the memory budget raises ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -39,7 +41,7 @@ import numpy as np
 from . import rng
 from .dickman import DickmanTable, rho
 from .errors import DomainError, ParameterError, check_memory
-from .factor_stats import BoxSpec
+from .factor_stats import BoxSpec, _u0, _u_facets
 from .primes import _integer_n
 
 DEFAULT_TRUNCATION = 60
@@ -81,13 +83,9 @@ def pd_density(table: DickmanTable, point) -> float:
         raise ParameterError("point must have at least one coordinate")
     if any(not math.isfinite(v) for v in t):
         raise ParameterError("point coordinates must be finite")
-    if t[-1] <= 0 or sum(t) >= 1:
+    if not all(d > 0 for d in _u_facets(t, t)):
         return 0.0
-    for a, b in zip(t, t[1:]):
-        if a <= b:
-            return 0.0
-    u = (1.0 - sum(t)) / t[-1]
-    return rho(table, u) / math.prod(t)
+    return rho(table, _u0(t)) / math.prod(t)
 
 
 def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
@@ -227,12 +225,17 @@ def _lattice_integral(table: DickmanTable, box: BoxSpec, step: float) -> float:
     return float(np.sum(f))
 
 
+def _closed_form_reach(box: BoxSpec) -> float:
+    """(1 - t_1 - ... - t_{k-1}) / t_k, the largest rho argument F reads."""
+    return (1.0 - sum(box.t[:-1])) / box.t[-1]
+
+
 def _validate(table: DickmanTable, box: BoxSpec, grid: int) -> float:
     """Checks every precondition before any work; returns the lattice step."""
     if _integer_n(grid, "grid") < 1:
         raise ParameterError(f"grid must be an int >= 1, got {grid!r}")
     box.require_inside_u()
-    need = (1.0 - sum(box.t[:-1])) / box.t[-1]
+    need = _closed_form_reach(box)
     if need > table.u_max:
         raise DomainError(f"the box needs rho up to u = {need:.6g}, but the "
                           f"table stops at u_max = {table.u_max:g}")

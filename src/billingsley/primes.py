@@ -20,7 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 
 import numpy as np
 
@@ -168,32 +167,26 @@ def build_sieve(limit: int) -> PrimeSieve:
 _BAND_REL = 1e-11
 _BAND_ABS = 1e-9
 
+#: n^t is estimated in Decimal from here on: exp(t log n) is off by up to a
+#: few times 7e-15 relative from 2^32 up, by half a unit from about 10^14
+_FLOAT_POWER_MAX = 2.0**40
+
+
+def _decimal_power(n: int, t: float, digits: int) -> Decimal:
+    """n^t for the dyadic value of t, to `digits` significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return (Decimal(t) * Decimal(n).ln()).exp()
+
 
 def _compare_power(m: int, n: int, t: float) -> int:
     """Sign of m - n^t, decided exactly for the dyadic value of t."""
-    frac = Fraction(t)
-    num, den = frac.numerator, frac.denominator
+    num, den = float(t).as_integer_ratio()
     if den <= 64:
-        lhs = m**den
-        rhs = n**num
-        return (lhs > rhs) - (lhs < rhs)
-    # high-precision fallback; a tie at 60 digits cannot occur for these sizes
-    with localcontext() as ctx:
-        ctx.prec = 60
-        val = (Decimal(t) * Decimal(n).ln()).exp()
-        dm = Decimal(m)
-    return (dm > val) - (dm < val)
-
-
-def _float_power(n: int, t: float) -> float:
-    """n^t as a float; ParameterError unless it is finite."""
-    try:
-        c = math.exp(t * math.log(n)) if n > 1 else 1.0
-    except OverflowError:
-        c = math.inf
-    if not math.isfinite(c):
-        raise ParameterError(f"n^t is not a finite float at n = {n}, t = {t:g}")
-    return c
+        lhs, rhs = m**den, n**num
+    else:  # 44 digits past m's integer part: a tie that close cannot occur here
+        lhs, rhs = m, _decimal_power(n, t, 44 + max(16, len(str(m))))
+    return (lhs > rhs) - (lhs < rhs)
 
 
 def power_floor(n: int, t: float) -> int:
@@ -237,13 +230,21 @@ def _power_round(n: int, t: float, rounding, step: int) -> int:
     """n^t rounded by math.floor (step -1) or math.ceil (step +1).  A float
     n^t within the band around an integer m0 is placed exactly by
     _compare_power: the result is m0 unless n^t lies on the step's side of
-    m0, and then m0 + step."""
+    m0, and then m0 + step.  From _FLOAT_POWER_MAX on, the estimate is a
+    Decimal to 20 digits past its integer part, and m0 its nearest integer."""
     n = _integer_n(n)
     if n < 1 or t < 0:  # a nan t is refused below, as not a finite n^t
         raise ParameterError(f"power_{rounding.__name__} needs n >= 1 and t >= 0")
-    c = _float_power(n, t)
+    try:
+        c = math.exp(t * math.log(n)) if n > 1 else 1.0
+    except OverflowError:
+        c = math.inf
+    if not math.isfinite(c):
+        raise ParameterError(f"n^t is not a finite float at n = {n}, t = {t:g}")
+    if c >= _FLOAT_POWER_MAX:
+        c = _decimal_power(n, t, 20 + len(str(int(c))))
     m0 = round(c)
-    if abs(c - m0) > max(_BAND_ABS, c * _BAND_REL) or m0 < 1:
+    if abs(c - m0) > max(_BAND_ABS, float(c) * _BAND_REL) or m0 < 1:
         return rounding(c)
     return m0 if _compare_power(m0, n, t) * step >= 0 else m0 + step
 

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import check_memory
+from .errors import ParameterError, check_memory
 from .primes import _integer_n
 
 #: fixed documented default seed; never time-based
@@ -211,7 +211,7 @@ def uniform_ints(seed: int, count: int, n: int) -> np.ndarray:
     memory needed is 8 bytes per draw plus the fixed buffers of one block.
     """
     if n < 1 or n > (1 << 63) - 1:
-        raise ValueError("n must be in [1, 2^63 - 1] so results fit an int64 array")
+        raise ParameterError("n must be in [1, 2^63 - 1] so results fit an int64 array")
     block = min(count, BLOCK_WORDS)
     check_memory(_INT_DRAW_BYTES * count + _INT_BLOCK_BYTES * block,
                  f"{count} uniform integers")

@@ -285,8 +285,6 @@ def psi_exact(x: int, y: int) -> int:
         raise ParameterError("y must be >= 1")
     if y >= x:
         return x
-    if y < 2:
-        return 1
     if x > X_SUM_LIMIT:
         raise ResourceError(f"x={x} beyond {X_SUM_LIMIT}; weights would overflow int64")
     engine = default_engine()

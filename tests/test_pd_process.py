@@ -314,6 +314,38 @@ def test_density_zero_off_support(table):
     assert pd_density(table, [0.6, 0.4]) == 0.0
 
 
+#: a point inside U at every k <= 4, and the box width of the facet tests;
+#: dyadic, so that every sum and difference below is exact
+_INSIDE = (2.0**-2, 2.0**-3, 2.0**-4, 2.0**-5)
+_WIDTH = 2.0**-8
+
+
+def _corner_at_facet(k, j, width, by):
+    """The lower corner of a box of this width on every side (a point at
+    width 0) whose nearest vertex lies `by` inside U's facet j: t_k = 0 at
+    j = 0, t_j = t_{j+1} for 0 < j < k, and sum t_i = 1 at j = k."""
+    t = list(_INSIDE[:k])
+    if j == 0:
+        t[-1] = by
+    elif j < k:
+        t[j] = t[j - 1] - width - by
+    else:
+        t[0] = 1.0 - sum(t[1:]) - k * width - by
+    return t
+
+
+@pytest.mark.parametrize("k, j", [(k, j) for k in range(1, 5) for j in range(k + 1)])
+def test_points_and_boxes_share_u_s_facets(k, j):
+    table = build_rho_table(64.0)  # the point 2^-6 above t_1 = 0 reads rho(63)
+    on = _corner_at_facet(k, j, 0.0, 0.0)
+    assert pd_density(table, on) == 0.0
+    with pytest.raises(DomainError, match="not inside U"):
+        BoxSpec(_corner_at_facet(k, j, _WIDTH, 0.0), (_WIDTH,) * k).require_inside_u()
+    near = _corner_at_facet(k, j, 0.0, 2.0**-6)
+    assert pd_density(table, near) > 0.0
+    BoxSpec(_corner_at_facet(k, j, _WIDTH, 2.0**-6), (_WIDTH,) * k).require_inside_u()
+
+
 def test_density_u_argument_out_of_table():
     small = build_rho_table(u_max=2.0)
     with pytest.raises(DomainError):

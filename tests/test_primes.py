@@ -1,3 +1,4 @@
+import decimal
 import functools
 import math
 import random
@@ -245,6 +246,51 @@ def test_power_bounds_parameter_errors():
             power_ceil(10**4, t)
         with pytest.raises(ParameterError, match="not a finite float"):
             power_floor(2, t)
+
+
+def test_power_bounds_are_integer_square_roots_past_float_precision():
+    # exp(t log n) in float64 misses the integer by a unit or more from
+    # n^t near 10^14 up, which is n near 10^28 at t = 1/2
+    rnd = random.Random(29)
+    ns = [rnd.randrange(10**e, 10**(e + 1)) for e in range(10, 40) for _ in range(3)]
+    ns += [r * r + d for r in (10**14, 2**52, 3**50) for d in (-1, 0, 1)]
+    for n in ns:
+        r = math.isqrt(n)
+        assert power_floor(n, 0.5) == r, n
+        assert power_ceil(n, 0.5) == (r if r * r == n else r + 1), n
+
+
+@pytest.mark.parametrize("n", [2**53 + 1, 10**16, 10**18, 2**63 - 1])
+def test_power_bounds_at_t_1_past_2_to_53(n):
+    # float(n) is not n here, so only an estimate finer than a float
+    # places n^1 on the integer n
+    assert power_floor(n, 1.0) == n
+    assert power_ceil(n, 1.0) == n
+
+
+@pytest.mark.parametrize("n, t", [(10**20, 0.9), (2**63 - 1, 0.95), (10**300, 0.9)])
+def test_power_bounds_past_float_precision_match_a_fine_decimal(n, t):
+    # t's denominator is past 2^50, too large for exact integer powers: the
+    # reference is n^t for the dyadic t to 100 digits past the point, far
+    # from any integer
+    with decimal.localcontext() as ctx:
+        ctx.prec = 100 + len(str(n))
+        want = (decimal.Decimal(t) * decimal.Decimal(n).ln()).exp()
+    assert abs(want - round(want)) > decimal.Decimal("1e-6")
+    assert power_floor(n, t) == math.floor(want)
+    assert power_ceil(n, t) == math.ceil(want)
+
+
+def test_power_bounds_past_float_precision_match_exact_roots():
+    # t = a/2^s is decidable in integers: m <=> n^t as m^(2^s) <=> n^a
+    rnd = random.Random(30)
+    for _ in range(100):
+        s = rnd.randint(1, 5)
+        a = rnd.randint(1, 2**s)
+        n = rnd.randrange(2**62 // 2**s, 2**63)
+        fl, ce = power_floor(n, a / 2**s), power_ceil(n, a / 2**s)
+        assert fl ** (2**s) <= n**a < (fl + 1) ** (2**s)
+        assert (ce - 1) ** (2**s) < n**a <= ce ** (2**s)
 
 
 @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])

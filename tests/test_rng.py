@@ -96,6 +96,12 @@ def test_uniform_ints_validation():
         rng.uniform_ints(1, 10**16, 10)
 
 
+@pytest.mark.parametrize("n", [0, 2**63])
+def test_uniform_ints_refuses_n_with_the_package_error(n):
+    with pytest.raises(ParameterError, match="2\\^63 - 1"):
+        rng.uniform_ints(1, 10, n)
+
+
 def test_mulhi_against_python_ints():
     x = rng.raw64(3, 0, 200)
     for n in (3, 10**6, 2**63 - 1, 0xFFFFFFFFFFFFFFF):

@@ -38,6 +38,12 @@ def test_exact_examples():
     assert psi_exact(100, 1) == 1
 
 
+@pytest.mark.parametrize("x", [2, 2**20, 2**20 + 1, 10**12])
+def test_exact_at_y_1_counts_only_1(x):
+    # below, at and past the leaf limit: the leaf table and the sweep agree
+    assert psi_exact(x, 1) == 1
+
+
 def test_exact_parameter_errors():
     with pytest.raises(ParameterError):
         psi_exact(-1, 2)
