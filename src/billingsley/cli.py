@@ -15,15 +15,16 @@ import math
 import sys
 
 from . import __version__
-from .convergence import BoxCriterion, run_criterion
+from .convergence import BoxCriterion, _require_admissible, run_criterion
 from .dickman import DEFAULT_U_MAX, NODES_PER_UNIT, DickmanTable, build_rho_table, rho
 from .errors import BillingsleyError, ParameterError, ResourceError, check_memory
-from .factor_stats import (BoxSpec, _u0, _u_facets, box_probability_exact,
-                           box_probability_via_psi, prime_bounds, sample_box_probability,
-                           sample_factor_vectors)
+from .factor_stats import (BoxSpec, _require_mc_cap, _require_row_memory, _u0, _u_facets,
+                           box_probability_exact, box_probability_via_psi, prime_bounds,
+                           sample_box_probability, sample_factor_vectors)
 from .pd_process import (DEFAULT_TRUNCATION, _chunk_rows, _closed_form_reach,
                          pd_box_probability_refined, pd_density, pd_sample_batch)
-from .primes import build_sieve, mertens_constant_estimate, mertens_sum, power_floor
+from .primes import (_require_range, build_sieve, mertens_constant_estimate, mertens_sum,
+                     power_floor)
 from .rng import DEFAULT_SEED
 from .smoothcount import psi_bruteforce, psi_dickman, psi_exact
 from .suite import BUNDLES, SIEVE_LIMIT, run_suite
@@ -101,6 +102,7 @@ def _cmd_mertens(args) -> int:
         value = mertens_constant_estimate(sieve, args.x)
     else:
         a, b = args.range
+        _require_range(a, b, max(b, 2))
         sieve = build_sieve(max(b, 2))
         value = mertens_sum(sieve, a, b)
     _emit(f"{value:.{args.digits}f}\n", args.out)
@@ -148,6 +150,8 @@ def _cmd_box(args) -> int:
         box.require_inside_u()
         sieve = build_sieve(max(prime_bounds(args.n, box)[0][1], 2))
     else:
+        if args.method == "mc":
+            _require_mc_cap(args.samples)
         sieve = build_sieve(max(args.n, 2))
     if args.method == "mc":
         est = sample_box_probability(sieve, args.n, box, args.samples, seed=args.seed)
@@ -164,6 +168,7 @@ def _cmd_box(args) -> int:
 def _sample_factors_csv(args):
     """The sample-factors CSV: the header once the rows are drawn, then
     _CSV_ROWS rows at a time, so that one chunk's text is held at once."""
+    _require_row_memory(args.count, args.k)
     sieve = build_sieve(max(args.n, 2))
     rows = sample_factor_vectors(sieve, args.n, args.count, args.k, seed=args.seed)
     yield ["N," + ",".join(f"p{i+1}" for i in range(args.k))
@@ -227,14 +232,14 @@ def _cmd_pd_box(args) -> int:
 def _cmd_verify(args) -> int:
     box = BoxSpec.from_string(args.box)
     ladder = args.ladder
+    crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
+    _require_admissible(box, crit)  # which refuses a box outside U first
     # every entry is counted exactly: by the scan where the sieve reaches n,
     # and past SIEVE_LIMIT through the prime-tuple identity, which needs
     # primes only up to the top coordinate's bound
-    box.require_inside_u()
     top = prime_bounds(max(ladder), box)[0][1]
     sieve = build_sieve(max(10**4, top, *(n for n in ladder if n <= SIEVE_LIMIT)))
     table = _rho_table_reaching(box.u0())
-    crit = BoxCriterion(epsilon=args.epsilon, k=box.k)
     report = run_criterion(sieve, table, ladder, box, crit)
     payload = {"version": __version__, "command": "verify",
                "config": {"epsilon": args.epsilon, "ladder": ladder},
@@ -345,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = subs.add_parser("psi", help="count y-smooth integers up to x")
     s.add_argument("--x", type=_count, required=True)
-    s.add_argument("--y", type=_count, required=True)
+    s.add_argument("--y", type=_positive_count, required=True)
     s.add_argument("--method", choices=("brute", "exact", "dickman"), default="exact")
     _add_common(s)
     s.set_defaults(fn=_cmd_psi)

@@ -105,6 +105,14 @@ def box_admissible(box: BoxSpec, crit: BoxCriterion) -> bool:
     return crit.R * box.diameter() < distance_to_complement(box)
 
 
+def _require_admissible(box: BoxSpec, crit: BoxCriterion) -> None:
+    """DomainError unless box_admissible(box, crit)."""
+    if not box_admissible(box, crit):
+        raise DomainError(
+            f"box not admissible: R*diam(B) = {crit.R * box.diameter():.6g} "
+            f"is not < d(B, U^c) = {distance_to_complement(box):.6g}")
+
+
 def inf_density_on_box(table: DickmanTable, box: BoxSpec) -> float:
     """A certified lower bound on inf_B f.
 
@@ -139,10 +147,7 @@ def run_criterion(sieve: PrimeSieve, table: DickmanTable, ladder, box: BoxSpec,
     in between fall back to Monte Carlo with a 4-sigma margin on the verdict.
     """
     ladder = sorted(_integer_n(v) for v in ladder)
-    if not box_admissible(box, crit):
-        raise DomainError(
-            f"box not admissible: R*diam(B) = {crit.R * box.diameter():.6g} "
-            f"is not < d(B, U^c) = {distance_to_complement(box):.6g}")
+    _require_admissible(box, crit)
     vol = box.volume()
     inf_f = inf_density_on_box(table, box)
     lower = (1.0 - crit.epsilon) * vol * inf_f

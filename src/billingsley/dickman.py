@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError, ResourceError,
                      check_memory)
+from .primes import _integer_n
 
 DEFAULT_U_MAX = 20.0
 
@@ -229,12 +230,13 @@ def h_function(i: int, u: float) -> float:
     shrinks.
 
     Returns exactly 0 when u <= i, where the region is empty.  Raises
-    ParameterError unless i is a non-negative int (not a bool) and u is
-    finite and positive, ResourceError before any work when u > H_U_MAX,
-    and NumericalError if the quadrature does not converge within
-    QUAD_MAX_DEPTH levels.
+    ParameterError unless i is a non-negative integer (a numpy integer
+    too, not a bool) and u is finite and positive, ResourceError before any
+    work when u > H_U_MAX, and NumericalError if the quadrature does not
+    converge within QUAD_MAX_DEPTH levels.
     """
-    if isinstance(i, bool) or not isinstance(i, int) or i < 0:
+    i = _integer_n(i, "index")
+    if i < 0:
         raise ParameterError(f"index must be a non-negative int, got {i!r}")
     _check_u(u)
     if i == 0:

@@ -171,14 +171,14 @@ def _peel(sieve: PrimeSieve, m: np.ndarray, k: int) -> np.ndarray:
     return out.T
 
 
-def _factor_rows(sieve: PrimeSieve, n: int, N: np.ndarray, k: int) -> np.recarray:
-    p = _peel(sieve, N, k)
+def _factor_rows(n: int, N: np.ndarray, p: np.ndarray) -> np.recarray:
+    """The rows of the integers N and their ranks p, with L = log p / log n."""
     # math.log, not np.log, which differs from it in the last bit on some primes
     logn = math.log(n)
     q, inv = np.unique(p, return_inverse=True)
     scaled = np.array([math.log(v) / logn if v > 1 else 0.0 for v in q.tolist()])
-    rows = np.recarray(N.size, dtype=[("N", np.int64), ("p", p.dtype, (k,)),
-                                      ("L", np.float64, (k,))])
+    rows = np.recarray(N.size, dtype=[("N", np.int64), ("p", p.dtype, p.shape[1:]),
+                                      ("L", np.float64, p.shape[1:])])
     rows.N, rows.p, rows.L = N, p, scaled[inv.reshape(p.shape)]
     return rows
 
@@ -346,6 +346,13 @@ def _prime_tuples(N: np.ndarray, ranges: list):
     yield from extend(N, None, 0)
 
 
+def _require_mc_cap(samples: int) -> None:
+    """ResourceError for more draws than MAX_MC_SAMPLES, before any sieve."""
+    if samples > MAX_MC_SAMPLES:
+        raise ResourceError(f"{samples} Monte Carlo draws are more than the cap "
+                            f"of {MAX_MC_SAMPLES}")
+
+
 def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int,
                            seed: int = rng.DEFAULT_SEED) -> EmpiricalEstimate:
     """Monte Carlo estimate of the box probability.
@@ -359,9 +366,7 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     n, samples = _integer_n(n), _integer_n(samples, "samples")
     if samples < 1:
         raise ParameterError("samples must be >= 1")
-    if samples > MAX_MC_SAMPLES:
-        raise ResourceError(f"{samples} Monte Carlo draws are more than the cap "
-                            f"of {MAX_MC_SAMPLES}")
+    _require_mc_cap(samples)
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
     bounds = _scan_bounds(sieve, n, box)
@@ -381,9 +386,16 @@ def sample_box_probability(sieve: PrimeSieve, n: int, box: BoxSpec, samples: int
     return EmpiricalEstimate(hits, samples)
 
 
+def _require_row_memory(count: int, k: int) -> None:
+    """ResourceError for factor rows past the memory budget, before any sieve."""
+    check_memory((32 + 40 * k) * count, f"{count} factor rows of rank {k}")
+
+
 def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
                           seed: int = rng.DEFAULT_SEED) -> np.recarray:
-    """Draw `count` uniform integers from [1, n] and rank their factors.
+    """Draw `count` uniform integers from [1, n] and rank their factors:
+    draws 0..count-1 of the seed's stream, as in sample_box_probability,
+    each block of rng.BLOCK_WORDS drawn and peeled by one run_tasks task.
 
     Returns a record array of `count` rows with fields N (int64), p (the
     sieve's int32, shape (k,): the k largest prime factors, descending and
@@ -403,5 +415,14 @@ def sample_factor_vectors(sieve: PrimeSieve, n: int, count: int, k: int,
         raise ParameterError("k must be >= 1")
     if n < 1 or n > sieve.limit:
         raise DomainError(f"n={n} outside sieve range [1, {sieve.limit}]")
-    check_memory((32 + 40 * k) * count, f"{count} factor rows of rank {k}")
-    return _factor_rows(sieve, n, rng.uniform_ints(seed, count, n), k)
+    _require_row_memory(count, k)
+    key = rng.stream_key(seed)
+    N = np.empty(count, dtype=np.int64)
+    p = np.empty((count, k), dtype=sieve.largest_prime_factor.dtype)
+
+    def fill(lo, hi, ints):
+        p[lo:hi] = _peel(sieve, rng._int_block(key, lo, n, ints, N[lo:hi]), k)
+
+    block = min(count, rng.BLOCK_WORDS)
+    rng.run_tasks(fill, range(0, count, block), lambda: rng._int_buffers(block))
+    return _factor_rows(n, N, p)

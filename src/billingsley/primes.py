@@ -252,6 +252,12 @@ def _power_round(n: int, t: float, rounding, step: int) -> int:
 # ---------------------------------------------------------------------------
 # Mertens sums
 
+def _require_range(a, b, limit: int) -> None:
+    """DomainError unless 2 <= a <= b <= limit; nan and inf fail here."""
+    if not 2 <= a <= b <= limit:
+        raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {limit}")
+
+
 def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     """Sum of 1/p over primes a <= p <= b, accumulated in ascending order.
 
@@ -261,8 +267,7 @@ def mertens_sum(sieve: PrimeSieve, a: int, b: int) -> float:
     value is bit for bit that of a plain loop over the ascending primes and
     the memory does not grow with the range.  Floats are refused.
     """
-    if not 2 <= a <= b <= sieve.limit:  # nan and inf fail here
-        raise DomainError(f"range [{a}, {b}] invalid or outside sieve limit {sieve.limit}")
+    _require_range(a, b, sieve.limit)
     ps = sieve.primes_in_range(_integer_n(a, "a"), _integer_n(b, "b"))
     terms = np.empty(min(ps.size, _SUM_CHUNK) + 1)
     total = 0.0

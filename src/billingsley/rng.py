@@ -12,9 +12,9 @@ retries at the same index with an incremented attempt counter, so a retry
 never disturbs neighbouring draws; the retry probability is n / 2^64.
 
 run_tasks hands each task of a range its bounds and runs the tasks (Monte
-Carlo blocks, scan chunks, sampler blocks) over the CPUs the process may
-use, pooled only from two whole steps on; the results come back in task
-order, so the scheduling never shows in a result.
+Carlo and factor-row blocks, scan chunks, sampler blocks) over the CPUs the
+process may use, pooled only from two whole steps on; the results come
+back in task order, so the scheduling never shows in a result.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .errors import ParameterError, check_memory
 from .primes import _integer_n
 
 #: fixed documented default seed; never time-based
@@ -54,18 +53,10 @@ def stream_key(seed: int) -> int:
 
 
 #: words per block of the stream fills (raw64's mixing, the PD stick
-#: sampler): a block's four 8-byte buffers (2 MiB) stay in a core's L2
-#: cache; a sweep of 2^13..2^19 on a Xeon with 2 MiB of L2 per core found
-#: 2^16 fastest for the sampler
+#: sampler, the Monte Carlo's and the factor rows' integers): a block's
+#: four 8-byte buffers (2 MiB) stay in a core's L2 cache; a sweep of
+#: 2^13..2^19 on a Xeon with 2 MiB of L2 per core found 2^16 fastest for the sampler
 BLOCK_WORDS = 1 << 16
-
-#: bytes per draw of uniform_ints: its int64 output, filled a block at a time
-_INT_DRAW_BYTES = 8
-
-#: bytes per word of a block of integer draws at its peak: the four 8-byte
-#: buffers of _int_buffers, for n >= 2^32 three more temporaries of the
-#: multiply-high, and one word of room for the arrays' own overhead
-_INT_BLOCK_BYTES = 64
 
 _S10, _S27, _S30, _S31 = (np.uint64(s) for s in (10, 27, 30, 31))
 
@@ -200,26 +191,6 @@ def _int_block(key: int, start: int, n: int, buffers, out: np.ndarray) -> np.nda
                     out[idx] = (prod >> 64) + 1
                     break
                 attempt += 1
-    return out
-
-
-def uniform_ints(seed: int, count: int, n: int) -> np.ndarray:
-    """`count` independent uniform integers in [1, n], draws 0..count-1 of
-    the seed's stream.
-
-    The output is filled BLOCK_WORDS draws at a time by _int_block, so the
-    memory needed is 8 bytes per draw plus the fixed buffers of one block.
-    """
-    if n < 1 or n > (1 << 63) - 1:
-        raise ParameterError("n must be in [1, 2^63 - 1] so results fit an int64 array")
-    block = min(count, BLOCK_WORDS)
-    check_memory(_INT_DRAW_BYTES * count + _INT_BLOCK_BYTES * block,
-                 f"{count} uniform integers")
-    key = stream_key(seed)
-    out = np.empty(count, dtype=np.int64)
-    buffers = _int_buffers(block)
-    for lo in range(0, count, BLOCK_WORDS):
-        _int_block(key, lo, n, buffers, out[lo:lo + BLOCK_WORDS])
     return out
 
 

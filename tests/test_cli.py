@@ -546,6 +546,38 @@ def test_non_positive_counts_fail_with_one_error_line(capsys, monkeypatch, argv,
     assert len(errors) == 1 and errors[0].endswith(f"error: argument {option}: must be >= 1")
 
 
+#: arguments refused on their own, each with its exit code and message,
+#: before the sieve, which at n = 3*10^8 took 3.4-4.0 s and 1.3 GB as a
+#: process on a 2-vCPU host: --y 0 is a usage error, the others fail the
+#: library's own check
+REFUSED_BEFORE_SIEVE_ARGV = [
+    (["psi", "--x", "3e8", "--y", "0", "--method", "brute"], 2,
+     "argument --y: must be >= 1"),
+    (["mertens", "--range", "0", "3e8"], 1, "range [0, 300000000] invalid"),
+    (["sample-factors", "--n", "3e8", "--count", "1e12"], 1, "factor rows of rank 3"),
+    (["box", "--n", "3e8", "--box", "0.5,0.1", "--method", "mc", "--samples", "1e12"], 1,
+     "more than the cap"),
+    (["verify", "--box", "0.5,0.1", "--ladder", "1e13", "--epsilon", "2"], 1,
+     "epsilon must lie in (0, 1)"),
+    (["verify", "--box", "0.3,0.3", "--ladder", "1e13"], 1, "box not admissible"),
+]
+
+
+@pytest.mark.parametrize("argv, want, message", REFUSED_BEFORE_SIEVE_ARGV,
+                         ids=[" ".join(argv) for argv, _, _ in REFUSED_BEFORE_SIEVE_ARGV])
+def test_refusals_that_need_no_sieve_come_before_it(capsys, monkeypatch, argv, want,
+                                                    message):
+    def no_sieve(limit):
+        raise AssertionError("a sieve was built before the argument was refused")
+
+    monkeypatch.setattr(cli, "build_sieve", no_sieve)
+    code, out, err = run(capsys, *argv)
+    assert code == want
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and message in errors[0]
+
+
 #: values outside an option's range that used to end in a traceback, each
 #: with the message of its one error line
 OUT_OF_RANGE_ARGV = [

@@ -167,6 +167,13 @@ def test_h_index_must_be_an_int(i):
         h_function(i, 3.0)
 
 
+@pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8],
+                         ids=lambda kind: kind.__name__)
+def test_h_index_takes_numpy_integers(kind):
+    assert h_function(kind(2), 3.0) == h_function(2, 3.0)
+    assert h_function(kind(0), 3.0) == 1.0
+
+
 def test_h_parameter_errors():
     with pytest.raises(ParameterError):
         h_function(-1, 2.0)

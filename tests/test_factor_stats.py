@@ -59,7 +59,8 @@ def test_peel_refuses_k_below_one(sieve5):
 
 def _factor_row(sieve, n, N, k):
     """N's row as (N, p, L), with p and L as tuples."""
-    row = _factor_rows(sieve, n, np.array([N], dtype=np.int64), k)[0]
+    m = np.array([N], dtype=np.int64)
+    row = _factor_rows(n, m, _peel(sieve, m, k))[0]
     return int(row.N), tuple(row.p.tolist()), tuple(row.L.tolist())
 
 
@@ -312,7 +313,7 @@ def test_float_n_is_refused_by_every_route_before_any_work(sieve6, monkeypatch, 
         raise AssertionError("worked before refusing")
 
     monkeypatch.setattr(rng, "run_tasks", no_work)
-    monkeypatch.setattr(rng, "uniform_ints", no_work)
+    monkeypatch.setattr(rng, "_int_block", no_work)
     monkeypatch.setattr(factor_stats, "default_engine", no_work)
     box = BoxSpec((0.5,), (0.1,))
     for route in (box_probability_exact, box_probability_via_psi,
@@ -333,7 +334,7 @@ def test_float_counts_are_refused_before_any_draw(sieve5, monkeypatch, draw):
         raise AssertionError("worked before refusing")
 
     monkeypatch.setattr(rng, "run_tasks", no_work)
-    monkeypatch.setattr(rng, "uniform_ints", no_work)
+    monkeypatch.setattr(rng, "_int_block", no_work)
     with pytest.raises(ParameterError, match="must be an integer"):
         draw(sieve5, BoxSpec((0.5,), (0.1,)))
 
@@ -392,7 +393,7 @@ def test_non_positive_factor_row_requests_are_refused_before_any_draw(
         raise AssertionError("drew before refusing")
 
     # at k < 0 the memory estimate is negative and admits any count
-    monkeypatch.setattr(rng, "uniform_ints", no_draw)
+    monkeypatch.setattr(rng, "run_tasks", no_draw)
     with pytest.raises(ParameterError, match=f"{name} must be >= 1"):
         sample_factor_vectors(sieve5, 10**5, count, k)
 
@@ -695,6 +696,19 @@ def test_mc_hits_are_the_in_box_factor_rows(sieve6, cpus):
                 full = samples // b
                 assert pools == ([] if workers == 1 or full < 2
                                  else [min(workers, full) - 1])
+
+
+@pytest.mark.parametrize("count", [(1 << 16) - 1, (1 << 16) + 1, (1 << 17) + 5])
+def test_factor_rows_are_the_same_pooled_or_inline(sieve6, cpus, count):
+    # each block of draws is a task, so from two whole blocks on two
+    # workers fill the rows, and N, p and L must not move
+    rows = {}
+    for workers in (1, 2):
+        pools = cpus(workers)
+        rows[workers] = sample_factor_vectors(sieve6, 10**6, count, 3, seed=13)
+        assert pools == ([] if workers == 1 or count < 2 * rng.BLOCK_WORDS else [1])
+    for field in ("N", "p", "L"):
+        assert rows[1][field].tobytes() == rows[2][field].tobytes(), field
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billingsley import (ParameterError, ResourceError, build_sieve, pd_sample_batch, rng,
+from billingsley import (ParameterError, build_sieve, pd_sample_batch, rng,
                          sample_box_probability, sample_factor_vectors)
 from billingsley.factor_stats import BoxSpec
 
@@ -73,9 +73,19 @@ def test_uniforms_open_interval():
     assert abs(float(u.mean()) - 0.5) < 4 * (1 / 12) ** 0.5 / 10**2.5
 
 
+def _ints(seed, count, n):
+    """Draws 0..count-1 of the seed's stream, uniform integers in [1, n],
+    made by rng._int_block a block of rng._int_buffers at a time."""
+    key, out = rng.stream_key(seed), np.empty(count, dtype=np.int64)
+    buffers = rng._int_buffers(min(count, rng.BLOCK_WORDS))
+    for lo in range(0, count, rng.BLOCK_WORDS):
+        rng._int_block(key, lo, n, buffers, out[lo:lo + rng.BLOCK_WORDS])
+    return out
+
+
 def test_uniform_ints_bounds_and_mean():
     for n in (1, 2, 10, 997, 10**6, 2**40):
-        v = rng.uniform_ints(9, 20000, n)
+        v = _ints(9, 20000, n)
         assert int(v.min()) >= 1 and int(v.max()) <= n
         mean = float(v.mean())
         sd = n / 12**0.5 / 20000**0.5
@@ -83,23 +93,10 @@ def test_uniform_ints_bounds_and_mean():
 
 
 def test_uniform_ints_deterministic():
-    a = rng.uniform_ints(11, 1000, 12345)
-    b = rng.uniform_ints(11, 1000, 12345)
+    a = _ints(11, 1000, 12345)
+    b = _ints(11, 1000, 12345)
     assert np.array_equal(a, b)
-    assert not np.array_equal(a, rng.uniform_ints(12, 1000, 12345))
-
-
-def test_uniform_ints_validation():
-    with pytest.raises(ValueError):
-        rng.uniform_ints(1, 10, 0)
-    with pytest.raises(ResourceError, match="uniform integers"):
-        rng.uniform_ints(1, 10**16, 10)
-
-
-@pytest.mark.parametrize("n", [0, 2**63])
-def test_uniform_ints_refuses_n_with_the_package_error(n):
-    with pytest.raises(ParameterError, match="2\\^63 - 1"):
-        rng.uniform_ints(1, 10, n)
+    assert not np.array_equal(a, _ints(12, 1000, 12345))
 
 
 def test_mulhi_against_python_ints():
@@ -142,7 +139,7 @@ def test_mulhi_matches_four_product_oracle(n):
 
 def test_small_n_uniformity():
     # n = 3: all residues reachable, roughly equal
-    v = rng.uniform_ints(1, 30000, 3)
+    v = _ints(1, 30000, 3)
     counts = np.bincount(v, minlength=4)[1:]
     assert counts.sum() == 30000
     assert np.all(np.abs(counts - 10000) < 500)
@@ -166,7 +163,7 @@ def test_retry_path_engages_for_large_n():
     # n = 2^62 + 3 rejects ~25% of first attempts, so the retry branch is
     # genuinely exercised; results must match the scalar reference exactly
     n = (1 << 62) + 3
-    v = rng.uniform_ints(21, 300, n)
+    v = _ints(21, 300, n)
     retried = sum(int(v[i]) != int((int(rng.raw64(21, i << rng.ATTEMPT_BITS, 1)[0]) * n >> 64) + 1)
                   for i in range(300))
     assert retried > 20  # the first-attempt value was rejected somewhere
@@ -176,12 +173,16 @@ def test_retry_path_engages_for_large_n():
 
 
 def test_n_beyond_int64_rejected():
+    # no sieve reaches 2^63, so neither sampler hands _int_block an n past int64
+    sieve, box = build_sieve(1000), BoxSpec((0.5,), (0.1,))
     with pytest.raises(ValueError):
-        rng.uniform_ints(1, 10, 1 << 63)
+        sample_factor_vectors(sieve, 1 << 63, 10, 1)
+    with pytest.raises(ValueError):
+        sample_box_probability(sieve, 1 << 63, box, 10)
 
 
 def test_vector_path_matches_reference_small_n():
-    v = rng.uniform_ints(8, 100, 10**7)
+    v = _ints(8, 100, 10**7)
     for i in range(0, 100, 7):
         assert int(v[i]) == _reference_uniform_int(8, i, 10**7)
 
@@ -189,20 +190,19 @@ def test_vector_path_matches_reference_small_n():
 @pytest.mark.parametrize("n, count", [
     *((n, count) for n in (10**7, 3 << 40) for count in (10**4, 10**5, 10**6)),
     ((1 << 62) + 3, 10**4)])
-def test_uniform_ints_peak_is_within_the_memory_estimate(monkeypatch, n, count):
-    # the estimate passed to check_memory must bound what the fill really
-    # holds: n = 3 * 2^40 takes the four-product multiply-high, and at
-    # n = 2^62 + 3 about a quarter of the draws retry
-    estimates = []
-    monkeypatch.setattr(rng, "check_memory", lambda need, what: estimates.append(need))
+def test_uniform_ints_peak_is_within_the_memory_estimate(n, count):
+    # the block path holds its int64 output and, per word of a block, at
+    # most 64 bytes: _int_buffers' four 8-byte buffers, three more
+    # temporaries of the multiply-high for n >= 2^32 (n = 3 * 2^40), and
+    # room for the arrays' own overhead; at n = 2^62 + 3 about a quarter of
+    # the draws retry
     tracemalloc.start()
     try:
-        rng.uniform_ints(3, count, n)
+        _ints(3, count, n)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert estimates and peak <= estimates[0]
-    assert estimates[0] <= 8 * count + 64 * rng.BLOCK_WORDS
+    assert peak <= 8 * count + 64 * min(count, rng.BLOCK_WORDS)
 
 
 def test_run_tasks_keeps_task_order_and_one_buffer_set_per_worker(monkeypatch):
@@ -315,8 +315,8 @@ def test_streams_match_pinned_digests():
         "fd4ea459dc6033f66e029504d34e4c341c11d475782a8d25ac952576d7c25420")
     assert _digest(_uniforms(7, 0, 4097)) == (
         "389d24fd1af84eed657c992f98e23006ed4fa005043541e24c5b7ff27d01bba2")
-    assert _digest(rng.uniform_ints(42, 10**5, 10**7)) == (
+    assert _digest(_ints(42, 10**5, 10**7)) == (
         "66ee6579afe897265d4c48dd5543ee698bd28015cd4c0f5475e62376086d572e")
     # about a quarter of these draws take the retry path
-    assert _digest(rng.uniform_ints(21, 3000, (1 << 62) + 3)) == (
+    assert _digest(_ints(21, 3000, (1 << 62) + 3)) == (
         "41fac1b7e5c558bd9212b7a64aa10690725ead66a0d87a6ac4e22666c6dc625f")
