@@ -59,8 +59,9 @@ _MAX_BLOCK_WORDS = 1 << 20
 #: full blocks per call of a caller that streams draws through `start`: at
 #: truncation 60, 16 * 1092 rows, 8.5 MB of output a call with all ranks
 #: and 0.28 MB with k = 1, against 2.6 MB of block buffers on 2 CPUs.  Each
-#: call starts its own pool and buffers; on 2 vCPUs a row cost about 0.8 us
-#: in calls of 8 blocks, and 0.7 in calls of 16 as in one call of 10^5 rows
+#: call starts its own pool and buffers; on 2 vCPUs a row with k = 1 cost
+#: about 0.38-0.44 us in calls of 8 blocks, 0.30-0.38 in calls of 16 and
+#: 0.27-0.30 in one call of 10^5 rows
 _CHUNK_BLOCKS = 16
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import os
 import sys
 import threading
 import tracemalloc
@@ -268,8 +269,84 @@ def test_run_tasks_raises_a_task_error(monkeypatch):
             raise ValueError("task 7")
         return lo
 
+    before = rng._affinity()
     with pytest.raises(ValueError, match="task 7"):
         rng.run_tasks(fn, range(10), lambda: None)
+    assert rng._affinity() == before
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="the platform has no affinity call")
+
+
+@needs_affinity
+def test_run_tasks_holds_each_worker_to_one_cpu(cpus):
+    # each worker's first task waits for the other worker's, so both take tasks
+    mask = os.sched_getaffinity(0)
+    pools = cpus(2)
+    start = threading.Barrier(2, timeout=30)
+    seen = {}
+
+    def fn(lo, hi, buffers):
+        thread = threading.get_ident()
+        if thread not in seen:
+            seen[thread] = os.sched_getaffinity(0)
+            start.wait()
+        assert os.sched_getaffinity(0) == seen[thread]
+        return lo
+
+    assert rng.run_tasks(fn, range(40), lambda: None) == list(range(40))
+    assert pools == [1]
+    assert len(seen) == 2
+    assert all(len(held) == 1 and held <= mask for held in seen.values())
+    if len(mask) >= 2:
+        assert len(set.union(*seen.values())) == 2
+    assert os.sched_getaffinity(0) == mask
+
+
+@needs_affinity
+def test_run_tasks_wraps_workers_round_the_cpus(cpus, monkeypatch):
+    # more workers than CPUs: worker i is held to the i % len-th CPU, and the
+    # caller gets its own set back last
+    mask = os.sched_getaffinity(0)
+    real = sorted(mask)
+    workers = len(real) + 2
+    pools = cpus(workers)
+    held, hold = [], rng._hold
+    monkeypatch.setattr(rng, "_hold", lambda cpus: (held.append(set(cpus)), hold(cpus)))
+    runs = [0] * 300
+    lock = threading.Lock()
+
+    def fn(lo, hi, buffers):
+        with lock:
+            runs[lo] += 1
+        return lo
+
+    assert rng.run_tasks(fn, range(300), lambda: None) == list(range(300))
+    assert runs == [1] * 300
+    assert pools == [workers - 1]
+    assert sorted(map(sorted, held[:-1])) == sorted([real[i % len(real)]]
+                                                    for i in range(workers))
+    assert held[-1] == mask
+    assert os.sched_getaffinity(0) == mask
+
+
+@needs_affinity
+def test_run_tasks_runs_unpinned_where_affinity_is_refused(cpus, monkeypatch):
+    mask = os.sched_getaffinity(0)
+    cpus(2)
+
+    def refuse(pid, cpus):
+        raise OSError("affinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+
+    def fn(lo, hi, buffers):
+        return lo, hi, os.sched_getaffinity(0) == mask
+
+    out = rng.run_tasks(fn, range(0, 100, 3), lambda: None)
+    assert out == [(lo, min(lo + 3, 100), True) for lo in range(0, 100, 3)]
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
