@@ -5,32 +5,38 @@ ascending primes.  Dividing m by its largest prime factor again and again
 lists its prime factors in descending order, which is all that the ranked
 factor statistics, the exact box scan and psi_bruteforce read.
 
-It is built in one pass over the table, segment by segment.  Slices write
-the primes p <= sqrt(limit) into a segment in ascending order, which leaves
-the largest of them dividing m, or 1 where none does: such an m is prime,
-since a composite m <= limit has a prime factor p <= sqrt(limit).  A
-finalize pass then walks the segment's entries above sqrt(limit) in order,
-using lpf(m) = max(p, lpf(m / p)) for a prime p dividing m: 2 for an even
-m, the slice prime for an odd one.  The quotient m / p <= m / 2 lies below
-the block being finalized, so its entry is already final.
+Slices write the primes p <= sqrt(limit) into the table, which leaves a
+prime dividing m, or 1 where none does: such an m is prime, since a
+composite m <= limit has a prime factor p <= sqrt(limit).  A finalize pass
+then walks the entries above sqrt(limit) in blocks [s, 2s), using
+lpf(m) = max(p, lpf(m / p)) for a prime p dividing m: 2 for an even m, the
+slice prime for an odd one.  The quotient m / p <= m / 2 lies below s, so
+every entry a block reads is already final, and the block's entries do
+not depend on one another.  Past the first segment each block is one wave
+of segment-sized tasks on every CPU (rng.run_tasks), and a task writes
+only the odd multiples of each slice prime, since the pass overwrites
+every even entry from m / 2; the table has one correct value whatever the
+schedule.
 """
 from __future__ import annotations
 
 import math
 import operator
+import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 
+from . import rng
 from .errors import DomainError, ParameterError, check_memory
 
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
 
-#: build_sieve writes the other primes up to sqrt(limit) into this many table
-#: entries (1 MiB) at a time and finalizes them while they are still in
-#: cache; its quotient buffer holds the odd entries of one segment
+#: a task of build_sieve tiles, slices and finalizes this many table entries
+#: (1 MiB) while they are still in cache; each worker's buffers hold the odd
+#: entries of one segment
 SIEVE_SEGMENT = 1 << 18
 
 #: mertens_sum takes this many reciprocals (512 KiB) at a time
@@ -82,14 +88,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 def _build_bytes(limit: int) -> int:
     """Upper bound on the peak bytes of build_sieve: the int32 table; the
-    int64 prime buffer of _prime_count_bound entries; the finalize
-    quotients and their temporaries, 24 bytes per odd entry of one segment;
-    the wheel pattern with up to one period of table padding; and 64 KiB of
-    Python objects.  That is 4.58 bytes per integer at 10^8 and 4.49 at
-    10^9, so the default memory budget admits limits up to about 9.56e8."""
+    int64 prime buffer of _prime_count_bound entries, and half as many for
+    the primes of one wave, as pi(2x) <= 2 pi(x); the shared float64
+    offsets, 8 bytes per odd entry of one segment, and 24 bytes per odd
+    entry for each worker of the largest wave: its float64 and intp buffers
+    and the positions of a task's primes, with room for numpy's cast
+    buffers; the wheel pattern, two periods; and 64 KiB, plus 64 bytes per
+    prime up to sqrt(limit), of Python objects."""
     odd = min(SIEVE_SEGMENT, limit + 1) // 2 + 1
-    return (4 * (limit + 1) + 8 * _prime_count_bound(limit)
-            + 24 * odd + 8 * math.prod(SIEVE_WHEEL) + (1 << 16))
+    workers = min(rng.cpu_count(), -(-(limit + 1) // (2 * SIEVE_SEGMENT)))
+    return (4 * (limit + 1) + 12 * _prime_count_bound(limit)
+            + odd * (8 + 24 * workers) + 8 * math.prod(SIEVE_WHEEL)
+            + 64 * _prime_count_bound(max(math.isqrt(limit), 2)) + (1 << 16))
 
 
 def build_sieve(limit: int) -> PrimeSieve:
@@ -97,17 +107,23 @@ def build_sieve(limit: int) -> PrimeSieve:
 
     Primes p <= sqrt(limit) are written in ascending order, so the largest
     of them dividing m is left in place: the wheel primes 2..13 by tiling
-    their periodic pattern, the others one slice per prime inside segments
-    of SIEVE_SEGMENT entries.  Each segment is then finalized above
-    sqrt(limit) in blocks [s, min(2s, segment end)), so that every entry
-    the block reads is below s and already final:
+    their periodic pattern, the others one slice per prime.  The table is
+    then finalized above sqrt(limit) in blocks [s, min(2s, limit + 1)), so
+    that every entry a block reads is below s and already final:
 
     * an even m takes lpf[m / 2], which is at least 2;
     * an odd m that no slice reached (entry 1) is a prime above sqrt(limit);
     * any other odd m takes max(P, lpf[m / P]), P being its entry.
 
-    The writes move forward through the table, and for a fixed P so do the
-    reads.  A float limit is refused.
+    The first segment, SIEVE_SEGMENT entries, holds every entry up to
+    sqrt(limit), which no block finalizes, so it takes every multiple of
+    each slice prime, and its blocks stop at its end.  Past it, a block is
+    a wave of SIEVE_SEGMENT-entry tasks run through rng.run_tasks on every
+    CPU: each task tiles the wheel into its entries and writes only the odd
+    multiples of each slice prime, since the finalize pass overwrites every
+    even entry.  A task stores its primes in a buffer for the wave's primes,
+    and they go into the prime buffer in task order once the wave is done.
+    A float limit is refused.
     """
     limit = _integer_n(limit, "sieve limit")
     if limit < 2 or limit > 2**31 - 1:
@@ -117,45 +133,92 @@ def build_sieve(limit: int) -> PrimeSieve:
     # only odd primes
     root = max(math.isqrt(limit), 2)
     wheel = [p for p in SIEVE_WHEEL if p <= root]
-    pattern = np.ones(math.prod(wheel), dtype=np.int32)
+    period = math.prod(wheel)
+    pattern = np.ones(2 * period, dtype=np.int32)  # two periods: any phase
     for p in wheel:
         pattern[::p] = p
-    lpf = np.resize(pattern, limit + 1)
-    # find the other primes up to root on the head of the table, then write
-    # each of them into every segment
-    others = []
+    lpf = np.empty(limit + 1, dtype=np.int32)
+
+    def tile(seg, lo):
+        """Write the wheel into seg = lpf[lo:lo + seg.size]."""
+        window = pattern[lo % period:lo % period + period]
+        whole = seg.size - seg.size % period
+        seg[:whole].reshape(-1, period)[...] = window
+        seg[whole:] = window[:seg.size - whole]
+
+    # the other primes up to root are those the primes up to sqrt(root)
+    # leave unmarked on the head of the table; each of them is then written
+    # into every entry of the first segment that it divides
+    first = lpf[:SIEVE_SEGMENT]
+    tile(first, 0)
     head = lpf[: root + 1]
-    for p in range(2, root + 1):
+    for p in range(2, math.isqrt(root) + 1):
         if head[p] == 1:  # no smaller prime divides p
-            others.append(p)
             head[p * p::p] = p
+    others = (np.flatnonzero(head[2:] == 1) + 2).tolist()
+    for p in others:
+        first[::p] = p
     # each prime is written once, ascending, into one buffer sized by the
     # bound on pi(limit); the sieve keeps the filled head
     primes = np.empty(_prime_count_bound(limit), dtype=np.int64)
     filled = len(wheel) + len(others)
     primes[:filled] = wheel + others
-    quotient = np.empty(min(SIEVE_SEGMENT, limit + 1) // 2 + 1, dtype=np.intp)
-    for start in range(0, limit + 1, SIEVE_SEGMENT):
-        end = min(start + SIEVE_SEGMENT, limit + 1)
-        seg = lpf[start:end]
-        for p in others:
-            seg[-start % p::p] = p
-        s = max(start, root + 1)
-        while s < end:
-            e = min(2 * s, end)
-            lpf[s + s % 2:e:2] = lpf[(s + 1) // 2:(e + 1) // 2]  # m / 2 >= 2
-            odd = lpf[s | 1:e:2]
-            q = quotient[: odd.size]
-            big = np.flatnonzero(odd == 1) * 2 + (s | 1)  # primes above root
-            # P divides m (a prime m has P = 1), so the float64 quotient is
-            # an exact integer; a prime reads its own entry, still 1
-            np.divide(np.arange(s | 1, e, 2, dtype=np.float64), odd, out=q,
-                      casting="unsafe")
-            np.maximum(odd, lpf.take(q), out=odd)
-            lpf[big] = big
-            primes[filled:filled + big.size] = big
-            filled += big.size
-            s = e
+    # the odd entries of a segment at most, and their distances from the first
+    width = min(SIEVE_SEGMENT, limit + 1) // 2 + 1
+    offsets = np.arange(0, 2 * width, 2, dtype=np.float64)
+
+    # a wave's primes, in the order its tasks store them: at most pi(s) of
+    # them in [s, 2s), since pi(2s) <= 2 pi(s), and so at most half the bound
+    found = np.empty(_prime_count_bound(limit) // 2 + 1, dtype=np.int64)
+    stored, lock = 0, threading.Lock()
+
+    def finalize(lo, hi, buffers):
+        """Finalize lpf[lo:hi], first sieving it past the first segment, and
+        return where in found its primes above root are, ascending."""
+        nonlocal stored
+        if lo >= SIEVE_SEGMENT:
+            seg = lpf[lo:hi]
+            tile(seg, lo)
+            for p in others:
+                seg[(p - lo) % (2 * p)::2 * p] = p
+        lpf[lo + lo % 2:hi:2] = lpf[(lo + 1) // 2:(hi + 1) // 2]  # m / 2 >= 2
+        odd = lpf[lo | 1:hi:2]
+        m, q = (b[:odd.size] for b in buffers)
+        # P divides m (a prime m has P = 1), so the float64 quotient is an
+        # exact integer; a prime reads its own entry, still 1
+        np.add(offsets[:odd.size], lo | 1, out=m)
+        np.divide(m, odd, out=q, casting="unsafe")
+        rows = np.flatnonzero(np.equal(odd, 1, out=m.view(np.bool_)[:odd.size]))
+        with lock:
+            at, stored = stored, stored + rows.size
+        big = np.multiply(rows, 2, out=found[at:at + rows.size])
+        big += lo | 1
+        np.maximum(odd, lpf.take(q, out=m.view(np.int32)[:odd.size], mode="clip"),
+                   out=odd)
+        lpf[big] = big
+        return at, big.size
+
+    # a worker's buffers go back to spare when its wave ends, so that the
+    # next wave writes into pages already mapped
+    spare, lent = [], []
+
+    def new_buffers():
+        lent.append(spare.pop() if spare else
+                    (np.empty(width, dtype=np.float64), np.empty(width, dtype=np.intp)))
+        return lent[-1]
+
+    s = root + 1
+    while s <= limit:
+        e = min(2 * s, limit + 1)
+        if s < SIEVE_SEGMENT:
+            e = min(e, SIEVE_SEGMENT)
+        for at, count in rng.run_tasks(finalize, range(s, e, SIEVE_SEGMENT), new_buffers):
+            primes[filled:filled + count] = found[at:at + count]
+            filled += count
+        stored = 0
+        spare += lent
+        lent.clear()
+        s = e
     lpf[0] = 1
     return PrimeSieve(limit=limit, largest_prime_factor=lpf,
                       prime_array=primes[:filled])

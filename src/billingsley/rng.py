@@ -12,20 +12,20 @@ retries at the same index with an incremented attempt counter, so a retry
 never disturbs neighbouring draws; the retry probability is n / 2^64.
 
 run_tasks hands each task of a range its bounds and runs the tasks (Monte
-Carlo and factor-row blocks, scan chunks, sampler blocks) over the CPUs the
-process may use, pooled only from two whole steps on, each worker held to
-one CPU of the caller's affinity for the length of the call; the results
-come back in task order, so the scheduling never shows in a result.
+Carlo and factor-row blocks, scan chunks, sampler blocks, sieve segments)
+over the CPUs the process may use, pooled only from two whole steps on,
+each worker held to one CPU of the caller's affinity for the length of the
+call; the results come back in task order, so the scheduling never shows in
+a result.
 """
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from threading import Lock, Thread
 
 import numpy as np
 
-from .primes import _integer_n
+from . import primes
 
 #: fixed documented default seed; never time-based
 DEFAULT_SEED = 42
@@ -50,7 +50,7 @@ def mix64(x: int) -> int:
 def stream_key(seed: int) -> int:
     """Derive the 64-bit key of the seed's stream.  A numpy integer seed
     keys the stream of its int; a float is a ParameterError."""
-    return mix64(mix64(_integer_n(seed, "seed") & MASK64) ^ mix64(0x5851F42D4C957F2D))
+    return mix64(mix64(primes._integer_n(seed, "seed") & MASK64) ^ mix64(0x5851F42D4C957F2D))
 
 
 #: words per block of the stream fills (raw64's mixing, the PD stick
@@ -224,10 +224,10 @@ def run_tasks(fn, tasks: range, new_buffers) -> list:
     the range of task starts: the results in task order.
 
     The tasks must be independent.  They run on up to cpu_count() workers,
-    the calling thread and a pool of threads, each taking the next task in
-    turn and handing every task it takes the same buffers, which
-    new_buffers() makes for each worker in the calling thread (so that no
-    pool thread allocates them in a heap of its own).  numpy releases the
+    the calling thread and threads started for the call, each taking the
+    next task in turn and handing every task it takes the same buffers,
+    which new_buffers() makes for each worker in the calling thread (so that
+    no pool thread allocates them in a heap of its own).  numpy releases the
     interpreter lock inside its loops, so the workers overlap.  With one
     CPU, or fewer than two whole steps in the range, the tasks run inline
     with one set of buffers, where a pool would cost more than it saves.
@@ -241,7 +241,9 @@ def run_tasks(fn, tasks: range, new_buffers) -> list:
     time equal to CPU time), which made a Monte Carlo call of 10^7 draws
     take 0.15 s, not 0.08; holding only the pool threads did not help, as
     the caller was moved next to them.  Where the platform has no affinity
-    call, or refuses it, the workers run unpinned.
+    call, or refuses it, the workers run unpinned.  A task's exception is
+    raised in the caller once every worker has stopped and the caller's
+    affinity is back.
     """
     workers = min(cpu_count(), (tasks.stop - tasks.start) // tasks.step)
     spans = [(lo, min(lo + tasks.step, tasks.stop)) for lo in tasks]
@@ -251,28 +253,36 @@ def run_tasks(fn, tasks: range, new_buffers) -> list:
     sets = [new_buffers() for _ in range(workers)]
     results = [None] * len(spans)
     todo = iter(enumerate(spans))
-    lock = threading.Lock()
+    lock = Lock()
+    failures = []
     mask = _affinity()
     cpus = sorted(mask)
 
     def work(worker, buffers):
-        if cpus:
-            _hold({cpus[worker % len(cpus)]})
-        while True:
-            with lock:
-                item = next(todo, None)
-            if item is None:
-                return
-            results[item[0]] = fn(*item[1], buffers)
+        try:
+            if cpus:
+                _hold({cpus[worker % len(cpus)]})
+            while True:
+                with lock:
+                    item = next(todo, None)
+                if item is None:
+                    return
+                results[item[0]] = fn(*item[1], buffers)
+        except BaseException as exc:  # raised in the caller once all have stopped
+            failures.append(exc)
 
+    threads = [Thread(target=work, args=(worker, buffers))
+               for worker, buffers in enumerate(sets[1:], 1)]
     try:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(work, worker, buffers)
-                       for worker, buffers in enumerate(sets[1:], 1)]
-            work(0, sets[0])
-            for future in futures:
-                future.result()
+        for thread in threads:
+            thread.start()
+        work(0, sets[0])
     finally:
+        for thread in threads:
+            if thread.is_alive():
+                thread.join()
         if cpus:
             _hold(mask)
+    if failures:
+        raise failures[0]
     return results

@@ -1,4 +1,4 @@
-from concurrent.futures import ThreadPoolExecutor
+import threading
 
 import pytest
 
@@ -97,17 +97,20 @@ def cpus(monkeypatch):
     """cpus(w) makes rng.run_tasks see w CPUs from then on, so that its pool
     runs even on a one-CPU machine, and returns the list that records the
     thread count of every pool it starts (w - 1 at most: the calling thread
-    is a worker too)."""
+    is a worker too).  A pool's threads are made in worker order, worker 1
+    first, so worker 1 opens a new entry."""
     def set_cpus(workers):
         pools = []
 
-        class Recorded(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
+        class Recorded(threading.Thread):
+            def __init__(self, target, args):
+                if args[0] == 1:
+                    pools.append(0)
+                pools[-1] += 1
+                super().__init__(target=target, args=args)
 
         monkeypatch.setattr(rng, "cpu_count", lambda: workers)
-        monkeypatch.setattr(rng, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(rng, "Thread", Recorded)
         return pools
 
     return set_cpus

@@ -2,6 +2,7 @@ import decimal
 import functools
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,8 @@ from billingsley import (DomainError, ParameterError, ResourceError, build_sieve
                          power_floor)
 from billingsley.primes import _build_bytes
 from billingsley.smoothcount import PsiEngine
+
+from conftest import WORKER_COUNTS
 
 
 def trial_division_primes(limit):
@@ -102,6 +105,51 @@ def test_sieve_tables_are_read_only(sieve5, table):
     for arr in arrays:
         with pytest.raises(ValueError):
             arr[1] = arr[1]
+
+
+#: limits on the sieve's wave and segment edges: up to 3 * 2^18 + 5 every
+#: wave is one task, or one and a partial one, and runs inline; 2^20 + 1's
+#: last wave is one partial task; 3 * 2^19 + 4's last wave is two whole
+#: tasks and a partial one; 1259 is 1259^2's largest slice prime, and its
+#: square falls in the last segment; 5 * 2^19 + 7 has a wave of four tasks
+WAVE_LIMITS = [2**18 - 1, 2**18, 2**18 + 1, 2**19 - 1, 2**19 + 1, 3 * 2**18 + 5,
+               2**20 + 1, 3 * 2**19 + 4, 1259**2, 5 * 2**19 + 7]
+
+
+@pytest.mark.parametrize("workers", WORKER_COUNTS)
+def test_pooled_sieve_equals_the_inline_sieve(cpus, workers):
+    cpus(1)
+    inline = [build_sieve(limit) for limit in WAVE_LIMITS]
+    pools = cpus(workers)
+    for want in inline:
+        sieve = build_sieve(want.limit)
+        assert np.array_equal(sieve.largest_prime_factor, want.largest_prime_factor), want.limit
+        assert np.array_equal(sieve.prime_array, want.prime_array), want.limit
+        for arr in (sieve.largest_prime_factor, sieve.prime_array):
+            while isinstance(arr, np.ndarray):
+                assert not arr.flags.writeable, want.limit
+                arr = arr.base
+    # every wave of two whole tasks or more pools: [2^19, 2^20) from 2^20 + 1
+    # on, and [2^20, 2^21) from 3 * 2^19 + 4 on, which 5 * 2^19 + 7 holds
+    # whole, four tasks, before its last wave of two and a partial one
+    assert pools == ([] if workers == 1 else [1] * 6 + [min(workers, 4) - 1, 1])
+
+
+def test_pooled_sieve_stores_every_prime_under_frequent_thread_switches(cpus):
+    # eight workers on fewer CPUs take turns every microsecond, so a lost
+    # update of the count of a wave's stored primes would overlap two tasks'
+    limit = 3 * 2**20 + 5
+    cpus(1)
+    want = build_sieve(limit)
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        sieve = build_sieve(limit)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(sieve.largest_prime_factor, want.largest_prime_factor)
+    assert np.array_equal(sieve.prime_array, want.prime_array)
 
 
 @pytest.mark.parametrize("limit", [10**4, 10**5, 10**6])
