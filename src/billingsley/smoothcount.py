@@ -3,7 +3,9 @@ the Dickman approximation x * rho(log x / log y).
 
 psi_bruteforce scans largest prime factors off a PrimeSieve.  psi_exact runs
 a PsiEngine, which keeps its own Eratosthenes prime list and shares no table
-with PrimeSieve, so each route serves as the other's oracle.
+with PrimeSieve, so each route serves as the other's oracle.  Batches
+(psi_sum) always sweep; a single psi_exact call may instead read a prime-count
+table, below.
 All quotient arithmetic is exact integer division.
 
 The engine evaluates a whole batch sum_r Psi(x_r, y_r) in numpy by sweeping
@@ -38,14 +40,30 @@ A single x <= T skips the sweep: one count off the leaf table, the same
 streamed label count as psi_bruteforce's, for an int or an array of x, with
 memory that grows with the number of x, not with their size.
 
-Feasibility: the identity needs the primes up to min(x, (y+1)^2).  The
-engine's prime list grows geometrically to that, capped at PRIME_CAP = 10^8:
-y beyond the cap raises ResourceError, and quotients beyond it are divided
-down instead.  psi_exact(10^12, 1000) takes about 0.15 s on a 2-vCPU Xeon
-VM; work grows with the number of distinct quotients above T, roughly x / T
-divisors.  The x of a batch must sum to at most 2^62 so that every weighted
-partial sum fits in int64; larger batches raise ResourceError before any
-work.
+A single x > T with y >= TABLE_CUBE_RATIO * x^(1/3), or with (y + 1)^2 > x,
+skips it too: the engine tabulates pi at every floor quotient x // m by the
+Lucy/Legendre recurrence over its primes up to sqrt(x) (Lagarias-Miller-
+Odlyzko 1985, Deleglise-Rivat 1996), x^(3/4) / log x work in three int64
+arrays of sqrt(x) entries: 3 ms at 10^7, 0.3-0.4 s at 10^11 and 1.4-1.9 s
+at 10^12 (a 33 MB peak).  For (y + 1)^2 > x, Psi(x, y) is the
+one-large-factor identity read off it, with pi(y) off the engine's primes
+up to T, or past T a second, smaller table, when y is not a floor quotient
+of x; below sqrt(x), Psi(x, y) = Psi(x, sqrt x) - sum_{y < p <= sqrt x}
+Psi(x // p, p), each term the same identity off the same table.  The engine
+keeps the last table it built, two int64 arrays of sqrt(x) entries (16 MB
+at 10^12), so repeated calls at one x read it again instead of building it
+anew.
+
+Feasibility: the sweep's identity needs the primes up to min(x, (y+1)^2).
+The engine's prime list grows geometrically to that, capped at PRIME_CAP =
+10^8: on the sweep, y beyond the cap raises ResourceError, and quotients
+beyond it are divided down instead.  The table needs the primes only up to
+sqrt(x), so it answers y past the cap, and it refuses its memory through
+check_memory before any work.  psi_exact(10^12, 1000) takes about 0.15 s
+on a 2-vCPU Xeon VM; the sweep's work grows with the number of distinct
+quotients above T, roughly x / T divisors.  The x of a batch must sum to
+at most 2^62 so that every weighted partial sum fits in int64; larger
+batches raise ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -55,7 +73,7 @@ import math
 import numpy as np
 
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError, ResourceError
+from .errors import DomainError, ParameterError, ResourceError, check_memory
 from .primes import PrimeSieve, _integer_array, _integer_n, _read_only
 
 #: never sieve the internal prime list beyond this
@@ -77,8 +95,21 @@ X_SUM_LIMIT = 1 << 62
 #: the one-large-factor identity expands at most about this many rows at once
 IDENTITY_ROWS = 1 << 22
 
+#: psi_exact takes the prime-count table for y below sqrt(x) only from y >=
+#: TABLE_CUBE_RATIO * x^(1/3) on.  Seconds in a fresh process, sweep / table,
+#: medians of 3 to 7 on a 2-vCPU Xeon VM: at y = x^(1/3), 0.0034/0.0057 (x =
+#: 10^7), 0.0057/0.0062 (10^8), 0.020/0.017 (10^9), 0.061/0.066 (10^10),
+#: 0.23/0.29 (10^11), 1.32/1.48 (10^12); at 1.1 x^(1/3), tied up to 10^8 and
+#: 0.13/0.065, 0.58/0.30, 3.0/1.4 at 10^10..10^12; at 1.25 x^(1/3),
+#: 0.0020/0.0015 (2e6), 0.0028/0.0023, 0.010/0.0087, 0.022/0.015, 0.125/0.063,
+#: 0.53/0.29, 3.2/1.4; from there to 2 x^(1/3) the table won at every x
+TABLE_CUBE_RATIO = 1.25
+
 #: a label count compares this many int32 labels at a time into one 64 KiB buffer
 _COUNT_CHUNK = 1 << 16
+
+#: the prime-count table gathers its floor quotients this many at a time
+_TABLE_CHUNK = 1 << 18
 
 #: the sweep closes at the first stage whose prime is at most this.  In a
 #: sweep of 5..17 on psi_exact(3e11 and 1e12, 1e3), (1e11, 1e4) and (1e10,
@@ -123,11 +154,13 @@ def _merge(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class PsiEngine:
     """Exact sums of smooth-number counts, with a cached prime list and leaf
-    table.  Results never depend on call history; the caches only grow, and
-    both are read-only, so a shared engine cannot be corrupted through them.
+    table, and the last prime-count table.  Results never depend on call
+    history; the prime list only grows, and every cache is read-only, so a
+    shared engine cannot be corrupted through them.
     """
 
     def __init__(self):
+        self._held = None  # (x, small, large): the last _prime_counts(x) _counts built
         self.leaf_limit = self.prime_limit = leaf_limit = LEAF_LIMIT
         self.primes = _eratosthenes(self.prime_limit)
         # leaf table: largest prime factor of every m <= T, multiplied out
@@ -267,6 +300,131 @@ class PsiEngine:
         above = np.searchsorted(primes, z[item] // r, side="right") - j
         return int(np.dot(w, z - np.add.reduceat(above, starts)))
 
+    def _prime_counts(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """pi at every floor quotient of x >= 1, r = isqrt(x): small[v] = pi(v)
+        for v <= r and large[m] = pi(x // m) for 1 <= m <= r (large[0] unused).
+
+        The Lucy/Legendre recurrence S(v) -= S(v // p) - S(p - 1), for every
+        floor quotient v >= p^2, over the engine's primes p <= r from S(v) =
+        v - 1 (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): x^(3/4)
+        / log x updates.  For large[m] with m p <= r, v // p is large[m p], a
+        strided slice; otherwise it is small[(x // m) // p], gathered
+        _TABLE_CHUNK at a time from a third array of the x // m.  From the
+        first p with p^3 > x on, a stage writes only large[m] with m < p and
+        reads only entries that no later stage writes, so those stages run as
+        one batch of rows, m-major, off the counts they read.
+        Its peak, _table_bytes(r), and the table the engine holds are refused
+        through check_memory before any work."""
+        r = math.isqrt(x)
+        held = self._held
+        held = 0 if held is None else held[1].nbytes + held[2].nbytes
+        check_memory(_table_bytes(r) + held, f"a prime-count table to {x}")
+        primes = self._ensure_primes(r)
+        primes = primes[:np.searchsorted(primes, r, side="right")]
+        reach = x // (primes * primes)  # large[m] holds a v >= p^2 for m <= reach
+        k = int(np.searchsorted(primes - reach, 1))  # the first p with p^3 > x
+        quot = np.arange(r + 1, dtype=np.int64)
+        np.floor_divide(x, quot[1:], out=quot[1:])
+        large = quot - 1
+        small = np.arange(-1, r, dtype=np.int64)
+        small[0] = 0
+        at = np.empty(min(r, _TABLE_CHUNK), dtype=np.int64)
+        got = np.empty_like(at)
+        for p, top in zip(primes[:k].tolist(), reach[:k].tolist()):
+            sp = int(small[p - 1])
+            top = min(r, top)
+            mid = min(top, r // p)
+            large[1:mid + 1] -= large[p:p * mid + 1:p] - sp
+            for lo in range(mid + 1, top + 1, _TABLE_CHUNK):
+                hi = min(lo + _TABLE_CHUNK, top + 1)
+                idx = np.floor_divide(quot[lo:hi], p, out=at[:hi - lo])
+                val = np.take(small, idx, out=got[:hi - lo])
+                val -= sp
+                large[lo:hi] -= val
+            u = r // p  # small[v] for p^2 <= v <= r reads small[v // p], p <= v // p <= u
+            if u >= p:
+                less = small[p:u + 1] - sp
+                small[p * p:p * u].reshape(u - p, p)[...] -= less[:-1, None]
+                small[p * u:] -= less[-1]
+                del less  # the next stage's strided slice takes its place
+        # row m of the batch holds the first `ends[m - 1]` of its primes, and
+        # S(p - 1) = pi(p - 1) is the index of p in primes
+        sums, ends = _table_rows(small, large, x, primes[k:], reach[k:])
+        large[1:sums.size + 1] -= sums - (k * ends + ends * (ends - 1) // 2)
+        return small, large
+
+    def _counts(self, x: int) -> tuple[np.ndarray, np.ndarray]:
+        """_prime_counts(x), read-only, kept until a call at another x; the
+        table held before is let go before the new one is built."""
+        held = self._held
+        if held is None or held[0] != x:
+            self._held = held = None
+            small, large = self._prime_counts(x)
+            held = self._held = (x, _read_only(small), _read_only(large))
+        return held[1], held[2]
+
+    def _psi_off_table(self, x: int, y: int) -> int:
+        """Psi(x, y) for x > 2^20 and (y + 1)^3 >= x, off the prime counts at
+        the floor quotients of x.
+
+        For t >= r = isqrt(x), so (t + 1)^2 > x, Psi(x, t) = x - sum_{m <= R}
+        (pi(x // m) - pi(t)), R = x // (t + 1).  With t = y, pi(y) is on the
+        table when y is a floor quotient of x; when it is not, it is a search
+        of the engine's primes up to T and the top of a second table, for y,
+        past it.  Below r, Psi(x, y) = Psi(x, r) - sum_{y < p <= r}
+        Psi(x // p, p): every p > y has p^3 >= x, so each
+        term is the same identity, one row (p, s) for each s <= (x // p) //
+        (p + 1), reading pi(x // (p s)) off the table: about x / (y log y)
+        rows in at most x^(1/3) slices."""
+        small, large = self._counts(x)
+        r = small.size - 1
+        top = max(y, r)
+        rows = x // (top + 1)  # <= r
+        total = x - int(large[1:rows + 1].sum())
+        if top > r and x // (x // top) != top:
+            pi = (np.searchsorted(self.primes, top, side="right") if top <= self.leaf_limit
+                  else self._prime_counts(top)[1][1])
+            return total + rows * int(pi)
+        total += rows * int(small[r] if top == r else large[x // top])
+        if y >= r:
+            return total
+        primes = self.primes
+        p = primes[np.searchsorted(primes, y, side="right"):
+                   np.searchsorted(primes, r, side="right")]
+        z = x // p
+        reps = z // (p + 1)
+        total -= int(z.sum()) + int(np.dot(reps, small[p]))
+        return total + int(_table_rows(small, large, x, p, reps)[0].sum())
+
+
+def _table_bytes(r: int) -> float:
+    """Bytes PsiEngine._prime_counts holds at its peak for r = isqrt(x): three
+    int64 arrays of r + 1 entries, a slice of half that, the two gather
+    buffers, fewer than ten int64 arrays of the primes up to r, pi(r) < 1.26 r
+    / log r (Rosser-Schoenfeld 1962), and 64 KiB for the interpreter's lists
+    and scalars.  _psi_off_table holds less, but for the table for x that the
+    engine keeps while it builds a second one for y; check_memory counts that
+    one too."""
+    return (28.0 * (r + 1) + 16.0 * min(r, _TABLE_CHUNK) + 96.0 * r / math.log(r + 2)
+            + 65536.0)
+
+
+def _table_rows(small: np.ndarray, large: np.ndarray, x: int, p: np.ndarray,
+                reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For s = 1, ..., max(reps): sum pi(x // (p s)) over the p with reps >= s,
+    off _prime_counts(x), and how many p those are; p ascending, reps
+    non-increasing, so row s holds a prefix of p, each term large[p s] up to
+    p s = r and small[(x // s) // p] past it.  A row costs a few numpy calls."""
+    r = small.size - 1
+    steps = np.arange(1, int(reps.max(initial=0)) + 1)
+    ends = np.searchsorted(-reps, -steps, side="right")
+    cuts = np.minimum(np.searchsorted(p, r // steps, side="right"), ends)
+    sums = np.empty(steps.size, dtype=np.int64)
+    for i, (end, cut) in enumerate(zip(ends.tolist(), cuts.tolist())):
+        s = i + 1
+        sums[i] = large[p[:cut] * s].sum() + small[(x // s) // p[cut:end]].sum()
+    return sums, ends
+
 
 @functools.cache
 def default_engine() -> PsiEngine:
@@ -275,7 +433,9 @@ def default_engine() -> PsiEngine:
 
 
 def psi_exact(x: int, y: int) -> int:
-    """Number of y-smooth integers in [1, x], by the engine; floats are refused."""
+    """Number of y-smooth integers in [1, x], by the engine: off its leaf
+    table for x <= T, off a prime-count table for y >= sqrt(x) or y >=
+    TABLE_CUBE_RATIO * x^(1/3), by the sweep otherwise.  Floats are refused."""
     x, y = _integer_n(x, "x"), _integer_n(y, "y")
     if x < 0:
         raise ParameterError("x must be non-negative")
@@ -290,6 +450,8 @@ def psi_exact(x: int, y: int) -> int:
     engine = default_engine()
     if x <= engine.leaf_limit:
         return engine.psi_small(x, y)
+    if (y + 1) ** 2 > x or y**3 >= TABLE_CUBE_RATIO**3 * x:
+        return engine._psi_off_table(x, y)
     return engine.psi_sum([x], [y])
 
 

@@ -873,6 +873,30 @@ def test_via_psi_pins_past_the_leaf_limit(sieve_top_1e12):
     assert box_probability_via_psi(sieve_top_1e12, 10**12, k2).count == 16663915721
 
 
+def test_via_psi_k1_count_equals_prime_counts_grouped_by_quotient(sieve7):
+    # every p in [a, b] exceeds sqrt(n), so the count is sum floor(n / p); the
+    # p with floor(n / p) = v fill (n // (v + 1), n // v], and pi at those
+    # ends is read off the engine's prime-count table over n's floor
+    # quotients, pi(b) off the table for b: a third exact route
+    n, box = 10**10, BoxSpec((0.5,), (0.1,))
+    (a, b), = prime_bounds(n, box)
+    engine = default_engine()
+    small, large = engine._prime_counts(n)
+    r = small.size - 1
+    assert a * a >= n
+
+    def pi(v):  # v <= r, or a floor quotient n // m of n with m <= r
+        return np.where(v <= r, small[np.minimum(v, r)], large[n // np.maximum(v, r + 1)])
+
+    v = np.arange(n // b, n // a + 1, dtype=np.int64)
+    low = np.maximum(n // (v + 1), a - 1)
+    primes = pi(n // v) - pi(low)
+    primes[0] = int(engine._prime_counts(b)[1][1]) - int(pi(low[:1])[0])  # capped at b
+    want = int(np.dot(v, primes))
+    assert want == int((n // sieve7.primes_in_range(a, b)).sum()) == 1820524787
+    assert box_probability_via_psi(sieve7, n, box).count == want
+
+
 #: a k = 3 box whose route at 10^12 and 10^13 forms millions of leaf rows
 MANY_ROWS_BOX = BoxSpec.from_string("0.4,0.05;0.2,0.05;0.1,0.05")
 

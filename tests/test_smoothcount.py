@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billingsley import smoothcount
+from billingsley import errors, smoothcount
 from billingsley import (DomainError, ParameterError, ResourceError,
                          build_rho_table, psi_bruteforce, psi_dickman, psi_exact,
                          rho)
@@ -199,13 +199,18 @@ def test_random_against_bruteforce(sieve7):
     rnd = random.Random(11)
     T = LEAF_LIMIT
     cases = [(x, rnd.randint(2, 3000)) for x in (T - 1, T, T + 1) for _ in range(3)]
+    near = []
     for _ in range(40):
         y = rnd.randint(2, 3000)
         cases.append((rnd.randint(1, 10**7), y))
         sq = (y + 1) ** 2
-        cases.append((min(10**7, sq + rnd.randint(-2, 2)), y))
-    for x, y in cases:
+        near.append((min(10**7, sq + rnd.randint(-2, 2)), y))
+    for x, y in cases + near:
         assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y), (x, y)
+    # psi_exact answers these off the prime-count table; psi_sum keeps them
+    # on the sweep, whose one-large-factor band they open or just miss
+    for x, y in near:
+        assert default_engine().psi_sum([x], [y]) == psi_bruteforce(sieve7, x, y), (x, y)
 
 
 def test_sweep_paths_against_bruteforce(sieve5, monkeypatch):
@@ -419,3 +424,137 @@ def test_engine_tables_are_read_only():
     for table in (grown.primes, grown.primes.base):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = table[0]
+
+
+def pi_off_sieve(sieve, v):
+    """pi(v) for each v of an integer array, by searching the sieve's primes."""
+    return np.searchsorted(sieve.prime_array, v, side="right")
+
+
+def test_prime_counts_match_the_sieve_at_every_floor_quotient(sieve7):
+    rnd = random.Random(33)
+    xs = [r * r + d for r in (1025, 2000, 3162) for d in (-1, 0, 1)]
+    xs += [rnd.randint(2, 10**7) for _ in range(12)] + list(range(1, 40))
+    engine = default_engine()
+    for x in xs:
+        small, large = engine._prime_counts(x)
+        r = math.isqrt(x)
+        m = np.arange(1, r + 1)
+        assert small.size == large.size == r + 1, x
+        assert np.array_equal(small, pi_off_sieve(sieve7, np.arange(r + 1))), x
+        assert np.array_equal(large[1:], pi_off_sieve(sieve7, x // m)), x
+
+
+def cube_root_ceil(x):
+    """The least c with c^3 >= x."""
+    c = round(x ** (1 / 3))
+    while c**3 < x:
+        c += 1
+    while (c - 1) ** 3 >= x:
+        c -= 1
+    return c
+
+
+def test_exact_off_the_table_against_bruteforce(sieve7):
+    # both sides of every routing edge: (y + 1)^2 > x opens the identity on
+    # x itself, (y + 1)^3 >= x allows one Buchstab step down to it, and the
+    # cost rule decides where between them the table is taken.  The kernel
+    # is also called directly on every y it can take, since the cost rule
+    # leaves the y just above x^(1/3) to the sweep
+    rnd = random.Random(34)
+    xs = [LEAF_LIMIT + 1, 3 * 10**6, 3162**2, 3162**2 + 1, 10**7 - 1, 10**7]
+    xs += [rnd.randint(LEAF_LIMIT + 1, 10**7) for _ in range(8)]
+    engine = default_engine()
+    for x in xs:
+        root, cube = math.isqrt(x), cube_root_ceil(x)
+        rule = cube_root_ceil(smoothcount.TABLE_CUBE_RATIO**3 * x)
+        ys = {root - 1, root, root + 1, cube - 2, cube - 1, cube, rule - 1, rule, x - 1, x // 2,
+              rnd.randint(cube, root), rnd.randint(cube, root), rnd.randint(root, x - 1)}
+        for y in sorted(ys):
+            want = psi_bruteforce(sieve7, x, y)
+            assert psi_exact(x, y) == want, (x, y)
+            if (y + 1) ** 3 >= x:
+                assert engine._psi_off_table(x, y) == want, (x, y)
+
+
+def test_engine_keeps_the_last_table_for_repeated_calls_at_one_x(sieve7, monkeypatch):
+    # a y-ladder at one x builds the table once; a call at another x lets it
+    # go first.  pi(y) for a y that is no floor quotient of x is a search of
+    # the engine's primes up to T = 2^20 and past T a table for y that the
+    # engine does not keep
+    engine = PsiEngine()
+    monkeypatch.setattr(smoothcount, "default_engine", lambda: engine)
+    built = []
+    prime_counts = engine._prime_counts
+    monkeypatch.setattr(engine, "_prime_counts",
+                        lambda x: built.append(x) or prime_counts(x))
+    x = 3 * 10**6
+    ys = [1732, 1740, 2 * 1732 + 1, 1_200_000, x // 2, x - 2, 200, 1500]
+    for y in ys:
+        assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y), y
+    assert built == [x, 1_200_000, x - 2]
+    assert engine._held[0] == x
+    for table in engine._held[1:]:
+        with pytest.raises(ValueError, match="read-only"):
+            table[1] = table[1]
+    assert psi_exact(x + 1, 1740) == psi_bruteforce(sieve7, x + 1, 1740)
+    assert built[3:] == [x + 1] and engine._held[0] == x + 1
+
+
+def test_held_table_counts_against_the_memory_budget(monkeypatch):
+    engine = PsiEngine()
+    x = 10**7
+    engine._counts(x)
+    y = x - 2  # no floor quotient of x, so pi(y) needs a table to y
+    budget = smoothcount._table_bytes(math.isqrt(y)) + 1
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget)
+    with pytest.raises(ResourceError, match="prime-count table"):
+        engine._psi_off_table(x, y)
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget + 16 * (math.isqrt(x) + 1))
+    assert engine._psi_off_table(x, y) == x  # 9999999 = 9 * 1111111
+
+
+def test_pinned_values_off_the_table():
+    # the sweep (psi_sum) gives the same values, in about 8 s and 2 s
+    assert psi_exact(10**10, 4641588) == 6139365493
+    assert psi_exact(10**11, 316227) == 32447457161
+
+
+def test_y_past_the_prime_cap_is_answered_off_the_table():
+    # the sweep refuses y > PRIME_CAP; here every p in (y, x] has x // p = 1,
+    # so Psi(x, y) = x - (pi(x) - pi(y)), pi(2e8) = 11078937 and 100000007 is
+    # the first prime past 10^8, pi(10^8) = 5761455
+    assert psi_exact(2 * 10**8, 10**8 + 7) == 2 * 10**8 - (11078937 - 5761456)
+
+
+@pytest.mark.parametrize("x", [LEAF_LIMIT + 1, 10**7, 10**9, 10**11])
+def test_table_bytes_bound_the_traced_peak(x):
+    # the memory check refuses a table by this estimate, so it must not
+    # undercount what the table, or a count read off it, allocates; at 10^11
+    # (a second under tracemalloc) only the table, whose peak the counts share.
+    # At y = x - 2 the engine keeps the table for x, 16 (r + 1) bytes, while
+    # it builds one for y, and the check counts both
+    engine = PsiEngine()
+    r = math.isqrt(x)
+    for y in [None] + ([cube_root_ceil(2 * x), r + 7, x - 2] if x < 10**10 else []):
+        engine._held = None
+        tracemalloc.start()
+        try:
+            engine._prime_counts(x) if y is None else engine._psi_off_table(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = 16 * (r + 1) if y == x - 2 else 0
+        assert peak <= smoothcount._table_bytes(r) + held, (x, y)
+
+
+def test_oversized_prime_count_table_is_refused_before_any_work(monkeypatch):
+    engine = default_engine()
+    grown = engine.prime_limit
+    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 1 << 20)
+    # the table to 10^15 would grow the prime list to 3.2e7 first
+    with pytest.raises(ResourceError, match="prime-count table"):
+        psi_exact(10**15, 4 * 10**7)
+    with pytest.raises(ResourceError, match="prime-count table"):
+        engine._prime_counts(10**15)
+    assert engine.prime_limit == grown
