@@ -183,10 +183,8 @@ def _asr(f, a, fa, b, fb, eps, whole, m, fm, depth):
 
 
 def _adaptive_simpson(f, a, b, abs_tol):
-    """Integral of f over [a, b] to abs_tol; raises NumericalError at the
-    first cell that would need more than QUAD_MAX_DEPTH levels."""
-    if b <= a:
-        return 0.0
+    """Integral of f over [a, b], a < b, to abs_tol; raises NumericalError
+    at the first cell that would need more than QUAD_MAX_DEPTH levels."""
     fa, fb = f(a), f(b)
     m, fm, whole = _simpson(f, a, fa, b, fb)
     return _asr(f, a, fa, b, fb, abs_tol, whole, m, fm, QUAD_MAX_DEPTH)
@@ -198,11 +196,8 @@ def _adaptive_simpson(f, a, b, abs_tol):
 def _nested_log_integral(level: int, upper: float, budget: float, tol: float) -> float:
     """Integral of prod dt_j/t_j over 1 < t_1 < ... < t_level < upper with
     sum 1/t_j < budget, to about tol; each inner level gets half the tolerance
-    of the one outside it."""
-    if level == 0:
-        return 1.0
-    if budget <= 0.0:
-        return 0.0
+    of the one outside it.  level >= 1 and budget > 0: an inner level gets
+    budget - 1/t >= budget (1 - 1/level) > 0, as t >= lo."""
     lo = max(1.0, level / budget)  # below this the remaining region is empty
     if upper <= lo:
         return 0.0

@@ -110,14 +110,12 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
     add to a precomputed block, rng._uniform_block mixes them into
     uniforms, the prefix products take truncation - 1 row multiplies and the
     negated stick lengths, p_j - p_{j-1} and p_1 - 1, one subtract.  One
-    transpose copy puts them into rows, which are sorted ascending in place
-    and restored as 0 - x, so that each row ends descending.  With all ranks
-    the rows are the block's rows of the output; with k < truncation they
-    are the worker's mixing scratch, spent by then, and only their first k
-    columns are restored into the output.  At k = 1 nothing is transposed
-    or sorted: the largest stick is 0 minus the least negated length of
-    each column, one reduction.  Every way column i is bit for bit column
-    i of the full rows.  Subtracting from 0 keeps the +0.0 lengths of
+    transpose copy puts them into rows of the worker's mixing scratch,
+    spent by then, which are sorted ascending in place, and only their
+    first k columns are restored into the output as 0 - x, so that each row
+    ends descending.  At k = 1 nothing is transposed or sorted: the largest
+    stick is 0 minus the least negated length of each column, one
+    reduction.  Every way column i is bit for bit column i of the full rows.  Subtracting from 0 keeps the +0.0 lengths of
     underflowed prefix products at +0.0, where negating would give -0.0,
     so no length is -0.0 and the minimum has the sort's bits.  The blocks
     change no bits.  They are rng.run_tasks tasks, pooled from two whole
@@ -176,10 +174,10 @@ def pd_sample_batch(seed: int, count: int, truncation: int = DEFAULT_TRUNCATION,
             np.min(lengths, axis=0, out=out[:, 0])
             np.subtract(0.0, out, out=out)
             return
-        # all ranks sort in place in the output; fewer sort in the mixing
-        # scratch, spent once the lengths exist, and only k columns are kept
-        # (np.partition before the sort measured slower, at k = 2 to 30)
-        ranked = out if k == t else scratch.view(np.float64).ravel()[:n * t].reshape(n, t)
+        # the rows sort in the mixing scratch, spent once the lengths exist,
+        # and only k columns are kept (np.partition before the sort measured
+        # slower, at k = 2 to 30)
+        ranked = scratch.view(np.float64).ravel()[:n * t].reshape(n, t)
         np.copyto(ranked, lengths.T)
         ranked.sort(axis=1)
         np.subtract(0.0, ranked[:, :k], out=out)

@@ -16,13 +16,12 @@ not depend on one another.  Past the first segment each block is one wave
 of segment-sized tasks on every CPU (rng.run_tasks), and a task writes
 only the odd multiples of each slice prime, since the pass overwrites
 every even entry from m / 2; the table has one correct value whatever the
-schedule.
+schedule, and the primes each task returns join the list in task order.
 """
 from __future__ import annotations
 
 import math
 import operator
-import threading
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -89,7 +88,7 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def _build_bytes(limit: int) -> int:
     """Upper bound on the peak bytes of build_sieve: the int32 table; the
     int64 prime buffer of _prime_count_bound entries, and half as many for
-    the primes of one wave, as pi(2x) <= 2 pi(x); the shared float64
+    one wave's returned primes, as pi(2x) <= 2 pi(x); the shared float64
     offsets, 8 bytes per odd entry of one segment, and 24 bytes per odd
     entry for each worker of the largest wave: its float64 and intp buffers
     and the positions of a task's primes, with room for numpy's cast
@@ -121,8 +120,8 @@ def build_sieve(limit: int) -> PrimeSieve:
     a wave of SIEVE_SEGMENT-entry tasks run through rng.run_tasks on every
     CPU: each task tiles the wheel into its entries and writes only the odd
     multiples of each slice prime, since the finalize pass overwrites every
-    even entry.  A task stores its primes in a buffer for the wave's primes,
-    and they go into the prime buffer in task order once the wave is done.
+    even entry.  A task returns its primes above sqrt(limit), and they go
+    into the prime buffer in the task order run_tasks returns them in.
     A float limit is refused.
     """
     limit = _integer_n(limit, "sieve limit")
@@ -167,15 +166,9 @@ def build_sieve(limit: int) -> PrimeSieve:
     width = min(SIEVE_SEGMENT, limit + 1) // 2 + 1
     offsets = np.arange(0, 2 * width, 2, dtype=np.float64)
 
-    # a wave's primes, in the order its tasks store them: at most pi(s) of
-    # them in [s, 2s), since pi(2s) <= 2 pi(s), and so at most half the bound
-    found = np.empty(_prime_count_bound(limit) // 2 + 1, dtype=np.int64)
-    stored, lock = 0, threading.Lock()
-
     def finalize(lo, hi, buffers):
         """Finalize lpf[lo:hi], first sieving it past the first segment, and
-        return where in found its primes above root are, ascending."""
-        nonlocal stored
+        return its primes above root, ascending."""
         if lo >= SIEVE_SEGMENT:
             seg = lpf[lo:hi]
             tile(seg, lo)
@@ -188,36 +181,25 @@ def build_sieve(limit: int) -> PrimeSieve:
         # exact integer; a prime reads its own entry, still 1
         np.add(offsets[:odd.size], lo | 1, out=m)
         np.divide(m, odd, out=q, casting="unsafe")
-        rows = np.flatnonzero(np.equal(odd, 1, out=m.view(np.bool_)[:odd.size]))
-        with lock:
-            at, stored = stored, stored + rows.size
-        big = np.multiply(rows, 2, out=found[at:at + rows.size])
+        big = np.flatnonzero(np.equal(odd, 1, out=m.view(np.bool_)[:odd.size]))
+        big *= 2
         big += lo | 1
         np.maximum(odd, lpf.take(q, out=m.view(np.int32)[:odd.size], mode="clip"),
                    out=odd)
         lpf[big] = big
-        return at, big.size
-
-    # a worker's buffers go back to spare when its wave ends, so that the
-    # next wave writes into pages already mapped
-    spare, lent = [], []
+        return big
 
     def new_buffers():
-        lent.append(spare.pop() if spare else
-                    (np.empty(width, dtype=np.float64), np.empty(width, dtype=np.intp)))
-        return lent[-1]
+        return np.empty(width, dtype=np.float64), np.empty(width, dtype=np.intp)
 
     s = root + 1
     while s <= limit:
         e = min(2 * s, limit + 1)
         if s < SIEVE_SEGMENT:
             e = min(e, SIEVE_SEGMENT)
-        for at, count in rng.run_tasks(finalize, range(s, e, SIEVE_SEGMENT), new_buffers):
-            primes[filled:filled + count] = found[at:at + count]
-            filled += count
-        stored = 0
-        spare += lent
-        lent.clear()
+        for big in rng.run_tasks(finalize, range(s, e, SIEVE_SEGMENT), new_buffers):
+            primes[filled:filled + big.size] = big
+            filled += big.size
         s = e
     lpf[0] = 1
     return PrimeSieve(limit=limit, largest_prime_factor=lpf,

@@ -8,7 +8,7 @@ import pytest
 from billingsley import (BoxSpec, ResourceError, box_probability_via_psi, build_rho_table,
                          build_sieve, pd_sample_batch, prime_bounds, psi_exact,
                          sample_factor_vectors)
-from billingsley import cli, errors, rng
+from billingsley import cli, errors, rng, suite
 from billingsley.pd_process import _block_rows
 from billingsley.cli import dispatch
 
@@ -409,6 +409,20 @@ def test_verify_inadmissible_box_fails(capsys):
 def test_suite_bogus_name(capsys):
     assert dispatch(["suite", "--name", "bogus"]) == 2
     capsys.readouterr()
+
+
+def test_suite_failure_exits_1_and_names_the_first_failed_check(capsys, monkeypatch):
+    # one cheap failing check stands in for the bundle, on a small sieve
+    monkeypatch.setattr(suite, "SIEVE_LIMIT", 100)
+    monkeypatch.setattr(suite, "CHECKS", (
+        ("identities", lambda ctx: {"name": "passes", "passed": True}),
+        ("identities", lambda ctx: {"name": "broken", "passed": False}),
+        ("convergence", lambda ctx: {"name": "also_broken", "passed": False}),
+    ))
+    code, out, err = run(capsys, "suite", "--name", "all")
+    assert code == 1
+    assert err.strip() == "FAILED: broken"
+    assert json.loads(out)["passed"] is False
 
 
 #: every option that takes a float or a count, as (argv, option, value

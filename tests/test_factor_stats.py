@@ -292,6 +292,18 @@ def test_mc_empty_box(sieve5):
     assert est.hits == 0 and est.p_hat == 0.0
 
 
+def test_each_route_refuses_what_its_sieve_cannot_answer(sieve5):
+    # the scan reads the table to n; the Psi route reads primes up to
+    # n^(t + dt), 10^5.4 at n = 10^9
+    box = BoxSpec((0.5,), (0.1,))
+    with pytest.raises(DomainError, match="outside sieve range"):
+        box_probability_exact(sieve5, 10**5 + 1, box)
+    with pytest.raises(DomainError, match="beyond sieve limit"):
+        box_probability_via_psi(sieve5, 10**9, box)
+    with pytest.raises(ParameterError, match="samples must be >= 1"):
+        sample_box_probability(sieve5, 10**4, box, samples=0)
+
+
 @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint64],
                          ids=lambda kind: kind.__name__)
 def test_numpy_integer_n_gives_the_int_result_in_every_route(sieve6, kind):

@@ -354,6 +354,11 @@ def test_density_u_argument_out_of_table():
         pd_box_probability_refined(small, BoxSpec((0.3,), (0.05,)), grid=8)
 
 
+def test_density_refuses_a_point_with_no_coordinate(table):
+    with pytest.raises(ParameterError, match="at least one coordinate"):
+        pd_density(table, [])
+
+
 def test_box_probability_needs_one_more_unit_of_table():
     # the closed inner integral reads rho at (1 - s)/t_k, one unit past the
     # density's own argument (1 - s - t_k)/t_k

@@ -136,8 +136,9 @@ def test_pooled_sieve_equals_the_inline_sieve(cpus, workers):
 
 
 def test_pooled_sieve_stores_every_prime_under_frequent_thread_switches(cpus):
-    # eight workers on fewer CPUs take turns every microsecond, so a lost
-    # update of the count of a wave's stored primes would overlap two tasks'
+    # eight workers on fewer CPUs take turns every microsecond, so tasks
+    # finish out of order: the primes each one returns must still join the
+    # list in task order
     limit = 3 * 2**20 + 5
     cpus(1)
     want = build_sieve(limit)

@@ -349,6 +349,26 @@ def test_run_tasks_runs_unpinned_where_affinity_is_refused(cpus, monkeypatch):
     assert os.sched_getaffinity(0) == mask
 
 
+def test_run_tasks_runs_unpinned_where_the_platform_has_no_affinity_call(
+        cpus, monkeypatch):
+    get = getattr(os, "sched_getaffinity", None)
+    mask = get(0) if get else None
+    pools = cpus(2)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert rng._affinity() == set()
+    assert rng._hold({0}) is None
+
+    def fn(lo, hi, buffers):
+        return lo, hi, get is None or get(0) == mask
+
+    out = rng.run_tasks(fn, range(0, 100, 3), lambda: None)
+    assert out == [(lo, min(lo + 3, 100), True) for lo in range(0, 100, 3)]
+    assert pools == [1]
+    if get:
+        assert get(0) == mask
+
+
 def test_run_tasks_under_contention_runs_every_task_once(monkeypatch):
     # more workers than cores and a short switch interval: a task lost or run
     # twice by a race on the shared task iterator would show in the counts

@@ -408,6 +408,47 @@ def test_batch_past_int64_is_a_domain_error():
             default_engine().psi_sum(x, y)
 
 
+def test_batch_parameter_and_resource_errors():
+    engine = PsiEngine()
+    with pytest.raises(ParameterError, match="same shape"):
+        engine.psi_sum([10, 20], [3])
+    with pytest.raises(ParameterError, match="y must be >= 1"):
+        engine.psi_sum([10], [0])
+    # a y past the cap is refused before the prime list grows
+    grown = engine.prime_limit
+    with pytest.raises(ResourceError, match="exceeds cap"):
+        engine.psi_sum([10**9], [smoothcount.PRIME_CAP + 1])
+    assert engine.prime_limit == grown
+
+
+def test_one_large_factor_splits_a_batch_past_its_row_bound(sieve7, monkeypatch):
+    # each batch holds quotients at a prime y just below (y + 1)^2, so they
+    # all reach the identity at y's stage; with the bound at 64 rows they are
+    # halved down to one quotient a call, and the count must not move
+    rnd = random.Random(14)
+    batches = []
+    for y in (1103, 2003, 3001):
+        top = min(10**7, (y + 1) ** 2 - 1)
+        xs = [top - d for d in range(3)] + [rnd.randint(LEAF_LIMIT + 1, top)
+                                            for _ in range(5)]
+        batches.append((xs, [y] * len(xs)))
+    sizes, real = [], PsiEngine._one_large_factor
+
+    def counted(self, z, w, j):
+        sizes.append(z.size)
+        return real(self, z, w, j)
+
+    monkeypatch.setattr(PsiEngine, "_one_large_factor", counted)
+    unsplit = [default_engine().psi_sum(xs, ys) for xs, ys in batches]
+    assert max(sizes) >= 8
+    whole = len(sizes)
+    monkeypatch.setattr(smoothcount, "IDENTITY_ROWS", 64)
+    split = [default_engine().psi_sum(xs, ys) for xs, ys in batches]
+    assert len(sizes) - whole > 3 * whole and 1 in sizes[whole:]
+    assert split == unsplit == [sum(psi_bruteforce(sieve7, x, y) for x, y in zip(xs, ys))
+                                for xs, ys in batches]
+
+
 def test_engine_tables_are_read_only():
     # a write into a shared table would change every later count in the
     # process: leaf_labels[10] = 3 made psi_exact(10, 3) read 8, not 7

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from billingsley import PrimeSieve, build_sieve, pd_sample_batch, psi_exact, suite
+from billingsley import (ParameterError, PrimeSieve, build_sieve, pd_sample_batch, psi_exact,
+                         suite)
 from billingsley.dickman import H_U_MAX
 from billingsley.pd_process import DEFAULT_TRUNCATION, _chunk_rows
 from billingsley.suite import (ALTERNATING_SUM_POINTS, PD_MARGINAL_SAMPLES,
@@ -116,3 +117,12 @@ def test_criterion_2_is_unchanged_under_the_u_bound(sieve5, table):
     assert got["passed"]
     assert [row["alternating_sum"] for row in got["points"]] == [
         0.5945348918918356, 0.13031956183223736, 0.016229593243203375]
+
+
+def test_unknown_bundle_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("worked before refusing")
+
+    monkeypatch.setattr(suite, "build_sieve", no_work)
+    with pytest.raises(ParameterError, match="unknown bundle 'nope'"):
+        suite.run_suite("nope")
