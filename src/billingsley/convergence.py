@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, _integer_n
 from .factor_stats import (BoxSpec, _u_facets, box_probability_exact,
                            box_probability_via_psi, sample_box_probability)
-from .primes import PrimeSieve, _integer_n
+from .primes import PrimeSieve
 from .rng import DEFAULT_SEED
 
 #: Monte Carlo verdicts get this many standard errors of slack

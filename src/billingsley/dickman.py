@@ -30,8 +30,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from .errors import (DomainError, NumericalError, ParameterError, ResourceError,
-                     check_memory)
-from .primes import _integer_n
+                     _integer_n, check_memory)
 
 DEFAULT_U_MAX = 20.0
 

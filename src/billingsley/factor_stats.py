@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ParameterError, ResourceError, check_memory
-from .primes import PrimeSieve, _integer_n, power_ceil, power_floor
+from .errors import DomainError, ParameterError, ResourceError, _integer_n, check_memory
+from .primes import PrimeSieve, power_ceil, power_floor
 from .smoothcount import default_engine
 
 #: most draws one Monte Carlo estimate may make, about five minutes on one

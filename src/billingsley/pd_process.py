@@ -40,9 +40,8 @@ import numpy as np
 
 from . import rng
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError, check_memory
+from .errors import DomainError, ParameterError, _integer_n, check_memory
 from .factor_stats import BoxSpec, _u0, _u_facets
-from .primes import _integer_n
 
 DEFAULT_TRUNCATION = 60
 

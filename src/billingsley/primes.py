@@ -21,14 +21,13 @@ schedule, and the primes each task returns join the list in task order.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 import numpy as np
 
 from . import rng
-from .errors import DomainError, ParameterError, check_memory
+from .errors import DomainError, ParameterError, _integer_n, check_memory
 
 #: build_sieve tiles the largest of these primes dividing m, period 30030
 SIEVE_WHEEL = (2, 3, 5, 7, 11, 13)
@@ -242,33 +241,6 @@ def power_floor(n: int, t: float) -> int:
 def power_ceil(n: int, t: float) -> int:
     """ceil(n^t), resolved the same way as power_floor."""
     return _power_round(n, t, math.ceil, 1)
-
-
-def _integer_n(n, name: str = "n") -> int:
-    """n as a Python int, so that its powers never wrap: a numpy integer
-    converts exactly; a float, integral or not, or a bool is a
-    ParameterError."""
-    try:
-        if not isinstance(n, bool):
-            return operator.index(n)
-    except TypeError:
-        pass
-    raise ParameterError(f"{name} must be an integer, got {n!r}")
-
-
-def _integer_array(x, name: str = "x") -> np.ndarray:
-    """x as an int64 array of its shape, 0-d for a scalar: an int, a numpy
-    integer, or an array or sequence of integers.  A float, integral or
-    not, or a non-empty array of any other dtype is a ParameterError, so
-    that nothing is truncated; an int past int64 raises OverflowError."""
-    a = np.asarray(x)
-    if a.dtype.kind in "iu" or not a.size:  # an empty list comes as float64
-        return a.astype(np.int64, copy=False)
-    if a.ndim and a.dtype != object:
-        raise ParameterError(f"{name} must be integers, got an array of {a.dtype}")
-    # a scalar, or objects such as ints past int64: each one through _integer_n
-    return np.array([_integer_n(v, name) for v in a.ravel().tolist()],
-                    dtype=np.int64).reshape(a.shape)
 
 
 def _power_round(n: int, t: float, rounding, step: int) -> int:

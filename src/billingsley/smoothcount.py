@@ -40,30 +40,29 @@ A single x <= T skips the sweep: one count off the leaf table, the same
 streamed label count as psi_bruteforce's, for an int or an array of x, with
 memory that grows with the number of x, not with their size.
 
-A single x > T with y >= TABLE_CUBE_RATIO * x^(1/3), or with (y + 1)^2 > x,
-skips it too: the engine tabulates pi at every floor quotient x // m by the
-Lucy/Legendre recurrence over its primes up to sqrt(x) (Lagarias-Miller-
-Odlyzko 1985, Deleglise-Rivat 1996), x^(3/4) / log x work in three int64
-arrays of sqrt(x) entries: 3 ms at 10^7, 0.3-0.4 s at 10^11 and 1.4-1.9 s
-at 10^12 (a 33 MB peak).  For (y + 1)^2 > x, Psi(x, y) is the
-one-large-factor identity read off it, with pi(y) off the engine's primes
-up to T, or past T a second, smaller table, when y is not a floor quotient
-of x; below sqrt(x), Psi(x, y) = Psi(x, sqrt x) - sum_{y < p <= sqrt x}
-Psi(x // p, p), each term the same identity off the same table.  The engine
-keeps the last table it built, two int64 arrays of sqrt(x) entries (16 MB
-at 10^12), so repeated calls at one x read it again instead of building it
-anew.
+A single x > T with y >= TABLE_CUBE_RATIO * x^(1/3) skips it too: the
+engine tabulates pi at every floor quotient x // m by the Lucy/Legendre
+recurrence (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996), x^(3/4) /
+log x work in three int64 arrays of sqrt(x) entries: 3 ms at 10^7, 0.3-0.4
+s at 10^11 and 1.4-1.9 s at 10^12 (a 33 MB peak).  For (y + 1)^2 > x,
+Psi(x, y) is the one-large-factor identity read off it, with pi(y) off the
+engine's primes up to T, or past T a second, smaller table, when y is not a
+floor quotient of x; below sqrt(x), Psi(x, y) = Psi(x, sqrt x) - sum_{y < p
+<= sqrt x} Psi(x // p, p), each term the same identity off the same table.
+Each table lives for one call, so a y-ladder at one x builds it anew on
+every rung.
 
 Feasibility: the sweep's identity needs the primes up to min(x, (y+1)^2).
 The engine's prime list grows geometrically to that, capped at PRIME_CAP =
 10^8: on the sweep, y beyond the cap raises ResourceError, and quotients
-beyond it are divided down instead.  The table needs the primes only up to
-sqrt(x), so it answers y past the cap, and it refuses its memory through
-check_memory before any work.  psi_exact(10^12, 1000) takes about 0.15 s
-on a 2-vCPU Xeon VM; the sweep's work grows with the number of distinct
-quotients above T, roughly x / T divisors.  The x of a batch must sum to
-at most 2^62 so that every weighted partial sum fits in int64; larger
-batches raise ResourceError before any work.
+beyond it are divided down instead.  The table grows no list: its stages
+read the engine's primes up to T and its later primes are the steps of its
+own counts, so it answers y past the cap and any x below 1048573^3 whose
+memory check_memory admits before any work.  psi_exact(10^12, 1000) takes
+about 0.15 s on a 2-vCPU Xeon VM; the sweep's work grows with the number of
+distinct quotients above T, roughly x / T divisors.  The x of a batch must
+sum to at most 2^62 so that every weighted partial sum fits in int64;
+larger batches raise ResourceError before any work.
 """
 from __future__ import annotations
 
@@ -73,8 +72,9 @@ import math
 import numpy as np
 
 from .dickman import DickmanTable, rho
-from .errors import DomainError, ParameterError, ResourceError, check_memory
-from .primes import PrimeSieve, _integer_array, _integer_n, _read_only
+from .errors import (DomainError, ParameterError, ResourceError, _integer_array, _integer_n,
+                     check_memory)
+from .primes import PrimeSieve, _read_only
 
 #: never sieve the internal prime list beyond this
 PRIME_CAP = 10**8
@@ -154,13 +154,12 @@ def _merge(z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 class PsiEngine:
     """Exact sums of smooth-number counts, with a cached prime list and leaf
-    table, and the last prime-count table.  Results never depend on call
-    history; the prime list only grows, and every cache is read-only, so a
-    shared engine cannot be corrupted through them.
+    table.  Results never depend on call history; only the sweep grows the
+    prime list, a prime-count table lives for one call, and every cache is
+    read-only, so a shared engine cannot be corrupted through them.
     """
 
     def __init__(self):
-        self._held = None  # (x, small, large): the last _prime_counts(x) _counts built
         self.leaf_limit = self.prime_limit = leaf_limit = LEAF_LIMIT
         self.primes = _eratosthenes(self.prime_limit)
         # leaf table: largest prime factor of every m <= T, multiplied out
@@ -305,24 +304,26 @@ class PsiEngine:
         for v <= r and large[m] = pi(x // m) for 1 <= m <= r (large[0] unused).
 
         The Lucy/Legendre recurrence S(v) -= S(v // p) - S(p - 1), for every
-        floor quotient v >= p^2, over the engine's primes p <= r from S(v) =
-        v - 1 (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): x^(3/4)
-        / log x updates.  For large[m] with m p <= r, v // p is large[m p], a
-        strided slice; otherwise it is small[(x // m) // p], gathered
-        _TABLE_CHUNK at a time from a third array of the x // m.  From the
-        first p with p^3 > x on, a stage writes only large[m] with m < p and
-        reads only entries that no later stage writes, so those stages run as
-        one batch of rows, m-major, off the counts they read.
-        Its peak, _table_bytes(r), and the table the engine holds are refused
-        through check_memory before any work."""
+        floor quotient v >= p^2, over the primes p <= r from S(v) = v - 1
+        (Lagarias-Miller-Odlyzko 1985, Deleglise-Rivat 1996): x^(3/4) / log x
+        updates.  For large[m] with m p <= r, v // p is large[m p], a strided
+        slice; otherwise it is small[(x // m) // p], gathered _TABLE_CHUNK at a
+        time from a third array of the x // m.  The stages of the p with p^3
+        <= x take the engine's primes up to T; from the first p with p^3 > x
+        on, a stage writes only large[m] with m < p and reads only entries
+        that no later stage writes, so those stages run as one batch of rows,
+        m-major, off the counts they read, their p the steps of small, which
+        is final by then.  Its peak, _table_bytes(r), and an x >= P^3, P the
+        largest prime <= T (1048573 for T = 2^20), are refused before any
+        work; no engine state changes."""
         r = math.isqrt(x)
-        held = self._held
-        held = 0 if held is None else held[1].nbytes + held[2].nbytes
-        check_memory(_table_bytes(r) + held, f"a prime-count table to {x}")
-        primes = self._ensure_primes(r)
-        primes = primes[:np.searchsorted(primes, r, side="right")]
+        check_memory(_table_bytes(r), f"a prime-count table to {x}")
+        T = self.leaf_limit
+        primes = self.primes[:np.searchsorted(self.primes, min(r, T), side="right")]
         reach = x // (primes * primes)  # large[m] holds a v >= p^2 for m <= reach
         k = int(np.searchsorted(primes - reach, 1))  # the first p with p^3 > x
+        if k == primes.size and r > T:
+            raise ResourceError(f"a prime-count table to {x} needs primes past {T}")
         quot = np.arange(r + 1, dtype=np.int64)
         np.floor_divide(x, quot[1:], out=quot[1:])
         large = quot - 1
@@ -347,50 +348,44 @@ class PsiEngine:
                 small[p * p:p * u].reshape(u - p, p)[...] -= less[:-1, None]
                 small[p * u:] -= less[-1]
                 del less  # the next stage's strided slice takes its place
-        # row m of the batch holds the first `ends[m - 1]` of its primes, and
-        # S(p - 1) = pi(p - 1) is the index of p in primes
-        sums, ends = _table_rows(small, large, x, primes[k:], reach[k:])
+        # the batch's primes are where small steps past the last stage prime
+        # (a boolean compare: np.diff would make an int64 array of r entries);
+        # row m holds the first `ends[m - 1]` of them, and S(p - 1) = pi(p - 1)
+        # is the index of p among all primes
+        lo = int(primes[k - 1]) if k else 0
+        p = lo + 1 + np.flatnonzero(small[lo + 1:] != small[lo:-1])
+        sums, ends = _table_rows(small, large, x, p, x // (p * p))
         large[1:sums.size + 1] -= sums - (k * ends + ends * (ends - 1) // 2)
         return small, large
 
-    def _counts(self, x: int) -> tuple[np.ndarray, np.ndarray]:
-        """_prime_counts(x), read-only, kept until a call at another x; the
-        table held before is let go before the new one is built."""
-        held = self._held
-        if held is None or held[0] != x:
-            self._held = held = None
-            small, large = self._prime_counts(x)
-            held = self._held = (x, _read_only(small), _read_only(large))
-        return held[1], held[2]
-
     def _psi_off_table(self, x: int, y: int) -> int:
-        """Psi(x, y) for x > 2^20 and (y + 1)^3 >= x, off the prime counts at
+        """Psi(x, y) for x > T and (y + 1)^3 >= x, off the prime counts at
         the floor quotients of x.
 
         For t >= r = isqrt(x), so (t + 1)^2 > x, Psi(x, t) = x - sum_{m <= R}
         (pi(x // m) - pi(t)), R = x // (t + 1).  With t = y, pi(y) is on the
         table when y is a floor quotient of x; when it is not, it is a search
-        of the engine's primes up to T and the top of a second table, for y,
-        past it.  Below r, Psi(x, y) = Psi(x, r) - sum_{y < p <= r}
-        Psi(x // p, p): every p > y has p^3 >= x, so each
-        term is the same identity, one row (p, s) for each s <= (x // p) //
-        (p + 1), reading pi(x // (p s)) off the table: about x / (y log y)
-        rows in at most x^(1/3) slices."""
-        small, large = self._counts(x)
-        r = small.size - 1
+        of the engine's primes up to T, or past T the top of a table for y,
+        built first and let go before the one for x, so that the two never
+        coexist.  Below r, Psi(x, y) = Psi(x, r) - sum_{y < p <= r}
+        Psi(x // p, p), the p read off the table's small counts: every p > y
+        has p^3 >= x, so each term is the same identity, one row (p, s) for
+        each s <= (x // p) // (p + 1), reading pi(x // (p s)) off the table:
+        about x / (y log y) rows in at most x^(1/3) slices."""
+        r = math.isqrt(x)
         top = max(y, r)
         rows = x // (top + 1)  # <= r
-        total = x - int(large[1:rows + 1].sum())
+        pi = None
         if top > r and x // (x // top) != top:
             pi = (np.searchsorted(self.primes, top, side="right") if top <= self.leaf_limit
                   else self._prime_counts(top)[1][1])
-            return total + rows * int(pi)
-        total += rows * int(small[r] if top == r else large[x // top])
+        small, large = self._prime_counts(x)
+        if pi is None:
+            pi = small[r] if top == r else large[x // top]
+        total = x - int(large[1:rows + 1].sum()) + rows * int(pi)
         if y >= r:
             return total
-        primes = self.primes
-        p = primes[np.searchsorted(primes, y, side="right"):
-                   np.searchsorted(primes, r, side="right")]
+        p = y + 1 + np.flatnonzero(small[y + 1:] != small[y:-1])
         z = x // p
         reps = z // (p + 1)
         total -= int(z.sum()) + int(np.dot(reps, small[p]))
@@ -399,12 +394,12 @@ class PsiEngine:
 
 def _table_bytes(r: int) -> float:
     """Bytes PsiEngine._prime_counts holds at its peak for r = isqrt(x): three
-    int64 arrays of r + 1 entries, a slice of half that, the two gather
-    buffers, fewer than ten int64 arrays of the primes up to r, pi(r) < 1.26 r
-    / log r (Rosser-Schoenfeld 1962), and 64 KiB for the interpreter's lists
-    and scalars.  _psi_off_table holds less, but for the table for x that the
-    engine keeps while it builds a second one for y; check_memory counts that
-    one too."""
+    int64 arrays of r + 1 entries, a slice of half that (or the batch's
+    boolean steps of small), the two gather buffers, fewer than ten int64
+    arrays of the primes up to r, pi(r) < 1.26 r / log r (Rosser-Schoenfeld
+    1962), and 64 KiB for the interpreter's lists and scalars.
+    _psi_off_table holds less besides the table: it builds a table for y, if
+    any, before the one for x, and lets it go first."""
     return (28.0 * (r + 1) + 16.0 * min(r, _TABLE_CHUNK) + 96.0 * r / math.log(r + 2)
             + 65536.0)
 
@@ -434,8 +429,9 @@ def default_engine() -> PsiEngine:
 
 def psi_exact(x: int, y: int) -> int:
     """Number of y-smooth integers in [1, x], by the engine: off its leaf
-    table for x <= T, off a prime-count table for y >= sqrt(x) or y >=
-    TABLE_CUBE_RATIO * x^(1/3), by the sweep otherwise.  Floats are refused."""
+    table for x <= T, off a prime-count table for y >= TABLE_CUBE_RATIO *
+    x^(1/3) (every y >= sqrt(x) among them), by the sweep otherwise.  Floats
+    are refused."""
     x, y = _integer_n(x, "x"), _integer_n(y, "y")
     if x < 0:
         raise ParameterError("x must be non-negative")
@@ -450,7 +446,7 @@ def psi_exact(x: int, y: int) -> int:
     engine = default_engine()
     if x <= engine.leaf_limit:
         return engine.psi_small(x, y)
-    if (y + 1) ** 2 > x or y**3 >= TABLE_CUBE_RATIO**3 * x:
+    if y**3 >= TABLE_CUBE_RATIO**3 * x:
         return engine._psi_off_table(x, y)
     return engine.psi_sum([x], [y])
 

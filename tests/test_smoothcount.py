@@ -518,13 +518,14 @@ def test_exact_off_the_table_against_bruteforce(sieve7):
                 assert engine._psi_off_table(x, y) == want, (x, y)
 
 
-def test_engine_keeps_the_last_table_for_repeated_calls_at_one_x(sieve7, monkeypatch):
-    # a y-ladder at one x builds the table once; a call at another x lets it
-    # go first.  pi(y) for a y that is no floor quotient of x is a search of
-    # the engine's primes up to T = 2^20 and past T a table for y that the
-    # engine does not keep
+def test_each_call_builds_its_own_table_and_leaves_the_engine_as_it_was(sieve7, monkeypatch):
+    # a y-ladder at one x builds x's table on every call.  pi(y) for a y
+    # that is no floor quotient of x is a search of the engine's primes up
+    # to T = 2^20, and past T the top of a table for y, built first and let
+    # go before x's; neither grows the engine's prime list
     engine = PsiEngine()
     monkeypatch.setattr(smoothcount, "default_engine", lambda: engine)
+    primes, limit = engine.primes, engine.prime_limit
     built = []
     prime_counts = engine._prime_counts
     monkeypatch.setattr(engine, "_prime_counts",
@@ -532,27 +533,49 @@ def test_engine_keeps_the_last_table_for_repeated_calls_at_one_x(sieve7, monkeyp
     x = 3 * 10**6
     ys = [1732, 1740, 2 * 1732 + 1, 1_200_000, x // 2, x - 2, 200, 1500]
     for y in ys:
+        built.clear()
         assert psi_exact(x, y) == psi_bruteforce(sieve7, x, y), y
-    assert built == [x, 1_200_000, x - 2]
-    assert engine._held[0] == x
-    for table in engine._held[1:]:
-        with pytest.raises(ValueError, match="read-only"):
-            table[1] = table[1]
-    assert psi_exact(x + 1, 1740) == psi_bruteforce(sieve7, x + 1, 1740)
-    assert built[3:] == [x + 1] and engine._held[0] == x + 1
+        assert built == ([y, x] if y in (1_200_000, x - 2) else [x]), y
+    assert engine.primes is primes and engine.prime_limit == limit == LEAF_LIMIT
 
 
-def test_held_table_counts_against_the_memory_budget(monkeypatch):
-    engine = PsiEngine()
-    x = 10**7
-    engine._counts(x)
-    y = x - 2  # no floor quotient of x, so pi(y) needs a table to y
-    budget = smoothcount._table_bytes(math.isqrt(y)) + 1
+def test_table_for_y_is_let_go_before_the_table_for_x(monkeypatch):
+    # 10^7 - 2 is no floor quotient of 10^7, and both tables run to r =
+    # 3162: a budget for one table answers, since the two never coexist
+    x, y = 10**7, 10**7 - 2
+    budget = smoothcount._table_bytes(math.isqrt(x)) + 1
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget)
-    with pytest.raises(ResourceError, match="prime-count table"):
-        engine._psi_off_table(x, y)
-    monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", budget + 16 * (math.isqrt(x) + 1))
-    assert engine._psi_off_table(x, y) == x  # 9999999 = 9 * 1111111
+    assert PsiEngine()._psi_off_table(x, y) == x  # 9999999 = 9 * 1111111
+
+
+def test_table_past_the_leaf_limit_reads_its_primes_off_its_own_counts(sieve6, monkeypatch):
+    # with T = 64, every x here has sqrt(x) > T: the stages of the p with
+    # p^3 <= x read the primes up to 64, the batch and Buchstab primes past
+    # them are the steps of the table's small counts, and the prime list
+    # stays as it was.  From 61^3 on (61 is the largest prime <= 64) a
+    # stage prime could lie past the list, so the table is refused
+    monkeypatch.setattr(smoothcount, "LEAF_LIMIT", 64)
+    engine = PsiEngine()
+    primes = engine.primes
+    rnd = random.Random(35)
+    xs = [65**2, 65**2 + 1, 10**5, 200**2, 61**3 - 1] + [rnd.randint(65**2, 61**3 - 1)
+                                                         for _ in range(4)]
+    for x in xs:
+        small, large = engine._prime_counts(x)
+        r = math.isqrt(x)
+        assert np.array_equal(small, pi_off_sieve(sieve6, np.arange(r + 1))), x
+        assert np.array_equal(large[1:], pi_off_sieve(sieve6, x // np.arange(1, r + 1))), x
+        cube = cube_root_ceil(x)
+        for y in sorted({cube - 1, cube, cube + 5, rnd.randint(cube, r), r - 1, r, r + 1,
+                         rnd.randint(r, x - 1), x // 3, x - 2}):
+            if (y + 1) ** 3 >= x:
+                assert engine._psi_off_table(x, y) == psi_bruteforce(sieve6, x, y), (x, y)
+    assert engine.primes is primes and engine.prime_limit == 64
+    for x in (61**3, 61**3 + 1, 10**7):
+        with pytest.raises(ResourceError, match="needs primes past 64"):
+            engine._prime_counts(x)
+    with pytest.raises(ResourceError, match="needs primes past 64"):
+        engine._psi_off_table(61**3, 61**2)
 
 
 def test_pinned_values_off_the_table():
@@ -573,27 +596,25 @@ def test_table_bytes_bound_the_traced_peak(x):
     # the memory check refuses a table by this estimate, so it must not
     # undercount what the table, or a count read off it, allocates; at 10^11
     # (a second under tracemalloc) only the table, whose peak the counts share.
-    # At y = x - 2 the engine keeps the table for x, 16 (r + 1) bytes, while
-    # it builds one for y, and the check counts both
+    # At y = x - 2 the table for y is let go before the one for x is built
     engine = PsiEngine()
     r = math.isqrt(x)
     for y in [None] + ([cube_root_ceil(2 * x), r + 7, x - 2] if x < 10**10 else []):
-        engine._held = None
         tracemalloc.start()
         try:
             engine._prime_counts(x) if y is None else engine._psi_off_table(x, y)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = 16 * (r + 1) if y == x - 2 else 0
-        assert peak <= smoothcount._table_bytes(r) + held, (x, y)
+        assert peak <= smoothcount._table_bytes(r), (x, y)
 
 
 def test_oversized_prime_count_table_is_refused_before_any_work(monkeypatch):
     engine = default_engine()
     grown = engine.prime_limit
     monkeypatch.setattr(errors, "DEFAULT_MEMORY_BUDGET", 1 << 20)
-    # the table to 10^15 would grow the prime list to 3.2e7 first
+    # the table to 10^15 would hold about 1 GiB (its stages read the
+    # primes up to T, and the list does not grow)
     with pytest.raises(ResourceError, match="prime-count table"):
         psi_exact(10**15, 4 * 10**7)
     with pytest.raises(ResourceError, match="prime-count table"):
